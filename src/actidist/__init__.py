@@ -20,7 +20,6 @@ from .distribution import (
 from .geometry import (
     FrechetSummary,
     frechet_mean,
-    frechet_objective,
     frechet_variance,
     pairwise_wasserstein,
     pointwise_sd_curve,
@@ -29,7 +28,6 @@ from .geometry import (
 )
 from .survey import (
     ht_mean,
-    median_heuristic_sigma,
     median_heuristic_sigma_from_matrix,
     weighted_median,
     weighted_r2,

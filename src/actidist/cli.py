@@ -32,10 +32,10 @@ DEFAULTS = {
                    "with_summary": True},
     "regress": {"responses": ["response"],
                 "lambda_grid": [float(x) for x in DEFAULT_LAMBDA_GRID],
-                "save_models": False, "seed": 0},
-    "classify": {"response": "mortality", "threshold": 0.5, "stratify_age": False,
-                 "seed": 0},
-    "simulate": {"seed": 0, "sample_seed": 1},
+                "save_models": False},
+    "classify": {"response": "mortality", "threshold": 0.5, "stratify_age": False},
+    # population and design have no default: the config file must give them
+    "simulate": {"seed": 0, "sample_seed": 1, "population": None, "design": None},
     "predict": {},
 }
 
@@ -59,11 +59,16 @@ class _RunOutputs:
 
 
 def _merged(args, command: str) -> dict:
-    """flag > config file > default, per option."""
+    """flag > config file > default, per option; unknown config keys are rejected."""
     merged = dict(DEFAULTS[command])
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
-            merged.update(json.load(fh))
+            config = json.load(fh)
+        unknown = sorted(set(config) - set(merged))
+        if unknown:
+            raise ValueError(f"{args.config}: unknown {command} config keys: "
+                             f"{', '.join(unknown)}")
+        merged.update(config)
     for key in merged:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -105,6 +110,15 @@ def _read_regression_inputs(args):
     return ids, grids, weights, covariates
 
 
+def _response_values(ids, covariates, name: str) -> np.ndarray:
+    y = np.asarray([float(cov.get(name, np.nan)) for cov in covariates])
+    bad = [sid for sid, value in zip(ids, y) if not np.isfinite(value)]
+    if bad:
+        raise io.InputValidationError(
+            f"missing or non-finite response column {name!r} for: {', '.join(bad[:5])}")
+    return y
+
+
 def _tac_values(args, ids, grids) -> np.ndarray:
     """Daily totals from the summary file when given, else recovered from
     the distribution as 1440 * mean quantile value."""
@@ -131,18 +145,19 @@ def cmd_regress(args) -> int:
     tac = _tac_values(args, ids, grids)
     lambda_grid = np.asarray(cfg["lambda_grid"], dtype=float)
 
+    # one sample per predictor kind: every response reuses its distances
+    # and kernel spectrum
+    dist_base = SurveySample(grids, np.zeros(len(ids)), weights)
+    tac_base = SurveySample(tac, np.zeros(len(ids)), weights)
+
     out = _RunOutputs(Path(args.out))
     try:
         report_rows = []
         for name in responses:
-            bad = [sid for sid, cov in zip(ids, covariates) if name not in cov]
-            if bad:
-                raise io.InputValidationError(
-                    f"missing response column {name!r} for: {', '.join(bad[:5])}")
-            y = np.asarray([float(cov[name]) for cov in covariates])
-            dist_sample = SurveySample(grids, y, weights)
-            tac_sample = SurveySample(tac, y, weights)
-            result = compare_r2(dist_sample, tac_sample, lambda_grid=lambda_grid)
+            y = _response_values(ids, covariates, name)
+            dist_sample = dist_base.with_responses(y)
+            result = compare_r2(dist_sample, tac_base.with_responses(y),
+                                lambda_grid=lambda_grid)
             report_rows.append([
                 name,
                 result.distribution.r2, result.tac.r2,
@@ -169,12 +184,7 @@ def cmd_classify(args) -> int:
     cfg = _merged(args, "classify")
     ids, grids, weights, covariates = _read_regression_inputs(args)
     name = cfg["response"]
-    bad = [sid for sid, cov in zip(ids, covariates) if name not in cov]
-    if bad:
-        raise io.InputValidationError(
-            f"missing response column {name!r} for: {', '.join(bad[:5])}")
-    y = np.asarray([float(cov[name]) for cov in covariates])
-    sample = SurveySample(grids, y, weights)
+    sample = SurveySample(grids, _response_values(ids, covariates, name), weights)
     if not sample.is_binary():
         raise ValueError(f"response column {name!r} is not binary 0/1")
 
@@ -310,7 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--subjects", required=True, help="subject metadata CSV")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--seed", type=int, help="random seed")
 
     p = sub.add_parser("build-dist", help="raw readings to quantile grids")
     common(p)

@@ -54,12 +54,47 @@ def wasserstein2(a: QuantileGrid, b: QuantileGrid) -> float:
     return float(np.sqrt(np.mean(diff * diff)))
 
 
-def pairwise_wasserstein(grids) -> np.ndarray:
-    """Symmetric matrix of pairwise distances, computed in fixed index order."""
-    values = _stack(grids)
-    m = values.shape[1]
-    sq = ((values[:, None, :] - values[None, :, :]) ** 2).sum(axis=2) / m
-    return np.sqrt(sq)
+def _rows(x) -> np.ndarray:
+    """Grids as an (n, m) matrix; a 1-d array of scalars as (n, 1)."""
+    return x.reshape(len(x), -1) if isinstance(x, np.ndarray) else _stack(x)
+
+
+def pairwise_wasserstein(x, y=None) -> np.ndarray:
+    """Distances between the rows of x and of y (default: x itself).
+
+    Rows are quantile grids (QuantileGrid list or (n, m) matrix) or scalars
+    (1-d array: point masses, at absolute distance). Grids use the Gram form
+    |a|^2 + |b|^2 - 2 a.b on columns centred at x's mean, so no (n, k, m)
+    array is formed; pairs with d^2 <= 1e-10 (|a|^2 + |b|^2), where the form
+    cancels, are recomputed directly, which keeps duplicates at exactly 0.
+    A square result is exactly symmetric with a zero diagonal.
+    """
+    a = _rows(x)
+    b = a if y is None else _rows(y)
+    m = a.shape[1]
+    if b.shape[1] != m:
+        raise ValueError("grid mismatch")
+    if m == 1:
+        return np.abs(a - b.T)
+    center = a.mean(axis=0)
+    ac = a - center
+    bc = ac if y is None else b - center
+    na = np.einsum("ij,ij->i", ac, ac)
+    nb = na if y is None else np.einsum("ij,ij->i", bc, bc)
+    scale = na[:, None] + nb[None, :]
+    gram = ac @ bc.T
+    # adding the transpose makes the square case exactly symmetric
+    sq = scale - (gram + gram.T if y is None else 2.0 * gram)
+    np.maximum(sq, 0.0, out=sq)
+    rows, cols = np.nonzero(sq <= 1e-10 * scale)
+    step = max(1, (1 << 22) // m)
+    for lo in range(0, rows.size, step):
+        i, j = rows[lo:lo + step], cols[lo:lo + step]
+        diff = a[i] - b[j]
+        sq[i, j] = np.einsum("ij,ij->i", diff, diff)
+    if y is None:
+        np.fill_diagonal(sq, 0.0)
+    return np.sqrt(sq / m)
 
 
 def frechet_mean(grids, weights=None) -> QuantileGrid:
@@ -109,17 +144,6 @@ def pointwise_sd_curve(grids, mean: QuantileGrid, weights=None) -> np.ndarray:
         return np.sqrt(sq.sum(axis=0) / (n - 1))
     w = _normalized_weights(weights, n)
     return np.sqrt(w @ sq)
-
-
-def frechet_objective(grids, candidate: QuantileGrid, weights=None) -> float:
-    """Weighted sum of squared distances to a candidate grid (the functional
-    the Frechet mean minimizes)."""
-    values = _stack(grids)
-    if candidate.m != values.shape[1]:
-        raise ValueError("grid mismatch")
-    w = _normalized_weights(weights, values.shape[0])
-    sq_dist = np.mean((values - candidate.values) ** 2, axis=1)
-    return float(w @ sq_dist)
 
 
 def summarize(grids, weights=None) -> FrechetSummary:

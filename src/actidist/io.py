@@ -8,7 +8,7 @@ round-trip formatting so reruns on identical inputs are byte-identical.
 from __future__ import annotations
 
 import csv
-from pathlib import Path
+import math
 
 import numpy as np
 
@@ -74,34 +74,6 @@ def read_readings_csv(path) -> dict:
     return per_subject
 
 
-def read_subject_readings_csv(path, subject_id=None) -> dict:
-    """Single-subject readings file (timestamp_min, count)."""
-    sid = subject_id if subject_id is not None else Path(path).stem
-    out = ([], [])
-    bad: list[str] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["timestamp_min", "count"]:
-            raise InputValidationError(f"{path}: expected header timestamp_min,count")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                t, count = float(row[0]), float(row[1])
-            except (ValueError, IndexError):
-                bad.append(f"line {lineno}: malformed row")
-                continue
-            if count < 0:
-                bad.append(f"line {lineno}: negative count")
-                continue
-            out[0].append(t)
-            out[1].append(count)
-    if bad:
-        raise InputValidationError(f"{path}: " + "; ".join(bad))
-    return {sid: out}
-
-
 def _parse_covariate(text: str):
     try:
         value = float(text)
@@ -127,8 +99,14 @@ def read_subjects_csv(path) -> dict:
             except (TypeError, ValueError):
                 bad.append(f"line {lineno}: bad survey_weight")
                 continue
-            if weight <= 0 or not sid:
+            if not sid:
                 bad.append(f"line {lineno}: bad subject row")
+                continue
+            if not (math.isfinite(weight) and weight > 0):
+                bad.append(f"line {lineno}: survey_weight must be positive and finite")
+                continue
+            if sid in out:
+                bad.append(f"line {lineno}: duplicate subject_id {sid!r}")
                 continue
             covariates = {
                 key: _parse_covariate(val)
@@ -193,12 +171,16 @@ def read_quantile_csv(path):
         header = next(reader, None)
         if header is None or header[0] != "subject_id" or len(header) < 3:
             raise InputValidationError(f"{path}: not a quantile table")
-        ids, grids = [], []
+        ids, grids, seen = [], [], set()
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
                 raise InputValidationError(f"{path}: line {lineno}: wrong field count")
+            if row[0] in seen:
+                raise InputValidationError(
+                    f"{path}: line {lineno}: duplicate subject_id {row[0]!r}")
+            seen.add(row[0])
             ids.append(row[0])
             try:
                 grids.append(QuantileGrid(values=np.asarray(row[1:], dtype=float)))

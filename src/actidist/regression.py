@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .distribution import QuantileGrid
 from .survey import median_heuristic_sigma_from_matrix
 
@@ -70,7 +71,9 @@ class SurveySample:
     """Paired (predictor, response, weight) records for regression.
 
     Predictors are either all quantile grids or all scalars; responses are
-    continuous, or 0/1 when the sample is used for classification.
+    continuous, or 0/1 when the sample is used for classification. The
+    predictors are held as one read-only matrix, (n, m) for grids and (n,)
+    for scalars.
     """
 
     def __init__(self, predictors, responses, weights=None):
@@ -78,13 +81,13 @@ class SurveySample:
         n = responses.size
         if n < 1:
             raise ValueError("empty sample")
-        if weights is None:
-            weights = np.ones(n)
-        weights = np.asarray(weights, dtype=float)
+        weights = np.ones(n) if weights is None else np.array(weights, dtype=float)
         if weights.shape != (n,) or responses.ndim != 1:
             raise ValueError("responses and weights must be aligned 1-d arrays")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be positive")
+        if not np.all(np.isfinite(weights) & (weights > 0)):
+            raise ValueError("weights must be positive and finite")
+        if not np.all(np.isfinite(responses)):
+            raise ValueError("responses must be finite")
 
         if len(predictors) != n:
             raise ValueError("predictors and responses must have equal length")
@@ -93,50 +96,67 @@ class SurveySample:
             m = predictors[0].m
             if any(p.m != m for p in predictors):
                 raise ValueError("grid mismatch")
-            self._matrix = np.stack([p.values for p in predictors])
+            matrix = np.stack([p.values for p in predictors])
         else:
-            arr = np.asarray(predictors, dtype=float)
-            if arr.ndim != 1:
-                raise ValueError("predictors must be quantile grids or scalars")
+            matrix = np.array(predictors, dtype=float)
+            if matrix.ndim != 1 or not np.all(np.isfinite(matrix)):
+                raise ValueError("predictors must be quantile grids or finite scalars")
             self.kind = SCALAR_KIND
-            self._matrix = arr
-        self.predictors = list(predictors) if self.kind == GRID_KIND else self._matrix
+        matrix.setflags(write=False)
+        weights.setflags(write=False)
+        self._matrix = matrix
         self.responses = responses
         self.weights = weights
+        # distances and kernel spectra depend only on predictors and weights,
+        # so samples made by with_responses share this cache
+        self._cache: dict = {}
 
     @property
     def n(self) -> int:
         return self.responses.size
 
+    @property
+    def predictors(self):
+        """The predictors as quantile grids, or the array of scalars."""
+        if self.kind == GRID_KIND:
+            return [QuantileGrid(row) for row in self._matrix]
+        return self._matrix
+
     def is_binary(self) -> bool:
         return bool(np.all(np.isin(self.responses, (0.0, 1.0))))
 
     def distance_matrix(self) -> np.ndarray:
-        """Pairwise predictor distances, fixed index order."""
-        x = self._matrix
-        if self.kind == GRID_KIND:
-            m = x.shape[1]
-            sq = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2) / m
-            return np.sqrt(sq)
-        return np.abs(x[:, None] - x[None, :])
+        """Pairwise predictor distances, fixed index order.
+
+        Computed on the first call; later calls, also on samples made by
+        with_responses, return the same read-only array.
+        """
+        d = self._cache.get("distances")
+        if d is None:
+            d = geometry.pairwise_wasserstein(self._matrix)
+            d.setflags(write=False)
+            self._cache["distances"] = d
+        return d
 
     def distances_to(self, x) -> np.ndarray:
         """Distances from every training predictor to a query point."""
-        if self.kind == GRID_KIND:
-            if not isinstance(x, QuantileGrid):
-                raise ValueError("query must be a quantile grid")
-            if x.m != self._matrix.shape[1]:
-                raise ValueError("grid mismatch")
-            return np.sqrt(((self._matrix - x.values) ** 2).mean(axis=1))
-        return np.abs(self._matrix - float(x))
+        if self.kind == GRID_KIND and not isinstance(x, QuantileGrid):
+            raise ValueError("query must be a quantile grid")
+        query = x.values[None, :] if self.kind == GRID_KIND else np.array([float(x)])
+        return geometry.pairwise_wasserstein(self._matrix, query)[:, 0]
 
     def subset(self, mask: np.ndarray) -> "SurveySample":
         idx = np.flatnonzero(mask)
-        if self.kind == GRID_KIND:
-            preds = [self.predictors[i] for i in idx]
-        else:
-            preds = self._matrix[idx]
+        preds = self.predictors
+        preds = [preds[i] for i in idx] if self.kind == GRID_KIND else preds[idx]
         return SurveySample(preds, self.responses[idx], self.weights[idx])
+
+    def with_responses(self, responses) -> "SurveySample":
+        """The same predictors and weights with other responses; the new
+        sample shares this one's cached distances and kernel spectrum."""
+        out = SurveySample(self.predictors, responses, self.weights)
+        out._cache = self._cache
+        return out
 
 
 _NW_KERNELS = {"gaussian": gaussian_kernel, "epanechnikov": epanechnikov_kernel}
@@ -187,11 +207,6 @@ def nw_predict(sample: SurveySample, cfg: NwConfig, x) -> float:
     return float(np.clip(pred, sample.responses.min(), sample.responses.max()))
 
 
-def _nw_weight_matrix(sample: SurveySample, cfg: NwConfig) -> np.ndarray:
-    d = sample.distance_matrix()
-    return cfg.kernel(d / cfg.bandwidth) * sample.weights[None, :]
-
-
 def nw_loo(sample: SurveySample, cfg: NwConfig) -> np.ndarray:
     """Leave-one-out smoother predictions at every training point.
 
@@ -202,7 +217,7 @@ def nw_loo(sample: SurveySample, cfg: NwConfig) -> np.ndarray:
     if sample.n < 2:
         raise ValueError("need at least two observations")
     _check_distance(sample, cfg)
-    k = _nw_weight_matrix(sample, cfg)
+    k = cfg.kernel(sample.distance_matrix() / cfg.bandwidth) * sample.weights
     np.fill_diagonal(k, 0.0)
     totals = k.sum(axis=1)
     y = sample.responses
@@ -264,22 +279,23 @@ class KrrModel:
     kernel_name: str = "laplacian"
     format_version: int = MODEL_FORMAT_VERSION
 
-    def training_predictions(self) -> np.ndarray:
-        k = _kernel_matrix(self.training_matrix, self.training_matrix, self.kind,
-                           self.sigma, self.kernel_name)
-        return k @ self.alpha
 
+def _kernel_spectrum(sample: SurveySample, sigma: float,
+                     kernel_name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition S = U diag(s) U^T of S = W^1/2 K W^1/2.
 
-def _cross_distances(a: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
-    if kind == GRID_KIND:
-        m = a.shape[1]
-        sq = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2) / m
-        return np.sqrt(sq)
-    return np.abs(a[:, None] - b[None, :])
-
-
-def _kernel_matrix(a, b, kind, sigma, kernel_name) -> np.ndarray:
-    return _RKHS_KERNELS[kernel_name](_cross_distances(a, b, kind), sigma)
+    WK + lam I is similar to S + lam I, so one decomposition serves the fit's
+    condition estimate and the leave-one-out shortcut at every lambda. The
+    last (sigma, kernel) decomposition is cached on the sample.
+    """
+    key = (float(sigma), kernel_name)
+    cached = sample._cache.get("spectrum")
+    if cached is None or cached[0] != key:
+        k = _RKHS_KERNELS[kernel_name](sample.distance_matrix(), sigma)
+        r = np.sqrt(sample.weights)
+        cached = (key, np.linalg.eigh(r[:, None] * k * r[None, :]))
+        sample._cache["spectrum"] = cached
+    return cached[1]
 
 
 def krr_fit(sample: SurveySample, lam: float, sigma: float | None = None,
@@ -289,61 +305,52 @@ def krr_fit(sample: SurveySample, lam: float, sigma: float | None = None,
     Solves (W K + lam I) alpha = W Y by LU factorization with partial
     pivoting, where K_ij = kernel(d(X_i, X_j)) and W = diag(weights). The
     kernel scale defaults to the weighted median heuristic on the training
-    predictors. A warning is emitted when the system's condition number
-    exceeds 1e12.
+    predictors. A warning is emitted when the condition number of the
+    similar symmetric system W^1/2 K W^1/2 + lam I exceeds 1e12.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     if kernel_name not in _RKHS_KERNELS:
         raise ValueError(f"unknown kernel {kernel_name!r}")
-    x = sample._matrix
     d = sample.distance_matrix()
     if sigma is None:
         sigma = median_heuristic_sigma_from_matrix(d, sample.weights)
     if not sigma > 0:
         raise ValueError("sigma must be positive")
 
+    shifted = np.abs(_kernel_spectrum(sample, sigma, kernel_name)[0] + lam)
+    with np.errstate(divide="ignore"):
+        cond = shifted.max() / shifted.min()
+    if cond > 1e12:
+        warnings.warn(f"ill-conditioned kernel system (cond ~ {cond:.2e})", stacklevel=2)
     k = _RKHS_KERNELS[kernel_name](d, sigma)
     w = sample.weights
     a = w[:, None] * k + lam * np.eye(sample.n)
-    cond = np.linalg.cond(a)
-    if cond > 1e12:
-        warnings.warn(f"ill-conditioned kernel system (cond ~ {cond:.2e})", stacklevel=2)
     try:
         alpha = np.linalg.solve(a, w * sample.responses)
     except np.linalg.LinAlgError as exc:
         raise ValueError("singular kernel system; increase lambda") from exc
-    return KrrModel(kind=sample.kind, training_matrix=x.copy(), alpha=alpha,
+    return KrrModel(kind=sample.kind, training_matrix=sample._matrix.copy(), alpha=alpha,
                     sigma=float(sigma), lam=float(lam), kernel_name=kernel_name)
 
 
-def _query_matrix(model: KrrModel, x) -> np.ndarray:
-    if model.kind == GRID_KIND:
-        if not isinstance(x, QuantileGrid):
-            raise ValueError("query must be a quantile grid")
-        if x.m != model.training_matrix.shape[1]:
-            raise ValueError("grid mismatch")
-        return x.values[None, :]
-    return np.asarray([float(x)])
+def _predict_rows(model: KrrModel, rows: np.ndarray) -> np.ndarray:
+    d = geometry.pairwise_wasserstein(rows, model.training_matrix)
+    return _RKHS_KERNELS[model.kernel_name](d, model.sigma) @ model.alpha
 
 
 def krr_predict(model: KrrModel, x) -> float:
     """Representer-form prediction sum_i alpha_i * kernel(d(x, X_i))."""
-    q = _query_matrix(model, x)
-    k = _kernel_matrix(q, model.training_matrix, model.kind, model.sigma,
-                       model.kernel_name)
-    return float((k @ model.alpha)[0])
+    return float(krr_predict_batch(model, [x])[0])
 
 
 def krr_predict_batch(model: KrrModel, predictors) -> np.ndarray:
     """Predictions at several query points (grids or scalars)."""
     if model.kind == GRID_KIND:
-        q = np.stack([p.values for p in predictors])
-    else:
-        q = np.asarray(predictors, dtype=float)
-    k = _kernel_matrix(q, model.training_matrix, model.kind, model.sigma,
-                       model.kernel_name)
-    return k @ model.alpha
+        if not all(isinstance(p, QuantileGrid) for p in predictors):
+            raise ValueError("query must be a quantile grid")
+        return _predict_rows(model, np.stack([p.values for p in predictors]))
+    return _predict_rows(model, np.asarray(predictors, dtype=float))
 
 
 def _krr_loo_refit(sample: SurveySample, lam: float, sigma: float | None,
@@ -356,28 +363,29 @@ def _krr_loo_refit(sample: SurveySample, lam: float, sigma: float | None,
         mask = np.ones(n, dtype=bool)
         mask[i] = False
         model = krr_fit(sample.subset(mask), lam, sigma=sigma, kernel_name=kernel_name)
-        query = sample.predictors[i] if sample.kind == GRID_KIND else sample._matrix[i]
-        out[i] = krr_predict(model, query)
+        out[i] = _predict_rows(model, sample._matrix[i:i + 1])[0]
     return out
 
 
 def _krr_loo_hat(sample: SurveySample, lam: float, sigma: float,
                  kernel_name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Hat-matrix shortcut: H = K (WK + lam I)^-1 W, loo_i = (yhat_i - H_ii y_i) / (1 - H_ii)."""
-    d = sample.distance_matrix()
-    k = _RKHS_KERNELS[kernel_name](d, sigma)
-    w = sample.weights
-    a = w[:, None] * k + lam * np.eye(sample.n)
-    try:
-        b = np.linalg.solve(a, np.diag(w))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("singular kernel system; increase lambda") from exc
-    h = k @ b
-    hii = np.diag(h)
-    yhat = h @ sample.responses
-    denom = 1.0 - hii
+    """Hat-matrix shortcut loo_i = y_i - (y_i - yhat_i) / (1 - H_ii); returns
+    the shortcut values and the denominators 1 - H_ii.
+
+    With S = U diag(s) U^T from _kernel_spectrum and g = lam / (s + lam),
+    the hat matrix K (WK + lam I)^-1 W is W^-1/2 U diag(1 - g) U^T W^1/2, so
+    1 - H_ii = sum_k U_ik^2 g_k and y - yhat = W^-1/2 U diag(g) U^T W^1/2 y:
+    O(n^2) per lambda, without cancellation as H_ii nears 1 (Rifkin &
+    Lippert 2007, Notes on Regularized Least Squares).
+    """
+    evals, u = _kernel_spectrum(sample, sigma, kernel_name)
+    r = np.sqrt(sample.weights)
+    y = sample.responses
     with np.errstate(divide="ignore", invalid="ignore"):
-        loo = (yhat - hii * sample.responses) / denom
+        g = lam / (evals + lam)
+        denom = (u * u) @ g
+        resid = (u @ (g * (u.T @ (r * y)))) / r
+        loo = y - resid / denom
     return loo, denom
 
 
@@ -417,7 +425,8 @@ def krr_loo(sample: SurveySample, lam: float, sigma: float | None = None,
 def krr_select_lambda(sample: SurveySample, sigma: float, lambda_grid) -> float:
     """Pick the ridge penalty minimizing weighted leave-one-out squared error.
 
-    Ties break toward the larger penalty (stronger regularization).
+    Ties break toward the larger penalty (stronger regularization). Raises
+    ValueError when no penalty gives a finite error.
     """
     grid = np.sort(np.asarray(lambda_grid, dtype=float))[::-1]
     if grid.size == 0:
@@ -430,6 +439,8 @@ def krr_select_lambda(sample: SurveySample, sigma: float, lambda_grid) -> float:
         err = float(np.sum(sample.weights * (sample.responses - preds) ** 2))
         if err < best_err:
             best_lam, best_err = float(lam), err
+    if best_lam is None:
+        raise ValueError("no lambda in the grid gives a finite leave-one-out error")
     return best_lam
 
 

@@ -20,8 +20,10 @@ def _check_sample(values, weights) -> tuple[np.ndarray, np.ndarray]:
         w = np.asarray(weights, dtype=float)
     if w.shape != v.shape:
         raise ValueError("values and weights must have equal length")
-    if np.any(w <= 0):
-        raise ValueError("weights must be positive")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("values must be finite")
+    if not np.all(np.isfinite(w) & (w > 0)):
+        raise ValueError("weights must be positive and finite")
     return v, w
 
 
@@ -46,41 +48,9 @@ def weighted_median(values, weights=None) -> float:
     return float(v[min(idx, v.size - 1)])
 
 
-def median_heuristic_sigma(predictors, weights=None, distance=None) -> float:
-    """Kernel scale from the weighted median of squared pairwise distances.
-
-    Each unordered pair (i, j), i < j, enters the weighted-median CDF with
-    weight w_i * w_j; the returned scale is the square root of that median.
-    """
-    n = len(predictors)
-    if n < 2:
-        raise ValueError("need at least two predictors")
-    if distance is None:
-        distance = lambda a, b: abs(a - b)
-    if weights is None:
-        w = np.ones(n)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (n,):
-            raise ValueError("weights must match predictors")
-        if np.any(w <= 0):
-            raise ValueError("weights must be positive")
-
-    sq_dists = []
-    pair_weights = []
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            d = distance(predictors[i], predictors[j])
-            sq_dists.append(d * d)
-            pair_weights.append(w[i] * w[j])
-    sq_dists = np.asarray(sq_dists)
-    if np.all(sq_dists == 0):
-        raise ValueError("degenerate predictor set")
-    return float(np.sqrt(weighted_median(sq_dists, np.asarray(pair_weights))))
-
-
 def median_heuristic_sigma_from_matrix(dist_matrix: np.ndarray, weights=None) -> float:
-    """Same heuristic, fed a precomputed symmetric distance matrix."""
+    """Kernel scale: square root of the weighted median of the squared
+    distances d_ij^2 over pairs i < j, each pair weighted w_i * w_j."""
     d = np.asarray(dist_matrix, dtype=float)
     n = d.shape[0]
     if d.shape != (n, n) or n < 2:

@@ -1,0 +1,122 @@
+"""Brute-force reference implementations that the tests compare against.
+
+None of these is used by the library: each is the direct, slow or
+memory-hungry form of something the library computes another way.
+"""
+
+import csv
+from pathlib import Path
+
+import numpy as np
+
+from actidist.geometry import _normalized_weights, _stack
+from actidist.io import InputValidationError
+from actidist.regression import _RKHS_KERNELS, GRID_KIND
+from actidist.survey import weighted_median
+
+
+def frechet_objective(grids, candidate, weights=None) -> float:
+    """Weighted sum of squared distances to a candidate grid (the functional
+    the Frechet mean minimizes)."""
+    values = _stack(grids)
+    if candidate.m != values.shape[1]:
+        raise ValueError("grid mismatch")
+    w = _normalized_weights(weights, values.shape[0])
+    sq_dist = np.mean((values - candidate.values) ** 2, axis=1)
+    return float(w @ sq_dist)
+
+
+def broadcast_distances(a: np.ndarray, b: np.ndarray, kind: str = GRID_KIND) -> np.ndarray:
+    """Pairwise distances through the (n, k, m) broadcast of all differences."""
+    if kind == GRID_KIND:
+        m = a.shape[1]
+        sq = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2) / m
+        return np.sqrt(sq)
+    return np.abs(a[:, None] - b[None, :])
+
+
+def training_predictions(model) -> np.ndarray:
+    """A fitted model's predictions at its own training predictors."""
+    x = model.training_matrix
+    k = _RKHS_KERNELS[model.kernel_name](broadcast_distances(x, x, model.kind),
+                                         model.sigma)
+    return k @ model.alpha
+
+
+def dense_loo_hat(sample, lam: float, sigma: float, kernel_name: str = "laplacian"):
+    """Hat-matrix leave-one-out from a dense solve of (WK + lam I) B = W.
+
+    Returns (loo, 1 - H_ii) with H = K (WK + lam I)^-1 W.
+    """
+    d = broadcast_distances(sample._matrix, sample._matrix, sample.kind)
+    k = _RKHS_KERNELS[kernel_name](d, sigma)
+    w = sample.weights
+    a = w[:, None] * k + lam * np.eye(sample.n)
+    h = k @ np.linalg.solve(a, np.diag(w))
+    hii = np.diag(h)
+    yhat = h @ sample.responses
+    denom = 1.0 - hii
+    with np.errstate(divide="ignore", invalid="ignore"):
+        loo = (yhat - hii * sample.responses) / denom
+    return loo, denom
+
+
+def read_subject_readings_csv(path, subject_id=None) -> dict:
+    """Single-subject readings file (timestamp_min, count)."""
+    sid = subject_id if subject_id is not None else Path(path).stem
+    out = ([], [])
+    bad: list[str] = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header[:2]] != ["timestamp_min", "count"]:
+            raise InputValidationError(f"{path}: expected header timestamp_min,count")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                t, count = float(row[0]), float(row[1])
+            except (ValueError, IndexError):
+                bad.append(f"line {lineno}: malformed row")
+                continue
+            if count < 0:
+                bad.append(f"line {lineno}: negative count")
+                continue
+            out[0].append(t)
+            out[1].append(count)
+    if bad:
+        raise InputValidationError(f"{path}: " + "; ".join(bad))
+    return {sid: out}
+
+
+def median_heuristic_sigma(predictors, weights=None, distance=None) -> float:
+    """Median-heuristic kernel scale from an explicit loop over pairs.
+
+    Each unordered pair (i, j), i < j, enters the weighted-median CDF with
+    weight w_i * w_j; the returned scale is the square root of that median.
+    """
+    n = len(predictors)
+    if n < 2:
+        raise ValueError("need at least two predictors")
+    if distance is None:
+        distance = lambda a, b: abs(a - b)
+    if weights is None:
+        w = np.ones(n)
+    else:
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (n,):
+            raise ValueError("weights must match predictors")
+        if np.any(w <= 0):
+            raise ValueError("weights must be positive")
+
+    sq_dists = []
+    pair_weights = []
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            d = distance(predictors[i], predictors[j])
+            sq_dists.append(d * d)
+            pair_weights.append(w[i] * w[j])
+    sq_dists = np.asarray(sq_dists)
+    if np.all(sq_dists == 0):
+        raise ValueError("degenerate predictor set")
+    return float(np.sqrt(weighted_median(sq_dists, np.asarray(pair_weights))))

@@ -31,7 +31,7 @@ from actidist.evaluation import (
     compare_r2,
     survey_sample_from_subjects,
 )
-from actidist.geometry import frechet_mean, frechet_objective
+from actidist.geometry import frechet_mean
 from actidist.regression import (
     NwConfig,
     SurveySample,
@@ -42,7 +42,8 @@ from actidist.regression import (
     nw_predict,
     _krr_loo_hat,
 )
-from actidist.survey import ht_mean, median_heuristic_sigma, weighted_r2
+from actidist.survey import ht_mean, weighted_r2
+from oracles import frechet_objective, median_heuristic_sigma
 
 
 def uniform_grid(upper, m):

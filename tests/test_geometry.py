@@ -4,13 +4,13 @@ import pytest
 from actidist.distribution import QuantileGrid, quantiles_from_values
 from actidist.geometry import (
     frechet_mean,
-    frechet_objective,
     frechet_variance,
     pairwise_wasserstein,
     pointwise_sd_curve,
     summarize,
     wasserstein2,
 )
+from oracles import broadcast_distances, frechet_objective
 
 
 def point_mass(value, m=10):
@@ -75,6 +75,39 @@ class TestWasserstein2:
             for j in range(5):
                 assert mat[i, j] == pytest.approx(wasserstein2(grids[i], grids[j]),
                                                   abs=1e-12)
+
+
+class TestPairwiseGramForm:
+    @pytest.mark.parametrize("shift", [0.0, 1e4])
+    def test_matches_broadcast_oracle(self, shift):
+        # the +1e4 shift puts every value far from zero, where the Gram form
+        # would cancel without column centring
+        rng = np.random.default_rng(31)
+        x = np.sort(rng.gamma(2.0, 30.0, size=(40, 60)), axis=1) + shift
+        q = np.sort(rng.gamma(2.0, 30.0, size=(7, 60)), axis=1) + shift
+        for got, want in ((pairwise_wasserstein(x), broadcast_distances(x, x)),
+                          (pairwise_wasserstein(q, x), broadcast_distances(q, x))):
+            pos = want > 0
+            assert np.max(np.abs(got - want)[pos] / want[pos]) <= 1e-10
+            assert np.all(got[~pos] == 0.0)
+
+    def test_duplicates_exact_zero_symmetric_zero_diagonal(self):
+        rng = np.random.default_rng(32)
+        x = np.sort(rng.gamma(2.0, 30.0, size=(20, 50)), axis=1) + 1e4
+        x[5] = x[2]
+        x[11] = x[2]
+        d = pairwise_wasserstein(x)
+        twins = [2, 5, 11]
+        assert np.all(d[np.ix_(twins, twins)] == 0.0)
+        assert np.array_equal(d, d.T)
+        assert np.all(np.diag(d) == 0.0)
+        assert np.count_nonzero(d == 0.0) == 20 + 6
+        assert np.all(pairwise_wasserstein(x[[5]], x)[0, twins] == 0.0)
+
+    def test_scalars_are_point_masses(self):
+        x = np.array([0.5, -2.0, 3.25])
+        np.testing.assert_array_equal(pairwise_wasserstein(x),
+                                      np.abs(x[:, None] - x[None, :]))
 
 
 class TestFrechetMean:

@@ -14,6 +14,7 @@ from actidist.datagen import (
 )
 from actidist.distribution import QuantileGrid
 from actidist.regression import krr_predict_batch, load_model
+from oracles import read_subject_readings_csv
 
 
 def write_toy_inputs(tmp_path, rows, subjects_rows):
@@ -65,8 +66,28 @@ class TestReaders:
     def test_single_subject_reader(self, tmp_path):
         path = tmp_path / "s1.csv"
         path.write_text("timestamp_min,count\n0,1\n1,3\n")
-        data = io.read_subject_readings_csv(path)
+        data = read_subject_readings_csv(path)
         assert data == {"s1": ([0.0, 1.0], [1.0, 3.0])}
+
+    def test_duplicate_quantile_ids_rejected(self, tmp_path):
+        path = tmp_path / "q.csv"
+        path.write_text("subject_id,t_1,t_2\na,0,1\nb,1,2\na,2,3\n")
+        with pytest.raises(io.InputValidationError,
+                           match=r"q\.csv: line 4: duplicate subject_id 'a'"):
+            io.read_quantile_csv(path)
+
+    def test_duplicate_subject_ids_rejected(self, tmp_path):
+        _, subjects = write_toy_inputs(
+            tmp_path, rows=["a,0,1"], subjects_rows=["a,1.0,70,0", "a,2.0,71,1"])
+        with pytest.raises(io.InputValidationError,
+                           match=r"subjects\.csv: line 3: duplicate subject_id 'a'"):
+            io.read_subjects_csv(subjects)
+
+    def test_non_finite_weight_reports_line(self, tmp_path):
+        _, subjects = write_toy_inputs(
+            tmp_path, rows=["a,0,1"], subjects_rows=["a,1.0,70,0", "b,inf,71,1"])
+        with pytest.raises(io.InputValidationError, match="line 3: survey_weight"):
+            io.read_subjects_csv(subjects)
 
     def test_quantile_roundtrip(self, tmp_path):
         grids = [QuantileGrid(np.array([0.0, 1.5, 2.0])),
@@ -201,6 +222,26 @@ class TestRegress:
                    "--out", str(tmp_path / "out3"), "--responses", "response",
                    "--config", str(config)])
         assert rc == 2
+
+    def test_misspelled_config_key_exits_2(self, regress_cohort, capsys):
+        tmp_path, qpath, spath = regress_cohort
+        config = tmp_path / "typo.json"
+        config.write_text(json.dumps({"lamda_grid": [0.1, 1.0]}))
+        rc = main(["regress", "--input", str(qpath), "--subjects", str(spath),
+                   "--out", str(tmp_path / "out_typo"), "--config", str(config)])
+        assert rc == 2
+        assert "unknown regress config keys: lamda_grid" in capsys.readouterr().err
+
+    def test_non_finite_response_names_column_and_subject(self, tmp_path, capsys):
+        qpath = tmp_path / "q.csv"
+        qpath.write_text("subject_id,t_1,t_2,t_3\na,0,1,2\nb,1,2,4\nc,0,3,5\n")
+        spath = tmp_path / "s.csv"
+        spath.write_text("subject_id,survey_weight,response\n"
+                         "a,1.0,0.5\nb,1.0,nan\nc,1.0,2.0\n")
+        rc = main(["regress", "--input", str(qpath), "--subjects", str(spath),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "non-finite response column 'response' for: b" in capsys.readouterr().err
 
     def test_single_named_response_one_row(self, regress_cohort):
         tmp_path, qpath, spath = regress_cohort
@@ -377,6 +418,12 @@ class TestCliMisc:
         assert main(["--print-config"]) == 0
         printed = json.loads(capsys.readouterr().out)
         assert "build-dist" in printed and "regress" in printed
+
+    def test_print_config_lists_every_config_key(self, capsys):
+        assert main(["--print-config"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert "seed" not in printed["regress"] and "seed" not in printed["classify"]
+        assert {"population", "design", "seed", "sample_seed"} == set(printed["simulate"])
 
     def test_no_command_exits_2(self, capsys):
         assert main([]) == 2

@@ -27,7 +27,8 @@ from actidist.regression import (
     nw_loo,
     nw_predict,
 )
-from actidist.survey import ht_mean, median_heuristic_sigma, weighted_r2
+from actidist.survey import ht_mean, weighted_r2
+from oracles import median_heuristic_sigma
 
 finite = st.floats(-50.0, 50.0, allow_nan=False)
 positive = st.floats(0.1, 20.0, allow_nan=False)

@@ -4,8 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
+from actidist import geometry
 from actidist.distribution import QuantileGrid
+from actidist.evaluation import DEFAULT_LAMBDA_GRID
 from actidist.regression import (
+    _krr_loo_hat,
     KrrModel,
     NwConfig,
     SurveySample,
@@ -24,6 +27,7 @@ from actidist.regression import (
     nw_select_bandwidth,
     save_model,
 )
+from oracles import dense_loo_hat, training_predictions
 
 
 def scalar_sample(rng, n, weight_range=(1.0, 1.0)):
@@ -55,6 +59,34 @@ class TestSurveySample:
         s = SurveySample([a, b], np.array([0.0, 1.0]))
         assert s.distance_matrix()[0, 1] == 4.0
         assert s.distances_to(a).tolist() == [0.0, 4.0]
+
+    def test_non_finite_inputs_rejected(self):
+        x, y = np.array([0.0, 1.0]), np.array([1.0, 2.0])
+        with pytest.raises(ValueError, match="weights must be positive and finite"):
+            SurveySample(x, y, np.array([1.0, np.inf]))
+        with pytest.raises(ValueError, match="responses must be finite"):
+            SurveySample(x, np.array([1.0, np.nan]))
+        with pytest.raises(ValueError, match="finite scalars"):
+            SurveySample(np.array([0.0, np.inf]), y)
+
+    def test_distance_matrix_computed_once_read_only(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        s = grid_sample(rng, 8)
+        calls = []
+        real = geometry.pairwise_wasserstein
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(geometry, "pairwise_wasserstein", counting)
+        d = s.distance_matrix()
+        assert s.distance_matrix() is d
+        assert s.with_responses(-s.responses).distance_matrix() is d
+        assert len(calls) == 1
+        assert not d.flags.writeable
+        with pytest.raises(ValueError):
+            d[0, 1] = 1.0
 
     def test_binary_detection(self):
         assert SurveySample(np.array([1.0, 2.0]), np.array([0.0, 1.0])).is_binary()
@@ -210,13 +242,13 @@ class TestKrrFit:
         x = rng.normal(size=10) * 3
         y = rng.normal(size=10)
         model = krr_fit(SurveySample(x, y), lam=0.0, sigma=2.0)
-        np.testing.assert_allclose(model.training_predictions(), y, atol=1e-8)
+        np.testing.assert_allclose(training_predictions(model), y, atol=1e-8)
 
     def test_huge_penalty_shrinks_to_zero(self):
         rng = np.random.default_rng(8)
         s = scalar_sample(rng, 12)
         model = krr_fit(s, lam=1e8, sigma=1.0)
-        assert np.max(np.abs(model.training_predictions())) < 1e-6
+        assert np.max(np.abs(training_predictions(model))) < 1e-6
 
     def test_singular_at_zero_penalty(self):
         x = np.array([1.0, 1.0, 4.0])
@@ -309,6 +341,19 @@ class TestKrrLoo:
         slow = krr_loo(s, 0.4, sigma=1.0, method="refit")
         np.testing.assert_allclose(fast, slow, atol=1e-8)
 
+    def test_spectral_matches_dense_solve_and_refit(self):
+        rng = np.random.default_rng(27)
+        cases = ((scalar_sample(rng, 25, weight_range=(0.5, 3.0)), 1.0),
+                 (grid_sample(rng, 20), 30.0))
+        for s, sigma in cases:
+            for lam in DEFAULT_LAMBDA_GRID:
+                loo, denom = _krr_loo_hat(s, lam, sigma, "laplacian")
+                dense, dense_denom = dense_loo_hat(s, lam, sigma)
+                np.testing.assert_allclose(denom, dense_denom, atol=1e-10)
+                np.testing.assert_allclose(loo, dense, atol=1e-8)
+                np.testing.assert_allclose(
+                    loo, krr_loo(s, lam, sigma=sigma, method="refit"), atol=1e-8)
+
     def test_recompute_sigma_refits_per_fold(self):
         rng = np.random.default_rng(26)
         s = scalar_sample(rng, 8, weight_range=(0.5, 2.0))
@@ -358,6 +403,30 @@ class TestKrrSelectLambda:
             return np.sum((y - preds) ** 2)
 
         assert loo_err(lam) <= loo_err(grid.max())
+
+    def test_no_finite_error_raises(self):
+        # residuals near 1e200 overflow every weighted squared error to inf
+        rng = np.random.default_rng(18)
+        s = SurveySample(rng.normal(size=6), rng.normal(size=6) * 1e200)
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="finite leave-one-out error"):
+            krr_select_lambda(s, 1.0, [0.1, 1.0])
+
+    def test_one_eigendecomposition_for_the_grid(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        s = grid_sample(rng, 15)
+        calls = []
+        real = np.linalg.eigh
+
+        def counting(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        sigma = 30.0
+        lam = krr_select_lambda(s, sigma, DEFAULT_LAMBDA_GRID)
+        krr_fit(s.with_responses(s.responses + 1.0), lam, sigma=sigma)
+        assert calls == [(15, 15)]
 
     def test_empty_grid(self):
         rng = np.random.default_rng(17)

@@ -3,11 +3,11 @@ import pytest
 
 from actidist.survey import (
     ht_mean,
-    median_heuristic_sigma,
     median_heuristic_sigma_from_matrix,
     weighted_median,
     weighted_r2,
 )
+from oracles import median_heuristic_sigma
 
 
 class TestHtMean:
@@ -26,6 +26,12 @@ class TestHtMean:
     def test_empty(self):
         with pytest.raises(ValueError):
             ht_mean([], [])
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="weights must be positive and finite"):
+            ht_mean([1.0, 2.0], [1.0, np.inf])
+        with pytest.raises(ValueError, match="values must be finite"):
+            ht_mean([1.0, np.nan], [1.0, 1.0])
 
 
 class TestWeightedMedian:
