@@ -61,6 +61,9 @@ def read_readings_csv(path) -> dict:
             except ValueError:
                 bad.append(f"line {lineno}: non-numeric value")
                 continue
+            if not (math.isfinite(t) and math.isfinite(count)):
+                bad.append(f"line {lineno}: non-finite value")
+                continue
             if count < 0:
                 bad.append(f"line {lineno}: negative count")
                 continue
@@ -79,6 +82,8 @@ def _parse_covariate(text: str):
         value = float(text)
     except ValueError:
         return text
+    if not math.isfinite(value):
+        return text
     return int(value) if value.is_integer() and "." not in text else value
 
 
@@ -92,7 +97,11 @@ def read_subjects_csv(path) -> dict:
                 or "survey_weight" not in reader.fieldnames:
             raise InputValidationError(
                 f"{path}: expected columns subject_id and survey_weight")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num
+            if None in row:
+                bad.append(f"line {lineno}: more fields than the header")
+                continue
             sid = (row.get("subject_id") or "").strip()
             try:
                 weight = float(row["survey_weight"])
@@ -145,14 +154,29 @@ def load_series(readings_path, subjects_path) -> list:
 def read_summary_csv(path) -> dict:
     """Read a distribution summary back as {subject_id: (p_inactive, tac)}."""
     out: dict = {}
+    bad: list[str] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         needed = {"subject_id", "p_inactive", "tac_per_day"}
         if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
             raise InputValidationError(f"{path}: not a summary table")
         for row in reader:
-            out[row["subject_id"]] = (float(row["p_inactive"]),
-                                      float(row["tac_per_day"]))
+            lineno = reader.line_num
+            sid = row["subject_id"]
+            try:
+                p_inactive, tac = float(row["p_inactive"]), float(row["tac_per_day"])
+            except (TypeError, ValueError):
+                bad.append(f"line {lineno}: missing or non-numeric value")
+                continue
+            if not (math.isfinite(p_inactive) and math.isfinite(tac)):
+                bad.append(f"line {lineno}: non-finite value")
+                continue
+            if sid in out:
+                bad.append(f"line {lineno}: duplicate subject_id {sid!r}")
+                continue
+            out[sid] = (p_inactive, tac)
+    if bad:
+        raise InputValidationError(f"{path}: " + "; ".join(bad))
     return out
 
 
@@ -169,7 +193,7 @@ def read_quantile_csv(path):
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or header[0] != "subject_id" or len(header) < 3:
+        if not header or header[0] != "subject_id" or len(header) < 3:
             raise InputValidationError(f"{path}: not a quantile table")
         ids, grids, seen = [], [], set()
         for lineno, row in enumerate(reader, start=2):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,18 +53,6 @@ def laplacian_kernel(dist, sigma: float):
         raise ValueError("distances must be nonnegative")
     out = np.exp(-d / sigma)
     return float(out) if np.isscalar(dist) else out
-
-
-def gaussian_rbf_kernel(dist, sigma: float):
-    """exp(-(dist / sigma)^2); optional alternative reproducing kernel."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    d = np.asarray(dist, dtype=float)
-    out = np.exp(-((d / sigma) ** 2))
-    return float(out) if np.isscalar(dist) else out
-
-
-_RKHS_KERNELS = {"laplacian": laplacian_kernel, "gaussian": gaussian_rbf_kernel}
 
 
 class SurveySample:
@@ -164,29 +152,21 @@ _NW_KERNELS = {"gaussian": gaussian_kernel, "epanechnikov": epanechnikov_kernel}
 
 @dataclass(frozen=True)
 class NwConfig:
-    """Smoother configuration: bandwidth, local kernel, distance selector."""
+    """Smoother configuration: bandwidth and local kernel. The distance
+    follows the predictors: Wasserstein for grids, absolute for scalars."""
 
     bandwidth: float
     kernel_name: str = "gaussian"
-    distance: str = "auto"
-    kernel: object = None
 
     def __post_init__(self):
         if not self.bandwidth > 0:
             raise ValueError("bandwidth must be positive")
-        if self.distance not in ("auto", "wasserstein", "absolute"):
-            raise ValueError(f"unknown distance {self.distance!r}")
-        if self.kernel is None:
-            if self.kernel_name not in _NW_KERNELS:
-                raise ValueError(f"unknown kernel {self.kernel_name!r}")
-            object.__setattr__(self, "kernel", _NW_KERNELS[self.kernel_name])
+        if self.kernel_name not in _NW_KERNELS:
+            raise ValueError(f"unknown kernel {self.kernel_name!r}")
 
-
-def _check_distance(sample: SurveySample, cfg: NwConfig) -> None:
-    expected = "wasserstein" if sample.kind == GRID_KIND else "absolute"
-    if cfg.distance not in ("auto", expected):
-        raise ValueError(
-            f"distance {cfg.distance!r} does not match {sample.kind} predictors")
+    @property
+    def kernel(self):
+        return _NW_KERNELS[self.kernel_name]
 
 
 def nw_predict(sample: SurveySample, cfg: NwConfig, x) -> float:
@@ -197,7 +177,6 @@ def nw_predict(sample: SurveySample, cfg: NwConfig, x) -> float:
     the observed response range so the bound also holds under floating
     point; binary responses therefore yield a probability in [0, 1].
     """
-    _check_distance(sample, cfg)
     d = sample.distances_to(x)
     k = cfg.kernel(d / cfg.bandwidth) * sample.weights
     total = k.sum()
@@ -216,7 +195,6 @@ def nw_loo(sample: SurveySample, cfg: NwConfig) -> np.ndarray:
     """
     if sample.n < 2:
         raise ValueError("need at least two observations")
-    _check_distance(sample, cfg)
     k = cfg.kernel(sample.distance_matrix() / cfg.bandwidth) * sample.weights
     np.fill_diagonal(k, 0.0)
     totals = k.sum(axis=1)
@@ -241,9 +219,7 @@ def nw_select_bandwidth(sample: SurveySample, cfg_template: NwConfig, h_grid) ->
         raise ValueError("bandwidths must be positive")
     best_h, best_err = None, np.inf
     for h in h_grid:
-        cfg = NwConfig(bandwidth=float(h), kernel_name=cfg_template.kernel_name,
-                       distance=cfg_template.distance, kernel=cfg_template.kernel)
-        preds = nw_loo(sample, cfg)
+        preds = nw_loo(sample, replace(cfg_template, bandwidth=float(h)))
         if np.any(~np.isfinite(preds)):
             continue
         err = float(np.sum(sample.weights * (sample.responses - preds) ** 2))
@@ -276,67 +252,62 @@ class KrrModel:
     alpha: np.ndarray
     sigma: float
     lam: float
-    kernel_name: str = "laplacian"
     format_version: int = MODEL_FORMAT_VERSION
 
 
-def _kernel_spectrum(sample: SurveySample, sigma: float,
-                     kernel_name: str) -> tuple[np.ndarray, np.ndarray]:
+def _kernel_spectrum(sample: SurveySample, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition S = U diag(s) U^T of S = W^1/2 K W^1/2.
 
-    WK + lam I is similar to S + lam I, so one decomposition serves the fit's
-    condition estimate and the leave-one-out shortcut at every lambda. The
-    last (sigma, kernel) decomposition is cached on the sample.
+    WK + lam I is similar to S + lam I, so one decomposition serves the fit,
+    its condition estimate and the leave-one-out shortcut at every lambda.
+    The decomposition for the last sigma is cached on the sample.
     """
-    key = (float(sigma), kernel_name)
     cached = sample._cache.get("spectrum")
-    if cached is None or cached[0] != key:
-        k = _RKHS_KERNELS[kernel_name](sample.distance_matrix(), sigma)
+    if cached is None or cached[0] != float(sigma):
+        k = laplacian_kernel(sample.distance_matrix(), sigma)
         r = np.sqrt(sample.weights)
-        cached = (key, np.linalg.eigh(r[:, None] * k * r[None, :]))
+        cached = (float(sigma), np.linalg.eigh(r[:, None] * k * r[None, :]))
         sample._cache["spectrum"] = cached
     return cached[1]
 
 
-def krr_fit(sample: SurveySample, lam: float, sigma: float | None = None,
-            kernel_name: str = "laplacian") -> KrrModel:
+def krr_fit(sample: SurveySample, lam: float, sigma: float | None = None) -> KrrModel:
     """Fit survey-weighted kernel ridge regression.
 
-    Solves (W K + lam I) alpha = W Y by LU factorization with partial
-    pivoting, where K_ij = kernel(d(X_i, X_j)) and W = diag(weights). The
-    kernel scale defaults to the weighted median heuristic on the training
-    predictors. A warning is emitted when the condition number of the
-    similar symmetric system W^1/2 K W^1/2 + lam I exceeds 1e12.
+    Solves (W K + lam I) alpha = W Y, where K_ij = laplacian_kernel(d(X_i, X_j))
+    and W = diag(weights), as alpha = W^1/2 U diag(1 / (s + lam)) U^T W^1/2 Y
+    from the spectrum of _kernel_spectrum. The kernel scale defaults to the
+    weighted median heuristic on the training predictors. A warning is
+    emitted when the condition number max|s + lam| / min|s + lam| exceeds
+    1e12; the system is singular when some s_k + lam falls to
+    n * eps * max|s + lam| or below, numpy's matrix_rank tolerance.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    if kernel_name not in _RKHS_KERNELS:
-        raise ValueError(f"unknown kernel {kernel_name!r}")
-    d = sample.distance_matrix()
     if sigma is None:
-        sigma = median_heuristic_sigma_from_matrix(d, sample.weights)
+        sigma = median_heuristic_sigma_from_matrix(sample.distance_matrix(),
+                                                   sample.weights)
     if not sigma > 0:
         raise ValueError("sigma must be positive")
 
-    shifted = np.abs(_kernel_spectrum(sample, sigma, kernel_name)[0] + lam)
+    evals, u = _kernel_spectrum(sample, sigma)
+    shifted = evals + lam
+    top = np.abs(shifted).max()
     with np.errstate(divide="ignore"):
-        cond = shifted.max() / shifted.min()
+        cond = top / np.abs(shifted).min()
     if cond > 1e12:
         warnings.warn(f"ill-conditioned kernel system (cond ~ {cond:.2e})", stacklevel=2)
-    k = _RKHS_KERNELS[kernel_name](d, sigma)
-    w = sample.weights
-    a = w[:, None] * k + lam * np.eye(sample.n)
-    try:
-        alpha = np.linalg.solve(a, w * sample.responses)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("singular kernel system; increase lambda") from exc
+    if np.any(shifted <= sample.n * np.finfo(float).eps * top):
+        raise ValueError("singular kernel system; increase lambda")
+    r = np.sqrt(sample.weights)
+    alpha = r * (u @ ((u.T @ (r * sample.responses)) / shifted))
     return KrrModel(kind=sample.kind, training_matrix=sample._matrix.copy(), alpha=alpha,
-                    sigma=float(sigma), lam=float(lam), kernel_name=kernel_name)
+                    sigma=float(sigma), lam=float(lam))
 
 
 def _predict_rows(model: KrrModel, rows: np.ndarray) -> np.ndarray:
     d = geometry.pairwise_wasserstein(rows, model.training_matrix)
-    return _RKHS_KERNELS[model.kernel_name](d, model.sigma) @ model.alpha
+    return laplacian_kernel(d, model.sigma) @ model.alpha
 
 
 def krr_predict(model: KrrModel, x) -> float:
@@ -353,22 +324,21 @@ def krr_predict_batch(model: KrrModel, predictors) -> np.ndarray:
     return _predict_rows(model, np.asarray(predictors, dtype=float))
 
 
-def _krr_loo_refit(sample: SurveySample, lam: float, sigma: float | None,
-                   kernel_name: str, indices=None) -> np.ndarray:
-    n = sample.n
-    if indices is None:
-        indices = range(n)
-    out = np.full(n, np.nan)
+def _krr_loo_refit(sample: SurveySample, lam: float, sigma: float,
+                   indices) -> np.ndarray:
+    """Leave-one-out predictions at `indices`, each from an explicit refit
+    without that observation."""
+    out = []
     for i in indices:
-        mask = np.ones(n, dtype=bool)
+        mask = np.ones(sample.n, dtype=bool)
         mask[i] = False
-        model = krr_fit(sample.subset(mask), lam, sigma=sigma, kernel_name=kernel_name)
-        out[i] = _predict_rows(model, sample._matrix[i:i + 1])[0]
-    return out
+        model = krr_fit(sample.subset(mask), lam, sigma=sigma)
+        out.append(_predict_rows(model, sample._matrix[i:i + 1])[0])
+    return np.asarray(out, dtype=float)
 
 
-def _krr_loo_hat(sample: SurveySample, lam: float, sigma: float,
-                 kernel_name: str) -> tuple[np.ndarray, np.ndarray]:
+def _krr_loo_hat(sample: SurveySample, lam: float,
+                 sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """Hat-matrix shortcut loo_i = y_i - (y_i - yhat_i) / (1 - H_ii); returns
     the shortcut values and the denominators 1 - H_ii.
 
@@ -378,7 +348,7 @@ def _krr_loo_hat(sample: SurveySample, lam: float, sigma: float,
     O(n^2) per lambda, without cancellation as H_ii nears 1 (Rifkin &
     Lippert 2007, Notes on Regularized Least Squares).
     """
-    evals, u = _kernel_spectrum(sample, sigma, kernel_name)
+    evals, u = _kernel_spectrum(sample, sigma)
     r = np.sqrt(sample.weights)
     y = sample.responses
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -389,36 +359,22 @@ def _krr_loo_hat(sample: SurveySample, lam: float, sigma: float,
     return loo, denom
 
 
-def krr_loo(sample: SurveySample, lam: float, sigma: float | None = None,
-            kernel_name: str = "laplacian", method: str = "auto",
-            recompute_sigma: bool = False) -> np.ndarray:
+def krr_loo(sample: SurveySample, lam: float, sigma: float | None = None) -> np.ndarray:
     """Leave-one-out ridge predictions with the kernel scale held fixed.
 
-    method "refit" refits the model once per left-out observation and is
-    the ground truth; "hat" uses the linear-smoother shortcut; "auto" takes
-    the shortcut but falls back to an explicit refit for any entry whose
+    Uses the hat-matrix shortcut, and refits explicitly every entry whose
     shortcut denominator 1 - H_ii drops below 1e-10, where the formula is
-    no longer trustworthy. With ``recompute_sigma`` the median-heuristic
-    scale is re-derived inside every fold, which forces explicit refits.
+    no longer trustworthy.
     """
     if sample.n < 2:
         raise ValueError("need at least two observations")
-    if recompute_sigma:
-        return _krr_loo_refit(sample, lam, None, kernel_name)
     if sigma is None:
         sigma = median_heuristic_sigma_from_matrix(sample.distance_matrix(),
                                                    sample.weights)
-    if method == "refit":
-        return _krr_loo_refit(sample, lam, sigma, kernel_name)
-    loo, denom = _krr_loo_hat(sample, lam, sigma, kernel_name)
-    if method == "hat":
-        return loo
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
+    loo, denom = _krr_loo_hat(sample, lam, sigma)
     bad = np.flatnonzero((denom < 1e-10) | ~np.isfinite(loo))
     if bad.size:
-        refit = _krr_loo_refit(sample, lam, sigma, kernel_name, indices=bad)
-        loo[bad] = refit[bad]
+        loo[bad] = _krr_loo_refit(sample, lam, sigma, bad)
     return loo
 
 
@@ -449,14 +405,14 @@ def save_model(model: KrrModel, path) -> None:
     payload = {
         "format_version": model.format_version,
         "kind": model.kind,
-        "kernel_name": model.kernel_name,
+        "kernel_name": "laplacian",
         "sigma": model.sigma,
         "lambda": model.lam,
         "alpha": model.alpha.tolist(),
         "training_matrix": model.training_matrix.tolist(),
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))
 
 
 def load_model(path) -> KrrModel:
@@ -466,12 +422,13 @@ def load_model(path) -> KrrModel:
     version = payload.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
+    if payload.get("kernel_name") != "laplacian":
+        raise ValueError(f"unsupported kernel {payload.get('kernel_name')!r}")
     return KrrModel(
         kind=payload["kind"],
         training_matrix=np.asarray(payload["training_matrix"], dtype=float),
         alpha=np.asarray(payload["alpha"], dtype=float),
         sigma=float(payload["sigma"]),
         lam=float(payload["lambda"]),
-        kernel_name=payload["kernel_name"],
         format_version=version,
     )

@@ -11,7 +11,7 @@ import numpy as np
 
 from actidist.geometry import _normalized_weights, _stack
 from actidist.io import InputValidationError
-from actidist.regression import _RKHS_KERNELS, GRID_KIND
+from actidist.regression import GRID_KIND, _krr_loo_refit, laplacian_kernel
 from actidist.survey import weighted_median
 
 
@@ -38,18 +38,22 @@ def broadcast_distances(a: np.ndarray, b: np.ndarray, kind: str = GRID_KIND) -> 
 def training_predictions(model) -> np.ndarray:
     """A fitted model's predictions at its own training predictors."""
     x = model.training_matrix
-    k = _RKHS_KERNELS[model.kernel_name](broadcast_distances(x, x, model.kind),
-                                         model.sigma)
+    k = laplacian_kernel(broadcast_distances(x, x, model.kind), model.sigma)
     return k @ model.alpha
 
 
-def dense_loo_hat(sample, lam: float, sigma: float, kernel_name: str = "laplacian"):
+def refit_loo(sample, lam: float, sigma: float) -> np.ndarray:
+    """Leave-one-out predictions from one explicit refit per observation."""
+    return _krr_loo_refit(sample, lam, sigma, range(sample.n))
+
+
+def dense_loo_hat(sample, lam: float, sigma: float):
     """Hat-matrix leave-one-out from a dense solve of (WK + lam I) B = W.
 
     Returns (loo, 1 - H_ii) with H = K (WK + lam I)^-1 W.
     """
     d = broadcast_distances(sample._matrix, sample._matrix, sample.kind)
-    k = _RKHS_KERNELS[kernel_name](d, sigma)
+    k = laplacian_kernel(d, sigma)
     w = sample.weights
     a = w[:, None] * k + lam * np.eye(sample.n)
     h = k @ np.linalg.solve(a, np.diag(w))

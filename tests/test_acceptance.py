@@ -43,7 +43,7 @@ from actidist.regression import (
     _krr_loo_hat,
 )
 from actidist.survey import ht_mean, weighted_r2
-from oracles import frechet_objective, median_heuristic_sigma
+from oracles import frechet_objective, median_heuristic_sigma, refit_loo
 
 
 def uniform_grid(upper, m):
@@ -124,8 +124,8 @@ def test_criterion_03_krr_linear_solve_oracle():
 def test_criterion_04_loo_fast_path_oracle_and_fallback():
     rng = np.random.default_rng(4)
     sample = SurveySample(rng.normal(size=30), rng.normal(size=30))
-    fast = krr_loo(sample, 0.5, sigma=1.0, method="hat")
-    refit = krr_loo(sample, 0.5, sigma=1.0, method="refit")
+    fast = _krr_loo_hat(sample, 0.5, 1.0)[0]
+    refit = refit_loo(sample, 0.5, 1.0)
     gap = float(np.max(np.abs(fast - refit)))
     assert gap <= 1e-8
 
@@ -136,10 +136,10 @@ def test_criterion_04_loo_fast_path_oracle_and_fallback():
     degenerate = SurveySample(x, y, np.full(6, 1e9))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        _, denom = _krr_loo_hat(degenerate, 1e-9, 1.0, "laplacian")
+        _, denom = _krr_loo_hat(degenerate, 1e-9, 1.0)
         assert np.any(denom < 1e-10)
-        auto = krr_loo(degenerate, 1e-9, sigma=1.0, method="auto")
-        explicit = krr_loo(degenerate, 1e-9, sigma=1.0, method="refit")
+        auto = krr_loo(degenerate, 1e-9, sigma=1.0)
+        explicit = refit_loo(degenerate, 1e-9, 1.0)
     fallback_gap = float(np.max(np.abs(auto - explicit)))
     assert fallback_gap <= 1e-8
     print(f"criterion 4 PASS: fast-vs-refit gap {gap:.2e}, "

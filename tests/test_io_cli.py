@@ -89,6 +89,35 @@ class TestReaders:
         with pytest.raises(io.InputValidationError, match="line 3: survey_weight"):
             io.read_subjects_csv(subjects)
 
+    @pytest.mark.parametrize("row", ["a,nan,1", "a,2,inf", "a,-inf,0", "a,3,nan"])
+    def test_non_finite_reading_reports_line(self, tmp_path, row):
+        readings, _ = write_toy_inputs(
+            tmp_path, rows=["a,0,1", row], subjects_rows=["a,1.0,70,0"])
+        with pytest.raises(io.InputValidationError,
+                           match=r"readings\.csv: line 3: non-finite value"):
+            io.read_readings_csv(readings)
+
+    def test_extra_subject_field_reports_line(self, tmp_path):
+        _, subjects = write_toy_inputs(
+            tmp_path, rows=["a,0,1"], subjects_rows=["a,1.0,70,0", "b,1.0,71,1,9"])
+        with pytest.raises(io.InputValidationError,
+                           match=r"subjects\.csv: line 3: more fields than the header"):
+            io.read_subjects_csv(subjects)
+
+    @pytest.mark.parametrize("row, message", [
+        ("a,0.1,50.0", "duplicate subject_id 'a'"),
+        ("c,nan,50.0", "non-finite value"),
+        ("c,0.1,inf", "non-finite value"),
+        ("c,0.1,x", "missing or non-numeric value"),
+    ])
+    def test_bad_summary_row_reports_line(self, tmp_path, row, message):
+        path = tmp_path / "summary.csv"
+        path.write_text("subject_id,p_inactive,tac_per_day\n"
+                        f"a,0.5,100.0\nb,0.2,300.0\n{row}\n")
+        with pytest.raises(io.InputValidationError,
+                           match=rf"summary\.csv: line 4: {message}"):
+            io.read_summary_csv(path)
+
     def test_quantile_roundtrip(self, tmp_path):
         grids = [QuantileGrid(np.array([0.0, 1.5, 2.0])),
                  QuantileGrid(np.array([1.0, 1.0, 9.25]))]
@@ -242,6 +271,20 @@ class TestRegress:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "non-finite response column 'response' for: b" in capsys.readouterr().err
+
+    def test_bad_summary_exits_2(self, tmp_path, capsys):
+        qpath = tmp_path / "q.csv"
+        qpath.write_text("subject_id,t_1,t_2,t_3\na,0,1,2\nb,1,2,4\nc,0,3,5\n")
+        spath = tmp_path / "s.csv"
+        spath.write_text("subject_id,survey_weight,response\n"
+                         "a,1.0,0.5\nb,1.0,1.5\nc,1.0,2.0\n")
+        summary = tmp_path / "summary.csv"
+        summary.write_text("subject_id,p_inactive,tac_per_day\n"
+                           "a,0.5,10.0\nb,0.5,nan\nc,0.5,30.0\n")
+        rc = main(["regress", "--input", str(qpath), "--subjects", str(spath),
+                   "--summary", str(summary), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "summary.csv: line 3: non-finite value" in capsys.readouterr().err
 
     def test_single_named_response_one_row(self, regress_cohort):
         tmp_path, qpath, spath = regress_cohort

@@ -1,10 +1,14 @@
-"""Randomized invariance checks across the estimator stack."""
+"""Randomized invariance checks across the estimator stack, and fuzzing of
+the CSV readers."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from actidist import io
 from actidist.distribution import (
     ActivitySeries,
     CensorSpec,
@@ -211,3 +215,83 @@ class TestDistributionProperties:
         np.testing.assert_array_equal(
             build_mixed(base, m=7).quantiles.values,
             build_mixed(shuffled, m=7).quantiles.values)
+
+
+# CSV fields: numbers in every spelling float() takes, including nan and inf,
+# mixed with arbitrary text that may hold commas, quotes and line breaks
+csv_field = st.one_of(
+    st.sampled_from(["0", "1", "2.5", "-3", "", " 1 ", "nan", "inf", "-inf",
+                     "1e400", "1_0", "a"]),
+    st.floats().map(repr),
+    st.text(max_size=6),
+)
+csv_row = st.lists(csv_field, min_size=1, max_size=4).map(",".join)
+
+
+@st.composite
+def csv_text(draw, header):
+    """A header line, either the reader's own or arbitrary, and data lines,
+    most with as many fields as the header."""
+    first = draw(st.one_of(st.just(header), csv_row))
+    width = header.count(",") + 1
+    row = st.one_of(st.lists(csv_field, min_size=width, max_size=width).map(",".join),
+                    csv_row)
+    return "\n".join([first, *draw(st.lists(row, max_size=4))]) + "\n"
+
+
+fuzz = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+def read_fuzzed(reader, directory, text):
+    """Run a reader on the text; None when it rejects the input as invalid,
+    which is the only failure allowed."""
+    path = directory / "fuzz.csv"
+    path.write_text(text, encoding="utf-8")
+    try:
+        return reader(path)
+    except io.InputValidationError:
+        return None
+
+
+def all_finite(values) -> bool:
+    return all(math.isfinite(v) for v in values)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestCsvReaderFuzz:
+    @fuzz
+    @given(csv_text("subject_id,timestamp_min,count"))
+    def test_readings(self, fuzz_dir, text):
+        out = read_fuzzed(io.read_readings_csv, fuzz_dir, text)
+        for times, counts in (out or {}).values():
+            assert all_finite(times) and all_finite(counts)
+            assert min(counts) >= 0
+
+    @fuzz
+    @given(csv_text("subject_id,survey_weight,age"))
+    def test_subjects(self, fuzz_dir, text):
+        out = read_fuzzed(io.read_subjects_csv, fuzz_dir, text)
+        for weight, covariates in (out or {}).values():
+            assert math.isfinite(weight) and weight > 0
+            numbers = [v for v in covariates.values() if not isinstance(v, str)]
+            assert all_finite(numbers)
+
+    @fuzz
+    @given(csv_text("subject_id,p_inactive,tac_per_day"))
+    def test_summary(self, fuzz_dir, text):
+        out = read_fuzzed(io.read_summary_csv, fuzz_dir, text)
+        for values in (out or {}).values():
+            assert all_finite(values)
+
+    @fuzz
+    @given(csv_text("subject_id,t_1,t_2"))
+    def test_quantiles(self, fuzz_dir, text):
+        out = read_fuzzed(io.read_quantile_csv, fuzz_dir, text)
+        if out is not None:
+            ids, grids = out
+            assert len(ids) == len(grids) == len(set(ids))
+            assert all(np.all(np.isfinite(g.values)) for g in grids)

@@ -27,7 +27,7 @@ from actidist.regression import (
     nw_select_bandwidth,
     save_model,
 )
-from oracles import dense_loo_hat, training_predictions
+from oracles import dense_loo_hat, refit_loo, training_predictions
 
 
 def scalar_sample(rng, n, weight_range=(1.0, 1.0)):
@@ -91,17 +91,6 @@ class TestSurveySample:
     def test_binary_detection(self):
         assert SurveySample(np.array([1.0, 2.0]), np.array([0.0, 1.0])).is_binary()
         assert not SurveySample(np.array([1.0, 2.0]), np.array([0.0, 1.5])).is_binary()
-
-    def test_distance_selector_mismatch_rejected(self):
-        s = SurveySample(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-        cfg = NwConfig(bandwidth=1.0, distance="wasserstein")
-        with pytest.raises(ValueError, match="does not match"):
-            nw_predict(s, cfg, 0.5)
-
-    def test_explicit_matching_selector_accepted(self):
-        s = SurveySample(np.array([0.0, 1.0]), np.array([0.0, 4.0]))
-        cfg = NwConfig(bandwidth=1.0, distance="absolute")
-        assert 0.0 <= nw_predict(s, cfg, 0.5) <= 4.0
 
 
 class TestNwPredict:
@@ -259,16 +248,23 @@ class TestKrrFit:
 
     def test_dense_solve_oracle(self):
         rng = np.random.default_rng(9)
+        cases = []
         for _ in range(5):
             n = int(rng.integers(4, 30))
-            s = scalar_sample(rng, n, weight_range=(0.5, 4.0))
-            lam = float(rng.uniform(0.05, 2.0))
-            sigma = float(rng.uniform(0.5, 2.0))
+            cases.append((scalar_sample(rng, n, weight_range=(0.5, 4.0)),
+                          float(rng.uniform(0.05, 2.0)), float(rng.uniform(0.5, 2.0))))
+        # a weighted grid sample without duplicate rows, down to lambda = 0
+        grids = grid_sample(rng, 20)
+        cases += [(grids, float(lam), 30.0) for lam in (0.0, *DEFAULT_LAMBDA_GRID)]
+        for s, lam, sigma in cases:
+            n = s.n
             model = krr_fit(s, lam=lam, sigma=sigma)
             k = np.empty((n, n))
             for i in range(n):
                 for j in range(n):
-                    k[i, j] = math.exp(-abs(s._matrix[i] - s._matrix[j]) / sigma)
+                    diff = s._matrix[i] - s._matrix[j]
+                    dist = math.sqrt(np.mean(diff ** 2)) if s.kind == "grid" else abs(diff)
+                    k[i, j] = math.exp(-dist / sigma)
             a = np.diag(s.weights) @ k + lam * np.eye(n)
             expected, *_ = np.linalg.lstsq(a, s.weights * s.responses, rcond=None)
             rel = np.linalg.norm(model.alpha - expected) / np.linalg.norm(expected)
@@ -316,9 +312,9 @@ class TestKrrLoo:
             y[1] / (1 + lam) * math.exp(-1 / sigma),
             y[0] / (1 + lam) * math.exp(-1 / sigma),
         ])
-        for method in ("refit", "hat", "auto"):
-            np.testing.assert_allclose(krr_loo(s, lam, sigma=sigma, method=method),
-                                       expected, atol=1e-12)
+        for loo in (refit_loo(s, lam, sigma), _krr_loo_hat(s, lam, sigma)[0],
+                    krr_loo(s, lam, sigma=sigma)):
+            np.testing.assert_allclose(loo, expected, atol=1e-12)
 
     def test_duplicate_twin_interpolates_as_penalty_vanishes(self):
         x = np.array([0.0, 0.0, 3.0, 5.0])
@@ -330,15 +326,15 @@ class TestKrrLoo:
     def test_fast_path_matches_refit_uniform(self):
         rng = np.random.default_rng(13)
         s = scalar_sample(rng, 30)
-        fast = krr_loo(s, 0.4, sigma=1.0, method="hat")
-        slow = krr_loo(s, 0.4, sigma=1.0, method="refit")
+        fast = _krr_loo_hat(s, 0.4, 1.0)[0]
+        slow = refit_loo(s, 0.4, 1.0)
         np.testing.assert_allclose(fast, slow, atol=1e-8)
 
     def test_fast_path_matches_refit_nonuniform(self):
         rng = np.random.default_rng(14)
         s = scalar_sample(rng, 25, weight_range=(0.2, 6.0))
-        fast = krr_loo(s, 0.4, sigma=1.0, method="hat")
-        slow = krr_loo(s, 0.4, sigma=1.0, method="refit")
+        fast = _krr_loo_hat(s, 0.4, 1.0)[0]
+        slow = refit_loo(s, 0.4, 1.0)
         np.testing.assert_allclose(fast, slow, atol=1e-8)
 
     def test_spectral_matches_dense_solve_and_refit(self):
@@ -347,28 +343,11 @@ class TestKrrLoo:
                  (grid_sample(rng, 20), 30.0))
         for s, sigma in cases:
             for lam in DEFAULT_LAMBDA_GRID:
-                loo, denom = _krr_loo_hat(s, lam, sigma, "laplacian")
+                loo, denom = _krr_loo_hat(s, lam, sigma)
                 dense, dense_denom = dense_loo_hat(s, lam, sigma)
                 np.testing.assert_allclose(denom, dense_denom, atol=1e-10)
                 np.testing.assert_allclose(loo, dense, atol=1e-8)
-                np.testing.assert_allclose(
-                    loo, krr_loo(s, lam, sigma=sigma, method="refit"), atol=1e-8)
-
-    def test_recompute_sigma_refits_per_fold(self):
-        rng = np.random.default_rng(26)
-        s = scalar_sample(rng, 8, weight_range=(0.5, 2.0))
-        from actidist.survey import median_heuristic_sigma_from_matrix
-        loo = krr_loo(s, 0.5, recompute_sigma=True)
-        mask = np.ones(8, dtype=bool)
-        for i in range(3):
-            mask[:] = True
-            mask[i] = False
-            reduced = s.subset(mask)
-            sigma_i = median_heuristic_sigma_from_matrix(
-                reduced.distance_matrix(), reduced.weights)
-            model = krr_fit(reduced, 0.5, sigma=sigma_i)
-            assert loo[i] == pytest.approx(krr_predict(model, s._matrix[i]),
-                                           abs=1e-12)
+                np.testing.assert_allclose(loo, refit_loo(s, lam, sigma), atol=1e-8)
 
     def test_auto_falls_back_when_shortcut_degenerates(self):
         rng = np.random.default_rng(15)
@@ -378,10 +357,10 @@ class TestKrrLoo:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             from actidist.regression import _krr_loo_hat
-            _, denom = _krr_loo_hat(s, 1e-9, 1.0, "laplacian")
+            _, denom = _krr_loo_hat(s, 1e-9, 1.0)
             assert np.any(denom < 1e-10)
-            auto = krr_loo(s, 1e-9, sigma=1.0, method="auto")
-            refit = krr_loo(s, 1e-9, sigma=1.0, method="refit")
+            auto = krr_loo(s, 1e-9, sigma=1.0)
+            refit = refit_loo(s, 1e-9, 1.0)
         np.testing.assert_allclose(auto, refit, atol=1e-8)
 
 
@@ -422,7 +401,11 @@ class TestKrrSelectLambda:
             calls.append(a.shape)
             return real(a)
 
+        def no_solve(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called")
+
         monkeypatch.setattr(np.linalg, "eigh", counting)
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
         sigma = 30.0
         lam = krr_select_lambda(s, sigma, DEFAULT_LAMBDA_GRID)
         krr_fit(s.with_responses(s.responses + 1.0), lam, sigma=sigma)
@@ -531,6 +514,18 @@ class TestPersistence:
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"format_version": 99}))
         with pytest.raises(ValueError, match="format version"):
+            load_model(path)
+
+    def test_other_kernel_rejected(self, tmp_path):
+        import json
+        rng = np.random.default_rng(24)
+        path = tmp_path / "model.json"
+        save_model(krr_fit(scalar_sample(rng, 4), lam=0.4, sigma=1.0), path)
+        payload = json.loads(path.read_text())
+        assert payload["kernel_name"] == "laplacian"
+        payload["kernel_name"] = "gaussian"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="unsupported kernel 'gaussian'"):
             load_model(path)
 
 
