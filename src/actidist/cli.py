@@ -110,13 +110,23 @@ def _read_regression_inputs(args):
     return ids, grids, weights, covariates
 
 
-def _response_values(ids, covariates, name: str) -> np.ndarray:
-    y = np.asarray([float(cov.get(name, np.nan)) for cov in covariates])
-    bad = [sid for sid, value in zip(ids, y) if not np.isfinite(value)]
+def _numeric_column(ids, covariates, name: str, role: str) -> np.ndarray:
+    """Covariate `name` as floats; names the subjects whose value is missing,
+    text or non-finite."""
+    values, bad = [], []
+    for sid, cov in zip(ids, covariates):
+        try:
+            value = float(cov.get(name, np.nan))
+        except ValueError:
+            value = np.nan
+        if not np.isfinite(value):
+            bad.append(sid)
+        values.append(value)
     if bad:
         raise io.InputValidationError(
-            f"missing or non-finite response column {name!r} for: {', '.join(bad[:5])}")
-    return y
+            f"missing, non-numeric or non-finite {role} column {name!r} for: "
+            f"{', '.join(bad[:5])}")
+    return np.asarray(values)
 
 
 def _tac_values(args, ids, grids) -> np.ndarray:
@@ -154,7 +164,7 @@ def cmd_regress(args) -> int:
     try:
         report_rows = []
         for name in responses:
-            y = _response_values(ids, covariates, name)
+            y = _numeric_column(ids, covariates, name, "response")
             dist_sample = dist_base.with_responses(y)
             result = compare_r2(dist_sample, tac_base.with_responses(y),
                                 lambda_grid=lambda_grid)
@@ -184,17 +194,17 @@ def cmd_classify(args) -> int:
     cfg = _merged(args, "classify")
     ids, grids, weights, covariates = _read_regression_inputs(args)
     name = cfg["response"]
-    sample = SurveySample(grids, _response_values(ids, covariates, name), weights)
+    sample = SurveySample(grids, _numeric_column(ids, covariates, name, "response"),
+                          weights)
     if not sample.is_binary():
         raise ValueError(f"response column {name!r} is not binary 0/1")
+    strata = None
+    if cfg["stratify_age"]:
+        strata = stratify_age(_numeric_column(ids, covariates, "age", "covariate").tolist())
 
     outcome = classify_mortality(sample, threshold=float(cfg["threshold"]))
     risk = assign_risk_groups(outcome)
-    labels = list(risk)
-    if cfg["stratify_age"]:
-        ages = [cov["age"] for cov in covariates]
-        strata = stratify_age(ages)
-        labels = [f"{r}/{s}" for r, s in zip(risk, strata)]
+    labels = list(risk) if strata is None else [f"{r}/{s}" for r, s in zip(risk, strata)]
 
     out = _RunOutputs(Path(args.out))
     try:

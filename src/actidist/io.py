@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+from io import StringIO
 
 import numpy as np
 
@@ -54,10 +55,11 @@ def read_readings_csv(path) -> dict:
             if len(row) != 3:
                 bad.append(f"line {lineno}: expected 3 fields")
                 continue
-            sid = row[0].strip()
+            sid, t, count = row
+            sid = sid.strip()
             try:
-                t = float(row[1])
-                count = float(row[2])
+                t = float(t)
+                count = float(count)
             except ValueError:
                 bad.append(f"line {lineno}: non-numeric value")
                 continue
@@ -67,9 +69,11 @@ def read_readings_csv(path) -> dict:
             if count < 0:
                 bad.append(f"line {lineno}: negative count")
                 continue
-            per_subject.setdefault(sid, ([], []))
-            per_subject[sid][0].append(t)
-            per_subject[sid][1].append(count)
+            entry = per_subject.get(sid)
+            if entry is None:
+                entry = per_subject[sid] = ([], [])
+            entry[0].append(t)
+            entry[1].append(count)
     if bad:
         raise InputValidationError(f"{path}: " + "; ".join(bad))
     if not per_subject:
@@ -254,13 +258,32 @@ def write_subjects_csv(path, subjects) -> None:
     write_rows(path, header, rows)
 
 
+def _csv_field(value) -> str:
+    """`value` as csv.writer writes it inside a row, quoted if it needs it."""
+    buf = StringIO()
+    # two fields, because csv.writer quotes a row that is one empty field
+    csv.writer(buf).writerow([_fmt(value), ""])
+    return buf.getvalue()[:-len(",\r\n")]
+
+
 def write_readings_csv(path, subjects) -> None:
-    """Long-format readings for a list of subjects."""
-    def rows():
+    """Long-format readings for a list of ActivitySeries.
+
+    Writes the bytes that write_rows would, one block per subject: the id is
+    quoted once, every value is repr-formatted, and the timestamp strings are
+    reused while consecutive subjects share a grid.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerow(["subject_id", "timestamp_min", "count"])
+        grid, times = None, []
         for s in subjects:
-            for t, c in zip(s.timestamps, s.readings):
-                yield [s.subject_id, t, c]
-    write_rows(path, ["subject_id", "timestamp_min", "count"], rows())
+            # bytes, not values: 0.0 == -0.0, but they print differently
+            if s.timestamps.tobytes() != grid:
+                grid = s.timestamps.tobytes()
+                times = [t + "," for t in map(repr, s.timestamps.tolist())]
+            head = _csv_field(s.subject_id) + ","
+            rows = map(str.__add__, times, map(repr, s.readings.tolist()))
+            fh.write(head + ("\r\n" + head).join(rows) + "\r\n")
 
 
 def write_ground_truth_csv(path, true_means: dict, subjects, pi: np.ndarray) -> None:

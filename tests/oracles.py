@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from actidist.geometry import _normalized_weights, _stack
-from actidist.io import InputValidationError
+from actidist.io import InputValidationError, write_rows
 from actidist.regression import GRID_KIND, _krr_loo_refit, laplacian_kernel
 from actidist.survey import weighted_median
 
@@ -91,6 +91,15 @@ def read_subject_readings_csv(path, subject_id=None) -> dict:
     if bad:
         raise InputValidationError(f"{path}: " + "; ".join(bad))
     return {sid: out}
+
+
+def write_readings_rows(path, subjects) -> None:
+    """Long-format readings written one csv row, and one value, at a time."""
+    def rows():
+        for s in subjects:
+            for t, c in zip(s.timestamps, s.readings):
+                yield [s.subject_id, t, c]
+    write_rows(path, ["subject_id", "timestamp_min", "count"], rows())
 
 
 def median_heuristic_sigma(predictors, weights=None, distance=None) -> float:

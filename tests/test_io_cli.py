@@ -207,6 +207,17 @@ def write_cohort_inputs(tmp_path, subjects, m=80, response_names=("response",)):
     return qpath, spath
 
 
+def write_toy_cohort(tmp_path, columns, rows):
+    """Three-subject quantile table plus a subjects file with `columns` after
+    survey_weight, one row of values per subject a, b, c."""
+    qpath = tmp_path / "q.csv"
+    qpath.write_text("subject_id,t_1,t_2,t_3\na,0,1,2\nb,1,2,4\nc,0,3,5\n")
+    spath = tmp_path / "s.csv"
+    spath.write_text(f"subject_id,survey_weight,{columns}\n"
+                     + "".join(f"{sid},1.0,{row}\n" for sid, row in zip("abc", rows)))
+    return qpath, spath
+
+
 @pytest.fixture(scope="module")
 def regress_cohort(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("regress")
@@ -271,6 +282,14 @@ class TestRegress:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "non-finite response column 'response' for: b" in capsys.readouterr().err
+
+    def test_text_response_names_column_and_subject(self, tmp_path, capsys):
+        qpath, spath = write_toy_cohort(tmp_path, "response", ["0.5", "abc", "2.0"])
+        rc = main(["regress", "--input", str(qpath), "--subjects", str(spath),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert ("missing, non-numeric or non-finite response column 'response' for: b"
+                in capsys.readouterr().err)
 
     def test_bad_summary_exits_2(self, tmp_path, capsys):
         qpath = tmp_path / "q.csv"
@@ -371,6 +390,33 @@ class TestClassify:
         rc = main(["classify", "--input", str(qpath), "--subjects", str(spath),
                    "--out", str(tmp_path / "outbad"), "--response", "age"])
         assert rc == 2
+
+    def test_text_response_names_column_and_subject(self, tmp_path, capsys):
+        qpath, spath = write_toy_cohort(tmp_path, "mortality", ["0", "abc", "1"])
+        rc = main(["classify", "--input", str(qpath), "--subjects", str(spath),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert ("missing, non-numeric or non-finite response column 'mortality' for: b"
+                in capsys.readouterr().err)
+
+    def test_stratify_age_without_age_column_names_subjects(self, tmp_path, capsys):
+        qpath, spath = write_toy_cohort(tmp_path, "mortality", ["0", "1", "1"])
+        rc = main(["classify", "--input", str(qpath), "--subjects", str(spath),
+                   "--out", str(tmp_path / "out"), "--stratify-age"])
+        assert rc == 2
+        assert ("missing, non-numeric or non-finite covariate column 'age' for: a, b, c"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_stratify_age_text_age_names_subject(self, tmp_path, capsys):
+        qpath, spath = write_toy_cohort(tmp_path, "mortality,age",
+                                        ["0,70", "1,old", "1,80"])
+        rc = main(["classify", "--input", str(qpath), "--subjects", str(spath),
+                   "--out", str(tmp_path / "out"), "--stratify-age"])
+        assert rc == 2
+        assert ("missing, non-numeric or non-finite covariate column 'age' for: b"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_rerun_byte_identical(self, classify_cohort):
         tmp_path, qpath, spath = classify_cohort

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from actidist import io
@@ -32,7 +32,7 @@ from actidist.regression import (
     nw_predict,
 )
 from actidist.survey import ht_mean, weighted_r2
-from oracles import median_heuristic_sigma
+from oracles import median_heuristic_sigma, write_readings_rows
 
 finite = st.floats(-50.0, 50.0, allow_nan=False)
 positive = st.floats(0.1, 20.0, allow_nan=False)
@@ -295,3 +295,64 @@ class TestCsvReaderFuzz:
             ids, grids = out
             assert len(ids) == len(grids) == len(set(ids))
             assert all(np.all(np.isfinite(g.values)) for g in grids)
+
+
+special_ids = st.sampled_from(
+    ["a,b", 'say "hi"', "a{0}", "{}", "50%", "%s%%", "two\nlines", "cr\rlf",
+     "naïve", "日本", "", " pad "])
+subject_ids = st.one_of(special_ids, st.text(st.characters(blacklist_categories=("Cs",)),
+                                             max_size=6))
+special_values = [0.0, -0.0, 5e-324, 1e-5, 1.0, 7.0, 1e16, 1.5e300,
+                  1.7976931348623157e308]
+counts = st.one_of(st.sampled_from(special_values),
+                   st.floats(0.0, allow_nan=False, allow_infinity=False))
+times = st.one_of(st.sampled_from(special_values + [-1e16, -2.5]),
+                  st.floats(allow_nan=False, allow_infinity=False))
+# unique=True never puts both 0.0 and -0.0 in a grid, so every grid strictly increases
+time_grids = st.lists(times, min_size=1, max_size=6, unique=True).map(sorted)
+
+
+@st.composite
+def readings_subjects(draw, ids=subject_ids):
+    """Subjects on a few shared grids, so consecutive subjects both share a
+    grid and switch to another one."""
+    grids = draw(st.lists(time_grids, min_size=1, max_size=3))
+    subjects = []
+    for sid in draw(st.lists(ids, min_size=1, max_size=6)):
+        grid = draw(st.sampled_from(grids))
+        values = draw(st.lists(counts, min_size=len(grid), max_size=len(grid)))
+        subjects.append(ActivitySeries(sid, grid, values))
+    return subjects
+
+
+def equal_grid_subjects():
+    """Equal timestamp values in different bytes: 0.0 == -0.0."""
+    return [ActivitySeries("a", [0.0, 1.0], [1.0, -0.0]),
+            ActivitySeries("b", [-0.0, 1.0], [0.0, 2.0]),
+            ActivitySeries("c", [0.0, 1.0], [3.0, 4.0])]
+
+
+class TestReadingsWriter:
+    @fuzz
+    @given(readings_subjects())
+    @example(equal_grid_subjects())
+    def test_matches_row_at_a_time_writer(self, fuzz_dir, subjects):
+        io.write_readings_csv(fuzz_dir / "block.csv", subjects)
+        write_readings_rows(fuzz_dir / "rows.csv", subjects)
+        assert (fuzz_dir / "block.csv").read_bytes() == (fuzz_dir / "rows.csv").read_bytes()
+
+    @fuzz
+    @given(readings_subjects(st.text(min_size=1, max_size=6).filter(
+        lambda sid: sid == sid.strip())))
+    @example(equal_grid_subjects())
+    def test_round_trip_is_exact(self, fuzz_dir, subjects):
+        subjects = list({s.subject_id: s for s in subjects}.values())
+        path = fuzz_dir / "readings.csv"
+        io.write_readings_csv(path, subjects)
+        back = io.read_readings_csv(path)
+        assert list(back) == [s.subject_id for s in subjects]
+        for s in subjects:
+            t, c = back[s.subject_id]
+            # bytes, so that -0.0 must come back as -0.0
+            assert np.asarray(t).tobytes() == s.timestamps.tobytes()
+            assert np.asarray(c).tobytes() == s.readings.tobytes()
