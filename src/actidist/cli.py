@@ -290,9 +290,10 @@ def cmd_simulate(args) -> int:
 
     out = _RunOutputs(Path(args.out))
     try:
-        io.write_readings_csv(out.path("population_readings.csv"), population)
+        # one pass formats each population subject once for both files
+        io.write_readings_csv(out.path("population_readings.csv"), population,
+                              out.path("sample_readings.csv"), sample)
         io.write_subjects_csv(out.path("population_subjects.csv"), population)
-        io.write_readings_csv(out.path("sample_readings.csv"), sample)
         io.write_subjects_csv(out.path("sample_subjects.csv"), sample)
         io.write_ground_truth_csv(out.path("ground_truth.csv"), truth, population, pi)
     except Exception:

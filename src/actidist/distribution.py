@@ -47,6 +47,9 @@ class ActivitySeries:
             raise ValueError("timestamps and readings must be 1-d and aligned")
         if np.any(readings < 0) or not np.all(np.isfinite(readings)):
             raise ValueError("readings must be finite and nonnegative")
+        # before the order check: np.diff(t) <= 0 is False wherever t is NaN
+        if not np.all(np.isfinite(timestamps)):
+            raise ValueError("timestamps must be finite")
         if timestamps.size > 1 and np.any(np.diff(timestamps) <= 0):
             raise ValueError("timestamps must be strictly increasing")
         if not self.survey_weight > 0:

@@ -7,8 +7,10 @@ round-trip formatting so reruns on identical inputs are byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import warnings
 from io import StringIO
 
 import numpy as np
@@ -34,19 +36,90 @@ def write_rows(path, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
+# rows per np.loadtxt call: bounds the reader's memory beyond the 16 B a
+# reading takes in the result
+_READ_CHUNK_ROWS = 1 << 14
+# the id is an object field: a fixed-width string field would truncate it
+_READINGS_ROW = np.dtype([("subject_id", object), ("t", "f8"), ("count", "f8")])
+
+
 def read_readings_csv(path) -> dict:
     """Long-format readings (subject_id, timestamp_min, count) grouped by subject.
 
-    Collects every malformed row and reports them together with their line
-    numbers, so a dirty file surfaces all problems in one pass.
+    Returns {subject_id: (timestamps, counts)} as float64 arrays in file
+    order, subjects in order of first appearance, ids stripped. numpy's C
+    parser reads the rows in chunks; when it refuses a row or a value fails
+    a check, the csv row loop reads the whole file again. That loop accepts
+    the same files as the parser and more, and reports every malformed row
+    with its line number, so a dirty file surfaces all problems in one pass.
     """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        if _is_readings_header(next(csv.reader(fh), None)):
+            per_subject = _read_readings_chunks(fh)
+            if per_subject:
+                return per_subject
+    return _read_readings_rows(path)
+
+
+def _is_readings_header(header) -> bool:
+    return header is not None and [h.strip() for h in header[:3]] == [
+        "subject_id", "timestamp_min", "count"]
+
+
+def _read_readings_chunks(fh):
+    """The rows after the header through np.loadtxt, or None when it refuses
+    a row or a value is non-finite or a count negative."""
+    pieces: dict = {}
+    with warnings.catch_warnings():
+        # loadtxt warns on every blank line, and on a last chunk with no rows
+        warnings.simplefilter("ignore", UserWarning)
+        while True:
+            try:
+                rows = np.loadtxt(fh, dtype=_READINGS_ROW, delimiter=",",
+                                  quotechar='"', comments=None,
+                                  max_rows=_READ_CHUNK_ROWS, ndmin=1)
+            except ValueError:
+                return None
+            t, count = rows["t"], rows["count"]
+            if not (np.isfinite(t).all() and np.isfinite(count).all()
+                    and (count >= 0).all()):
+                return None
+            if len(rows):
+                _append_chunk(pieces, rows)
+            if len(rows) < _READ_CHUNK_ROWS:
+                break
+    return {sid: _joined(parts) for sid, parts in pieces.items()}
+
+
+def _append_chunk(pieces: dict, rows) -> None:
+    """Append each subject's (timestamps, counts) in this chunk, in file
+    order, as one piece to pieces[stripped id]."""
+    ids = rows["subject_id"]
+    starts = np.concatenate(([0], np.flatnonzero(ids[1:] != ids[:-1]) + 1))
+    codes: dict = {}
+    run_codes = [codes.setdefault(ids[i].strip(), len(codes)) for i in starts]
+    row_codes = np.repeat(run_codes, np.diff(starts, append=len(ids)))
+    order = np.argsort(row_codes, kind="stable")
+    bounds = np.cumsum(np.bincount(row_codes))[:-1]
+    t = np.split(rows["t"][order], bounds)
+    count = np.split(rows["count"][order], bounds)
+    for sid, piece in zip(codes, zip(t, count)):
+        pieces.setdefault(sid, []).append(piece)
+
+
+def _joined(parts: list):
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _read_readings_rows(path) -> dict:
+    """read_readings_csv one csv row and two float() calls at a time."""
     per_subject: dict = {}
     bad: list[str] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != [
-                "subject_id", "timestamp_min", "count"]:
+        if not _is_readings_header(next(reader, None)):
             raise InputValidationError(
                 f"{path}: expected header subject_id,timestamp_min,count")
         for lineno, row in enumerate(reader, start=2):
@@ -78,7 +151,8 @@ def read_readings_csv(path) -> dict:
         raise InputValidationError(f"{path}: " + "; ".join(bad))
     if not per_subject:
         raise InputValidationError(f"{path}: no data rows")
-    return per_subject
+    return {sid: (np.array(t), np.array(count))
+            for sid, (t, count) in per_subject.items()}
 
 
 def _parse_covariate(text: str):
@@ -147,8 +221,8 @@ def load_series(readings_path, subjects_path) -> list:
         weight, covariates = subjects[sid]
         series.append(ActivitySeries(
             subject_id=sid,
-            timestamps=np.asarray(t)[order],
-            readings=np.asarray(counts)[order],
+            timestamps=t[order],
+            readings=counts[order],
             survey_weight=weight,
             covariates=covariates,
         ))
@@ -266,24 +340,56 @@ def _csv_field(value) -> str:
     return buf.getvalue()[:-len(",\r\n")]
 
 
-def write_readings_csv(path, subjects) -> None:
+def write_readings_csv(path, subjects, sample_path=None, sample=()) -> None:
     """Long-format readings for a list of ActivitySeries.
 
     Writes the bytes that write_rows would, one block per subject: the id is
     quoted once, every value is repr-formatted, and the timestamp strings are
     reused while consecutive subjects share a grid.
+
+    With sample_path, the same pass writes `sample`, subjects drawn from
+    `subjects` in their order, to that file. A sample subject with the id
+    and the byte-equal arrays of the subject just written takes its block;
+    one whose arrays differ is formatted from its own. A sample subject
+    left unmatched at the end raises ValueError.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(["subject_id", "timestamp_min", "count"])
-        grid, times = None, []
+    if sample and sample_path is None:
+        raise TypeError("sample needs sample_path")
+    grid, times = None, []
+
+    def block(s) -> str:
+        nonlocal grid, times
+        # bytes, not values: 0.0 == -0.0, but they print differently
+        if s.timestamps.tobytes() != grid:
+            grid = s.timestamps.tobytes()
+            times = [t + "," for t in map(repr, s.timestamps.tolist())]
+        head = _csv_field(s.subject_id) + ","
+        rows = map(str.__add__, times, map(repr, s.readings.tolist()))
+        return head + ("\r\n" + head).join(rows) + "\r\n"
+
+    pending = iter(sample)
+    drawn = next(pending, None)
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(p, "w", encoding="utf-8", newline=""))
+                 for p in (path, sample_path) if p is not None]
+        for fh in files:
+            csv.writer(fh).writerow(["subject_id", "timestamp_min", "count"])
+        # without sample_path the sample is empty, and files[-1] never written
+        out, sample_out = files[0], files[-1]
         for s in subjects:
-            # bytes, not values: 0.0 == -0.0, but they print differently
-            if s.timestamps.tobytes() != grid:
-                grid = s.timestamps.tobytes()
-                times = [t + "," for t in map(repr, s.timestamps.tolist())]
-            head = _csv_field(s.subject_id) + ","
-            rows = map(str.__add__, times, map(repr, s.readings.tolist()))
-            fh.write(head + ("\r\n" + head).join(rows) + "\r\n")
+            text = block(s)
+            out.write(text)
+            while drawn is not None and drawn.subject_id == s.subject_id:
+                sample_out.write(text if _same_readings(drawn, s) else block(drawn))
+                drawn = next(pending, None)
+    if drawn is not None:
+        raise ValueError(f"sample subject {drawn.subject_id!r} does not follow "
+                         "the population order")
+
+
+def _same_readings(a, b) -> bool:
+    return (a.timestamps.tobytes() == b.timestamps.tobytes()
+            and a.readings.tobytes() == b.readings.tobytes())
 
 
 def write_ground_truth_csv(path, true_means: dict, subjects, pi: np.ndarray) -> None:

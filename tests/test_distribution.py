@@ -34,6 +34,12 @@ class TestActivitySeries:
         with pytest.raises(ValueError):
             ActivitySeries("s", np.array([0.0, 0.0]), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("timestamps", [[0.0, np.nan, 2.0], [0.0, np.inf], [np.nan]],
+                             ids=["nan_inside", "inf_last", "lone_nan"])
+    def test_non_finite_timestamps_rejected(self, timestamps):
+        with pytest.raises(ValueError, match="timestamps must be finite"):
+            ActivitySeries("s", np.array(timestamps), np.ones(len(timestamps)))
+
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):
             series([1.0], survey_weight=0.0)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,8 @@ from actidist.datagen import (
 from actidist.distribution import QuantileGrid
 from actidist.regression import krr_predict_batch, load_model
 from oracles import read_subject_readings_csv
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_toy_inputs(tmp_path, rows, subjects_rows):
@@ -186,6 +192,23 @@ class TestBuildDist:
                          str(subjects), "--out", str(out), "--m", "6"]) == 0
         assert (out1 / "quantiles.csv").read_bytes() == (out2 / "quantiles.csv").read_bytes()
         assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
+
+
+    def test_blank_lines_exit_0_quietly(self, tmp_path):
+        # a separate process, so that a warning would reach its stderr
+        readings, subjects = default_toy(tmp_path)
+        lines = readings.read_text().splitlines()
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text("\n\n".join(lines[:3]) + "\n\n\n" + "\n".join(lines[3:]) + "\n\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        for name, path in (("plain", readings), ("spaced", spaced)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "actidist.cli", "build-dist", "--input", str(path),
+                 "--subjects", str(subjects), "--out", str(tmp_path / name), "--m", "6"],
+                env=env, capture_output=True, text=True, timeout=60)
+            assert (proc.returncode, proc.stderr) == (0, "")
+        assert ((tmp_path / "spaced" / "quantiles.csv").read_bytes()
+                == (tmp_path / "plain" / "quantiles.csv").read_bytes())
 
 
 def write_cohort_inputs(tmp_path, subjects, m=80, response_names=("response",)):

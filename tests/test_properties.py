@@ -1,7 +1,10 @@
 """Randomized invariance checks across the estimator stack, and fuzzing of
 the CSV readers."""
 
+import csv
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -297,6 +300,101 @@ class TestCsvReaderFuzz:
             assert all(np.all(np.isfinite(g.values)) for g in grids)
 
 
+def readings_by_both_paths(directory, text, chunks):
+    """(bulk, rows, public): the chunked parser's result at several chunk
+    sizes, the row loop's, and read_readings_csv's. bulk holds one entry per
+    size in chunks, None where the parser refused the file; it is None itself
+    when the header is not the readings header. rows and public are dicts or
+    the error message."""
+    path = directory / "readings.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    bulk = None
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header_ok = io._is_readings_header(next(csv.reader(fh), None))
+    if header_ok:
+        bulk = []
+        for chunk in chunks:
+            with mock.patch.object(io, "_READ_CHUNK_ROWS", chunk), \
+                    open(path, "r", encoding="utf-8", newline="") as fh:
+                next(csv.reader(fh))
+                bulk.append(io._read_readings_chunks(fh))
+    results = []
+    for reader in (io._read_readings_rows, io.read_readings_csv):
+        try:
+            results.append(reader(path))
+        except io.InputValidationError as exc:
+            results.append(str(exc))
+    return bulk, *results
+
+
+def assert_same_readings(a, b):
+    """Equal keys in equal order and byte-equal float64 arrays, or the same
+    error message."""
+    if isinstance(a, str) or isinstance(b, str):
+        assert a == b
+        return
+    assert list(a) == list(b)
+    for sid in a:
+        for x, y in zip(a[sid], b[sid]):
+            assert x.dtype == y.dtype == np.float64
+            assert x.tobytes() == y.tobytes()
+
+
+def assert_paths_agree(directory, text, chunks=(io._READ_CHUNK_ROWS, 1, 2, 3)):
+    """The bulk path, where it accepts the file, returns what the row loop
+    returns, and read_readings_csv matches the row loop either way. Returns
+    whether the bulk path accepted the file at every chunk size."""
+    bulk, rows, public = readings_by_both_paths(directory, text, chunks)
+    assert_same_readings(public, rows)
+    for result in bulk or ():
+        if result:
+            assert_same_readings(result, rows)
+    return bulk is not None and all(bulk)
+
+
+line_ends = st.sampled_from(["\n", "\r\n", "\r"])
+# subject b starts in the first chunk and ends in the second
+LONG_FILE = "subject_id,timestamp_min,count\r\n" + "".join(
+    f"{'a' if i < 100 else 'b' if i < io._READ_CHUNK_ROWS + 10 else 'c'},{i},{i % 7}\r\n"
+    for i in range(io._READ_CHUNK_ROWS + 50))
+HEADER = "subject_id,timestamp_min,count\n"
+
+
+class TestReadingsReaderPaths:
+    """numpy's chunked parser against the csv row loop, called directly."""
+
+    @fuzz
+    @given(csv_text("subject_id,timestamp_min,count"), line_ends)
+    def test_fuzzed_files_agree(self, fuzz_dir, text, end):
+        assert_paths_agree(fuzz_dir, text.replace("\n", end))
+
+    @pytest.mark.parametrize("text, bulk", [
+        ('"a,b",1,2\n"say ""hi""",1,2\n"two\nlines",1,2\n', True),
+        (" a ,1,2\na,2,3\n a,3,4\n", True),
+        ("a,1,2\rb,1,2\ra,2,3\r", True),
+        ("a,1,2\r\n\r\n\nb,1,2\n\n", True),
+        ("a,1,2\n  \nb,1,2\n", False),
+        ("a,1,2\n\t\n", False),
+        ("a,1_0,2\n", False),
+        ("a,\u0661,2\n", False),
+        ("a, 1 , 2 \n", True),
+        ("a,1,-0.0\nb,-0.0,0.0\n", True),
+        ("a,0,1\nb,0,1\na,1,2\nb,1,3\n", True),
+        ("a,0,nan\nb,inf,1\nc,0,-1\nd,x,1\ne,0\n", False),
+        ("", False),
+    ], ids=["quoted_ids", "strip_merges", "lone_cr", "blank_lines", "space_line",
+            "tab_line", "underscore", "arabic_digit", "padded", "negative_zero",
+            "interleaved", "bad_rows", "no_rows"])
+    def test_explicit_files_agree(self, tmp_path, text, bulk):
+        assert assert_paths_agree(tmp_path, HEADER + text) is bulk
+
+    def test_subject_spanning_chunks(self, tmp_path):
+        assert assert_paths_agree(tmp_path, LONG_FILE, chunks=(io._READ_CHUNK_ROWS,))
+        t, count = io.read_readings_csv(tmp_path / "readings.csv")["b"]
+        assert t.tolist() == list(range(100, io._READ_CHUNK_ROWS + 10))
+        assert count.tolist() == [i % 7 for i in range(100, io._READ_CHUNK_ROWS + 10)]
+
+
 special_ids = st.sampled_from(
     ["a,b", 'say "hi"', "a{0}", "{}", "50%", "%s%%", "two\nlines", "cr\rlf",
      "naïve", "日本", "", " pad "])
@@ -332,6 +430,16 @@ def equal_grid_subjects():
             ActivitySeries("c", [0.0, 1.0], [3.0, 4.0])]
 
 
+def population_and_picks():
+    """Subjects, and for each whether the sample leaves it out, draws it with
+    its arrays shared (as draw_sample does), or draws its id with other
+    readings."""
+    return readings_subjects().flatmap(lambda population: st.tuples(
+        st.just(population),
+        st.lists(st.sampled_from(["skip", "share", "own"]),
+                 min_size=len(population), max_size=len(population))))
+
+
 class TestReadingsWriter:
     @fuzz
     @given(readings_subjects())
@@ -356,3 +464,25 @@ class TestReadingsWriter:
             # bytes, so that -0.0 must come back as -0.0
             assert np.asarray(t).tobytes() == s.timestamps.tobytes()
             assert np.asarray(c).tobytes() == s.readings.tobytes()
+
+    @fuzz
+    @given(population_and_picks())
+    @example((equal_grid_subjects(), ["share", "skip", "own"]))
+    def test_population_and_sample_in_one_pass(self, fuzz_dir, drawn):
+        population, picks = drawn
+        sample = [dataclasses.replace(s, survey_weight=2.0) if pick == "share"
+                  else dataclasses.replace(s, readings=s.readings + 1.0)
+                  for s, pick in zip(population, picks) if pick != "skip"]
+        io.write_readings_csv(fuzz_dir / "population.csv", population,
+                              fuzz_dir / "sample.csv", sample)
+        write_readings_rows(fuzz_dir / "population_rows.csv", population)
+        write_readings_rows(fuzz_dir / "sample_rows.csv", sample)
+        for name in ("population", "sample"):
+            assert ((fuzz_dir / f"{name}.csv").read_bytes()
+                    == (fuzz_dir / f"{name}_rows.csv").read_bytes())
+
+    def test_sample_out_of_population_order_rejected(self, tmp_path):
+        population = equal_grid_subjects()
+        with pytest.raises(ValueError, match="'b' does not follow the population order"):
+            io.write_readings_csv(tmp_path / "population.csv", population,
+                                  tmp_path / "sample.csv", population[::-1])
