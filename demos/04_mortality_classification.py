@@ -60,7 +60,7 @@ print(f"risk groups: {counts}")
 ages = [s.covariates["age"] for s in subjects]
 strata = stratify_age(ages)
 labels = [f"{r}/{a}" for r, a in zip(risk, strata)]
-profiles = group_profiles([p for p in sample.predictors], sample.weights, labels)
+profiles = group_profiles(sample.predictors, sample.weights, labels)
 print("\ngroup profiles (top quantile of the mean curve):")
 for name in sorted(profiles):
     summary = profiles[name]

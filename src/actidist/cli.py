@@ -99,7 +99,7 @@ def cmd_build_dist(args) -> int:
 
 
 def _read_regression_inputs(args):
-    ids, grids = io.read_quantile_csv(args.input)
+    ids, x = io.read_quantile_csv(args.input)
     meta = io.read_subjects_csv(args.subjects)
     missing = sorted(set(ids) - set(meta))
     if missing:
@@ -107,7 +107,7 @@ def _read_regression_inputs(args):
             f"subjects file lacks entries for: {', '.join(missing)}")
     weights = np.asarray([meta[sid][0] for sid in ids])
     covariates = [meta[sid][1] for sid in ids]
-    return ids, grids, weights, covariates
+    return ids, x, weights, covariates
 
 
 def _numeric_column(ids, covariates, name: str, role: str) -> np.ndarray:
@@ -129,7 +129,7 @@ def _numeric_column(ids, covariates, name: str, role: str) -> np.ndarray:
     return np.asarray(values)
 
 
-def _tac_values(args, ids, grids) -> np.ndarray:
+def _tac_values(args, ids, x) -> np.ndarray:
     """Daily totals from the summary file when given, else recovered from
     the distribution as 1440 * mean quantile value."""
     summary_path = getattr(args, "summary", None)
@@ -140,7 +140,7 @@ def _tac_values(args, ids, grids) -> np.ndarray:
             raise io.InputValidationError(
                 f"summary file lacks entries for: {', '.join(missing)}")
         return np.asarray([rows[sid][1] for sid in ids])
-    return np.asarray([1440.0 * g.mean() for g in grids])
+    return 1440.0 * x.mean(axis=1)
 
 
 def cmd_regress(args) -> int:
@@ -151,13 +151,13 @@ def cmd_regress(args) -> int:
     if not responses:
         raise ValueError("no response columns requested")
 
-    ids, grids, weights, covariates = _read_regression_inputs(args)
-    tac = _tac_values(args, ids, grids)
+    ids, x, weights, covariates = _read_regression_inputs(args)
+    tac = _tac_values(args, ids, x)
     lambda_grid = np.asarray(cfg["lambda_grid"], dtype=float)
 
     # one sample per predictor kind: every response reuses its distances
     # and kernel spectrum
-    dist_base = SurveySample(grids, np.zeros(len(ids)), weights)
+    dist_base = SurveySample(x, np.zeros(len(ids)), weights)
     tac_base = SurveySample(tac, np.zeros(len(ids)), weights)
 
     out = _RunOutputs(Path(args.out))
@@ -192,9 +192,9 @@ def cmd_regress(args) -> int:
 
 def cmd_classify(args) -> int:
     cfg = _merged(args, "classify")
-    ids, grids, weights, covariates = _read_regression_inputs(args)
+    ids, x, weights, covariates = _read_regression_inputs(args)
     name = cfg["response"]
-    sample = SurveySample(grids, _numeric_column(ids, covariates, name, "response"),
+    sample = SurveySample(x, _numeric_column(ids, covariates, name, "response"),
                           weights)
     if not sample.is_binary():
         raise ValueError(f"response column {name!r} is not binary 0/1")
@@ -229,7 +229,7 @@ def cmd_classify(args) -> int:
         )
         io.write_rows(out.path("risk_groups.csv"), ["subject_id", "group"],
                        zip(ids, risk))
-        profiles = group_profiles(grids, weights, labels)
+        profiles = group_profiles(x, weights, labels)
         io.write_frechet_summary_csv(out.path("group_profiles.csv"), profiles)
     except Exception:
         out.cleanup()
@@ -304,8 +304,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    ids, grids = io.read_quantile_csv(args.input)
-    preds = krr_predict_batch(model, grids)
+    ids, x = io.read_quantile_csv(args.input)
+    preds = krr_predict_batch(model, x)
     out = _RunOutputs(Path(args.out))
     try:
         io.write_rows(out.path("predictions.csv"), ["subject_id", "prediction"],

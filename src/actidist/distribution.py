@@ -88,12 +88,24 @@ class CensorSpec:
 NO_CENSOR = CensorSpec()
 
 
+def check_quantile_rows(values: np.ndarray) -> None:
+    """Raise ValueError unless every row of `values`, one grid or an (n, m)
+    cohort matrix, is finite, nondecreasing and nonnegative."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("quantile values must be finite")
+    if np.any(np.diff(values, axis=-1) < 0):
+        raise ValueError("quantile values must be nondecreasing")
+    if np.any(values[..., 0] < 0):
+        raise ValueError("quantile values must be nonnegative")
+
+
 @dataclass(frozen=True)
 class QuantileGrid:
     """Quantile function values on the uniform midpoint grid.
 
     Entry k corresponds to probability level t_k = (k + 0.5) / m for
-    k = 0..m-1. Values must be nondecreasing and nonnegative.
+    k = 0..m-1. Values must be nondecreasing and nonnegative. A grid is
+    array-like, so a list of n grids converts to an (n, m) cohort matrix.
     """
 
     values: np.ndarray
@@ -103,12 +115,10 @@ class QuantileGrid:
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or values.size < 1:
             raise ValueError("quantile values must be a nonempty 1-d array")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("quantile values must be finite")
-        if np.any(np.diff(values) < 0):
-            raise ValueError("quantile values must be nondecreasing")
-        if values[0] < 0:
-            raise ValueError("quantile values must be nonnegative")
+        check_quantile_rows(values)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.values, dtype=dtype, copy=copy)
 
     @property
     def m(self) -> int:

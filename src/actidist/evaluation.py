@@ -171,8 +171,7 @@ def classify_mortality(sample: SurveySample, cfg: NwConfig | None = None,
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
     if cfg is None:
-        h = nw_select_bandwidth(sample, NwConfig(bandwidth=1.0),
-                                distance_quantile_grid(sample))
+        h = nw_select_bandwidth(sample, distance_quantile_grid(sample))
         cfg = NwConfig(bandwidth=h)
 
     probs = nw_loo(sample, cfg)
@@ -237,13 +236,15 @@ def stratify_age(ages, breaks=AGE_STRATA) -> list[str]:
 
 
 def group_profiles(grids, weights, group_labels, groups=None) -> dict:
-    """Weighted Frechet summary (mean, variance, sd curve) per group.
+    """Weighted Frechet summary (mean, variance, sd curve) per group of the
+    rows of `grids`, an (n, m) matrix or a list of QuantileGrid.
 
     Groups listed in `groups` but absent from the labels are skipped with a
     warning rather than failing the whole report.
     """
+    x = np.asarray(grids, dtype=float)
     labels = list(group_labels)
-    if len(labels) != len(grids):
+    if len(labels) != len(x):
         raise ValueError("labels must match grids")
     w = np.asarray(weights, dtype=float)
     if groups is None:
@@ -254,6 +255,5 @@ def group_profiles(grids, weights, group_labels, groups=None) -> dict:
         if not mask.any():
             warnings.warn(f"empty group {group!r} skipped", stacklevel=2)
             continue
-        members = [g for g, keep in zip(grids, mask) if keep]
-        out[group] = geometry.summarize(members, w[mask])
+        out[group] = geometry.summarize(x[mask], w[mask])
     return out

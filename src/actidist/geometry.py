@@ -2,7 +2,8 @@
 
 For one-dimensional distributions the 2-Wasserstein distance is the L2
 distance between quantile functions, so on a common midpoint grid every
-operation reduces to plain vectorized arithmetic.
+operation reduces to plain vectorized arithmetic. A cohort is passed as an
+(n, m) matrix or as a list of QuantileGrid.
 """
 
 from __future__ import annotations
@@ -25,14 +26,16 @@ class FrechetSummary:
     total_weight: float = 1.0
 
 
-def _stack(grids) -> np.ndarray:
-    """Stack a nonempty list of same-size grids into an (n, m) matrix."""
-    if len(grids) == 0:
+def _cohort(x) -> np.ndarray:
+    """Grids (a QuantileGrid list or an (n, m) matrix) as an (n, m) float
+    matrix, scalars (a 1-d array) as (n, 1); no copy of a float matrix."""
+    try:
+        rows = np.asarray(x, dtype=float)
+    except ValueError as exc:  # numpy refuses rows of unequal length
+        raise ValueError("grid mismatch") from exc
+    if rows.ndim == 0 or len(rows) == 0:
         raise ValueError("empty grid list")
-    m = grids[0].m
-    if any(g.m != m for g in grids):
-        raise ValueError("grid mismatch")
-    return np.stack([g.values for g in grids])
+    return rows.reshape(len(rows), -1)
 
 
 def _normalized_weights(weights, n: int) -> np.ndarray:
@@ -54,11 +57,6 @@ def wasserstein2(a: QuantileGrid, b: QuantileGrid) -> float:
     return float(np.sqrt(np.mean(diff * diff)))
 
 
-def _rows(x) -> np.ndarray:
-    """Grids as an (n, m) matrix; a 1-d array of scalars as (n, 1)."""
-    return x.reshape(len(x), -1) if isinstance(x, np.ndarray) else _stack(x)
-
-
 def pairwise_wasserstein(x, y=None) -> np.ndarray:
     """Distances between the rows of x and of y (default: x itself).
 
@@ -69,8 +67,8 @@ def pairwise_wasserstein(x, y=None) -> np.ndarray:
     cancels, are recomputed directly, which keeps duplicates at exactly 0.
     A square result is exactly symmetric with a zero diagonal.
     """
-    a = _rows(x)
-    b = a if y is None else _rows(y)
+    a = _cohort(x)
+    b = a if y is None else _cohort(y)
     m = a.shape[1]
     if b.shape[1] != m:
         raise ValueError("grid mismatch")
@@ -103,7 +101,7 @@ def frechet_mean(grids, weights=None) -> QuantileGrid:
     A convex combination of nondecreasing functions is nondecreasing, so the
     result is always a valid quantile grid.
     """
-    values = _stack(grids)
+    values = _cohort(grids)
     w = _normalized_weights(weights, values.shape[0])
     return QuantileGrid(values=w @ values)
 
@@ -114,7 +112,7 @@ def frechet_variance(grids, mean: QuantileGrid, weights=None) -> float:
     Unweighted cohorts use the small-sample 1/(n-1) divisor; weighted cohorts
     average the squared distances with normalized weights.
     """
-    values = _stack(grids)
+    values = _cohort(grids)
     n = values.shape[0]
     if mean.m != values.shape[1]:
         raise ValueError("grid mismatch")
@@ -133,7 +131,7 @@ def pointwise_sd_curve(grids, mean: QuantileGrid, weights=None) -> np.ndarray:
     The midpoint-rule integral of the squared curve over t equals the Frechet
     variance computed with the same divisor.
     """
-    values = _stack(grids)
+    values = _cohort(grids)
     n = values.shape[0]
     if mean.m != values.shape[1]:
         raise ValueError("grid mismatch")
@@ -153,13 +151,13 @@ def summarize(grids, weights=None) -> FrechetSummary:
     divisor; that case only arises for degenerate groups, which callers
     already warn about.
     """
-    mean = frechet_mean(grids, weights)
-    if weights is None and len(grids) < 2:
-        m = mean.m
-        variance, sd = 0.0, np.zeros(m)
+    values = _cohort(grids)
+    mean = frechet_mean(values, weights)
+    if weights is None and len(values) < 2:
+        variance, sd = 0.0, np.zeros(mean.m)
         warnings.warn("single-grid cohort; variance set to 0", stacklevel=2)
     else:
-        variance = frechet_variance(grids, mean, weights)
-        sd = pointwise_sd_curve(grids, mean, weights)
-    total = float(len(grids)) if weights is None else float(np.sum(weights))
+        variance = frechet_variance(values, mean, weights)
+        sd = pointwise_sd_curve(values, mean, weights)
+    total = float(len(values)) if weights is None else float(np.sum(weights))
     return FrechetSummary(mean=mean, variance=variance, pointwise_sd=sd, total_weight=total)

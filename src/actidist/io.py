@@ -15,7 +15,7 @@ from io import StringIO
 
 import numpy as np
 
-from .distribution import ActivitySeries, QuantileGrid
+from .distribution import ActivitySeries, check_quantile_rows
 
 
 class InputValidationError(ValueError):
@@ -26,6 +26,20 @@ def _fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     return str(x)
+
+
+@contextlib.contextmanager
+def _csv_reader(path, reader_type=csv.reader):
+    """A csv reader on path that reports a csv.Error (say, a field over
+    csv.field_size_limit()) as InputValidationError with file and line."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = reader_type(fh)
+        try:
+            yield reader
+        except csv.Error as exc:
+            # a DictReader's own line_num moves only after a good row
+            line = getattr(reader, "reader", reader).line_num
+            raise InputValidationError(f"{path}: line {line}: {exc}") from exc
 
 
 def write_rows(path, header, rows) -> None:
@@ -53,7 +67,8 @@ def read_readings_csv(path) -> dict:
     the same files as the parser and more, and reports every malformed row
     with its line number, so a dirty file surfaces all problems in one pass.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh, \
+            contextlib.suppress(csv.Error):  # the row loop reports it
         if _is_readings_header(next(csv.reader(fh), None)):
             per_subject = _read_readings_chunks(fh)
             if per_subject:
@@ -117,8 +132,7 @@ def _read_readings_rows(path) -> dict:
     """read_readings_csv one csv row and two float() calls at a time."""
     per_subject: dict = {}
     bad: list[str] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         if not _is_readings_header(next(reader, None)):
             raise InputValidationError(
                 f"{path}: expected header subject_id,timestamp_min,count")
@@ -169,8 +183,7 @@ def read_subjects_csv(path) -> dict:
     """Subject metadata keyed by id: (survey_weight, covariates)."""
     out: dict = {}
     bad: list[str] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+    with _csv_reader(path, csv.DictReader) as reader:
         if reader.fieldnames is None or "subject_id" not in reader.fieldnames \
                 or "survey_weight" not in reader.fieldnames:
             raise InputValidationError(
@@ -233,8 +246,7 @@ def read_summary_csv(path) -> dict:
     """Read a distribution summary back as {subject_id: (p_inactive, tac)}."""
     out: dict = {}
     bad: list[str] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+    with _csv_reader(path, csv.DictReader) as reader:
         needed = {"subject_id", "p_inactive", "tac_per_day"}
         if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
             raise InputValidationError(f"{path}: not a summary table")
@@ -258,22 +270,24 @@ def read_summary_csv(path) -> dict:
     return out
 
 
-def write_quantile_csv(path, subject_ids, grids) -> None:
-    """Quantile-grid table: one row per subject, columns t_1..t_m."""
-    m = grids[0].m
-    header = ["subject_id"] + [f"t_{k}" for k in range(1, m + 1)]
-    rows = ([sid, *grid.values] for sid, grid in zip(subject_ids, grids))
+def write_quantile_csv(path, subject_ids, quantiles) -> None:
+    """Quantile-grid table: one row per subject, columns t_1..t_m, from an
+    (n, m) matrix or a list of QuantileGrid."""
+    matrix = np.asarray(quantiles, dtype=float)
+    header = ["subject_id"] + [f"t_{k}" for k in range(1, matrix.shape[1] + 1)]
+    # a row at a time: the table as Python floats takes 4x the matrix
+    rows = ([sid, *row.tolist()] for sid, row in zip(subject_ids, matrix))
     write_rows(path, header, rows)
 
 
 def read_quantile_csv(path):
-    """Read back a quantile table as (subject_ids, list of QuantileGrid)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    """Read back a quantile table as (subject_ids, read-only float64 (n, m)
+    matrix); each row is checked as a QuantileGrid is."""
+    with _csv_reader(path) as reader:
         header = next(reader, None)
         if not header or header[0] != "subject_id" or len(header) < 3:
             raise InputValidationError(f"{path}: not a quantile table")
-        ids, grids, seen = [], [], set()
+        ids, rows, seen = [], [], set()
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -285,10 +299,13 @@ def read_quantile_csv(path):
             seen.add(row[0])
             ids.append(row[0])
             try:
-                grids.append(QuantileGrid(values=np.asarray(row[1:], dtype=float)))
+                rows.append(np.asarray(row[1:], dtype=float))
+                check_quantile_rows(rows[-1])
             except ValueError as exc:
                 raise InputValidationError(f"{path}: line {lineno}: {exc}") from exc
-    return ids, grids
+    matrix = np.array(rows, dtype=float).reshape(len(rows), len(header) - 1)
+    matrix.setflags(write=False)
+    return ids, matrix
 
 
 def write_summary_csv(path, subject_ids, mixed: list, tacs) -> None:

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry
-from .distribution import QuantileGrid
+from .distribution import check_quantile_rows
 from .survey import median_heuristic_sigma_from_matrix
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -34,14 +34,8 @@ MODEL_FORMAT_VERSION = 1
 
 
 def gaussian_kernel(u: np.ndarray) -> np.ndarray:
-    """Standard Gaussian density; the smoother's default local kernel."""
+    """Standard Gaussian density; the smoother's local kernel."""
     return np.exp(-0.5 * np.asarray(u) ** 2) / _SQRT_2PI
-
-
-def epanechnikov_kernel(u: np.ndarray) -> np.ndarray:
-    """Compact-support kernel 0.75 * (1 - u^2) on |u| <= 1."""
-    u = np.asarray(u)
-    return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
 
 
 def laplacian_kernel(dist, sigma: float):
@@ -58,10 +52,10 @@ def laplacian_kernel(dist, sigma: float):
 class SurveySample:
     """Paired (predictor, response, weight) records for regression.
 
-    Predictors are either all quantile grids or all scalars; responses are
-    continuous, or 0/1 when the sample is used for classification. The
-    predictors are held as one read-only matrix, (n, m) for grids and (n,)
-    for scalars.
+    Predictors are quantile grids (an (n, m) matrix or a list of
+    QuantileGrid) or scalars (a 1-d array); responses are continuous, or 0/1
+    when the sample is used for classification. The predictors are held as
+    one read-only matrix, (n, m) for grids and (n,) for scalars.
     """
 
     def __init__(self, predictors, responses, weights=None):
@@ -77,19 +71,16 @@ class SurveySample:
         if not np.all(np.isfinite(responses)):
             raise ValueError("responses must be finite")
 
-        if len(predictors) != n:
+        matrix = np.array(predictors, dtype=float)
+        if matrix.shape[:1] != (n,):
             raise ValueError("predictors and responses must have equal length")
-        if all(isinstance(p, QuantileGrid) for p in predictors):
+        if matrix.ndim == 2 and matrix.shape[1] > 0:
+            check_quantile_rows(matrix)
             self.kind = GRID_KIND
-            m = predictors[0].m
-            if any(p.m != m for p in predictors):
-                raise ValueError("grid mismatch")
-            matrix = np.stack([p.values for p in predictors])
-        else:
-            matrix = np.array(predictors, dtype=float)
-            if matrix.ndim != 1 or not np.all(np.isfinite(matrix)):
-                raise ValueError("predictors must be quantile grids or finite scalars")
+        elif matrix.ndim == 1 and np.all(np.isfinite(matrix)):
             self.kind = SCALAR_KIND
+        else:
+            raise ValueError("predictors must be quantile grids or finite scalars")
         matrix.setflags(write=False)
         weights.setflags(write=False)
         self._matrix = matrix
@@ -104,10 +95,8 @@ class SurveySample:
         return self.responses.size
 
     @property
-    def predictors(self):
-        """The predictors as quantile grids, or the array of scalars."""
-        if self.kind == GRID_KIND:
-            return [QuantileGrid(row) for row in self._matrix]
+    def predictors(self) -> np.ndarray:
+        """The read-only predictor matrix: (n, m) grids or (n,) scalars."""
         return self._matrix
 
     def is_binary(self) -> bool:
@@ -127,46 +116,34 @@ class SurveySample:
         return d
 
     def distances_to(self, x) -> np.ndarray:
-        """Distances from every training predictor to a query point."""
-        if self.kind == GRID_KIND and not isinstance(x, QuantileGrid):
-            raise ValueError("query must be a quantile grid")
-        query = x.values[None, :] if self.kind == GRID_KIND else np.array([float(x)])
+        """Distances from every training predictor to a query point: a grid
+        (QuantileGrid or 1-d array) or a scalar."""
+        query = np.asarray(x, dtype=float).reshape(1, -1)
         return geometry.pairwise_wasserstein(self._matrix, query)[:, 0]
 
     def subset(self, mask: np.ndarray) -> "SurveySample":
         idx = np.flatnonzero(mask)
-        preds = self.predictors
-        preds = [preds[i] for i in idx] if self.kind == GRID_KIND else preds[idx]
-        return SurveySample(preds, self.responses[idx], self.weights[idx])
+        return SurveySample(self._matrix[idx], self.responses[idx], self.weights[idx])
 
     def with_responses(self, responses) -> "SurveySample":
         """The same predictors and weights with other responses; the new
         sample shares this one's cached distances and kernel spectrum."""
-        out = SurveySample(self.predictors, responses, self.weights)
+        out = SurveySample(self._matrix, responses, self.weights)
         out._cache = self._cache
         return out
 
 
-_NW_KERNELS = {"gaussian": gaussian_kernel, "epanechnikov": epanechnikov_kernel}
-
-
 @dataclass(frozen=True)
 class NwConfig:
-    """Smoother configuration: bandwidth and local kernel. The distance
-    follows the predictors: Wasserstein for grids, absolute for scalars."""
+    """Smoother configuration: the bandwidth of the Gaussian local kernel.
+    The distance follows the predictors: Wasserstein for grids, absolute for
+    scalars."""
 
     bandwidth: float
-    kernel_name: str = "gaussian"
 
     def __post_init__(self):
         if not self.bandwidth > 0:
             raise ValueError("bandwidth must be positive")
-        if self.kernel_name not in _NW_KERNELS:
-            raise ValueError(f"unknown kernel {self.kernel_name!r}")
-
-    @property
-    def kernel(self):
-        return _NW_KERNELS[self.kernel_name]
 
 
 def nw_predict(sample: SurveySample, cfg: NwConfig, x) -> float:
@@ -178,7 +155,7 @@ def nw_predict(sample: SurveySample, cfg: NwConfig, x) -> float:
     point; binary responses therefore yield a probability in [0, 1].
     """
     d = sample.distances_to(x)
-    k = cfg.kernel(d / cfg.bandwidth) * sample.weights
+    k = gaussian_kernel(d / cfg.bandwidth) * sample.weights
     total = k.sum()
     if not total > 0:
         raise ValueError("empty neighborhood")
@@ -195,7 +172,7 @@ def nw_loo(sample: SurveySample, cfg: NwConfig) -> np.ndarray:
     """
     if sample.n < 2:
         raise ValueError("need at least two observations")
-    k = cfg.kernel(sample.distance_matrix() / cfg.bandwidth) * sample.weights
+    k = gaussian_kernel(sample.distance_matrix() / cfg.bandwidth) * sample.weights
     np.fill_diagonal(k, 0.0)
     totals = k.sum(axis=1)
     y = sample.responses
@@ -206,7 +183,7 @@ def nw_loo(sample: SurveySample, cfg: NwConfig) -> np.ndarray:
     return out
 
 
-def nw_select_bandwidth(sample: SurveySample, cfg_template: NwConfig, h_grid) -> float:
+def nw_select_bandwidth(sample: SurveySample, h_grid) -> float:
     """Pick the bandwidth minimizing weighted leave-one-out squared error.
 
     Candidates producing any empty leave-one-out neighborhood are skipped;
@@ -219,7 +196,7 @@ def nw_select_bandwidth(sample: SurveySample, cfg_template: NwConfig, h_grid) ->
         raise ValueError("bandwidths must be positive")
     best_h, best_err = None, np.inf
     for h in h_grid:
-        preds = nw_loo(sample, replace(cfg_template, bandwidth=float(h)))
+        preds = nw_loo(sample, NwConfig(bandwidth=float(h)))
         if np.any(~np.isfinite(preds)):
             continue
         err = float(np.sum(sample.weights * (sample.responses - preds) ** 2))
@@ -305,23 +282,16 @@ def krr_fit(sample: SurveySample, lam: float, sigma: float | None = None) -> Krr
                     sigma=float(sigma), lam=float(lam))
 
 
-def _predict_rows(model: KrrModel, rows: np.ndarray) -> np.ndarray:
-    d = geometry.pairwise_wasserstein(rows, model.training_matrix)
-    return laplacian_kernel(d, model.sigma) @ model.alpha
-
-
 def krr_predict(model: KrrModel, x) -> float:
     """Representer-form prediction sum_i alpha_i * kernel(d(x, X_i))."""
     return float(krr_predict_batch(model, [x])[0])
 
 
 def krr_predict_batch(model: KrrModel, predictors) -> np.ndarray:
-    """Predictions at several query points (grids or scalars)."""
-    if model.kind == GRID_KIND:
-        if not all(isinstance(p, QuantileGrid) for p in predictors):
-            raise ValueError("query must be a quantile grid")
-        return _predict_rows(model, np.stack([p.values for p in predictors]))
-    return _predict_rows(model, np.asarray(predictors, dtype=float))
+    """Predictions at several query points: grids (a (k, m) matrix or a list
+    of QuantileGrid) or scalars (a 1-d array)."""
+    d = geometry.pairwise_wasserstein(predictors, model.training_matrix)
+    return laplacian_kernel(d, model.sigma) @ model.alpha
 
 
 def _krr_loo_refit(sample: SurveySample, lam: float, sigma: float,
@@ -333,7 +303,7 @@ def _krr_loo_refit(sample: SurveySample, lam: float, sigma: float,
         mask = np.ones(sample.n, dtype=bool)
         mask[i] = False
         model = krr_fit(sample.subset(mask), lam, sigma=sigma)
-        out.append(_predict_rows(model, sample._matrix[i:i + 1])[0])
+        out.append(krr_predict_batch(model, sample._matrix[i:i + 1])[0])
     return np.asarray(out, dtype=float)
 
 

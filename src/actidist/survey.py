@@ -85,7 +85,8 @@ def weighted_r2(y, yhat_loo, weights=None) -> float:
         raise ValueError("predictions contain missing entries")
     center = np.sum(w * y) / np.sum(w)
     denom = np.sum(w * (y - center) ** 2)
-    if denom <= 0:
+    # a rounded center leaves constant responses a tiny positive denom
+    if denom <= 0 or np.all(y == y[0]):
         raise ValueError("zero variance response")
     num = np.sum(w * (y - yhat) ** 2)
     return float(1.0 - num / denom)

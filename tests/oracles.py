@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from actidist.geometry import _normalized_weights, _stack
+from actidist.geometry import _normalized_weights
 from actidist.io import InputValidationError, write_rows
 from actidist.regression import GRID_KIND, _krr_loo_refit, laplacian_kernel
 from actidist.survey import weighted_median
@@ -18,7 +18,7 @@ from actidist.survey import weighted_median
 def frechet_objective(grids, candidate, weights=None) -> float:
     """Weighted sum of squared distances to a candidate grid (the functional
     the Frechet mean minimizes)."""
-    values = _stack(grids)
+    values = np.stack([g.values for g in grids])
     if candidate.m != values.shape[1]:
         raise ValueError("grid mismatch")
     w = _normalized_weights(weights, values.shape[0])

@@ -213,3 +213,39 @@ class TestSummarize:
                                       frechet_mean(grids, w).values)
         assert summary.variance == frechet_variance(grids, summary.mean, w)
         assert summary.total_weight == pytest.approx(w.sum())
+
+
+class TestCohortForms:
+    """A cohort may be a list of QuantileGrid or the (n, m) matrix of its rows."""
+
+    def test_list_and_matrix_agree(self):
+        rng = np.random.default_rng(10)
+        grids = random_grids(rng, 6, 20)
+        x = np.stack([g.values for g in grids])
+        w = rng.uniform(0.5, 3.0, size=6)
+        np.testing.assert_array_equal(pairwise_wasserstein(grids), pairwise_wasserstein(x))
+        np.testing.assert_array_equal(pairwise_wasserstein(grids[:2], grids),
+                                      pairwise_wasserstein(x[:2], x))
+        for weights in (None, w):
+            mean = frechet_mean(grids, weights)
+            np.testing.assert_array_equal(mean.values, frechet_mean(x, weights).values)
+            assert frechet_variance(grids, mean, weights) == frechet_variance(x, mean, weights)
+            np.testing.assert_array_equal(pointwise_sd_curve(grids, mean, weights),
+                                          pointwise_sd_curve(x, mean, weights))
+            a, b = summarize(grids, weights), summarize(x, weights)
+            np.testing.assert_array_equal(a.mean.values, b.mean.values)
+            np.testing.assert_array_equal(a.pointwise_sd, b.pointwise_sd)
+            assert (a.variance, a.total_weight) == (b.variance, b.total_weight)
+
+    def test_ragged_list_is_a_grid_mismatch(self):
+        ragged = [point_mass(1.0, m=4), point_mass(2.0, m=5)]
+        for call in (lambda: pairwise_wasserstein(ragged),
+                     lambda: pairwise_wasserstein(ragged[:1], ragged),
+                     lambda: frechet_mean(ragged),
+                     lambda: summarize(ragged)):
+            with pytest.raises(ValueError, match="grid mismatch"):
+                call()
+
+    def test_matrix_widths_must_match(self):
+        with pytest.raises(ValueError, match="grid mismatch"):
+            pairwise_wasserstein(np.zeros((2, 4)), np.zeros((3, 5)))

@@ -17,7 +17,13 @@ from actidist.datagen import (
     two_cluster_spec,
 )
 from actidist.distribution import QuantileGrid
-from actidist.regression import krr_predict_batch, load_model
+from actidist.regression import (
+    SurveySample,
+    krr_fit,
+    krr_predict_batch,
+    load_model,
+    save_model,
+)
 from oracles import read_subject_readings_csv
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -132,7 +138,52 @@ class TestReaders:
         ids, loaded = io.read_quantile_csv(path)
         assert ids == ["a", "b"]
         for g, l in zip(grids, loaded):
-            np.testing.assert_array_equal(g.values, l.values)
+            np.testing.assert_array_equal(g.values, l)
+
+    def test_quantile_table_reads_as_read_only_matrix(self, tmp_path):
+        path = tmp_path / "q.csv"
+        path.write_text("subject_id,t_1,t_2,t_3\na,0,1.5,2\nb,1,1,9.25\n")
+        ids, x = io.read_quantile_csv(path)
+        assert ids == ["a", "b"]
+        assert (x.dtype, x.shape, x.flags.writeable) == (np.float64, (2, 3), False)
+        np.testing.assert_array_equal(x, [[0.0, 1.5, 2.0], [1.0, 1.0, 9.25]])
+
+    def test_quantile_writer_same_bytes_from_matrix_and_grids(self, tmp_path):
+        rng = np.random.default_rng(41)
+        x = np.sort(rng.gamma(2.0, 30.0, size=(5, 7)), axis=1)
+        x[0, :3] = 0.0
+        ids = ["a", "b,c", 'd"e', "f", "g"]
+        io.write_quantile_csv(tmp_path / "m.csv", ids, x)
+        io.write_quantile_csv(tmp_path / "g.csv", ids, [QuantileGrid(row) for row in x])
+        assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "g.csv").read_bytes()
+        read_ids, read_x = io.read_quantile_csv(tmp_path / "m.csv")
+        assert read_ids == ids
+        np.testing.assert_array_equal(read_x, x)
+
+    @pytest.mark.parametrize("row, message", [
+        ("b,2,1", "quantile values must be nondecreasing"),
+        ("b,-1,0", "quantile values must be nonnegative"),
+        ("b,0,inf", "quantile values must be finite"),
+    ])
+    def test_bad_quantile_row_reports_line(self, tmp_path, row, message):
+        path = tmp_path / "q.csv"
+        path.write_text(f"subject_id,t_1,t_2\na,0,1\n{row}\nc,5,4\n")
+        with pytest.raises(io.InputValidationError, match=rf"q\.csv: line 3: {message}"):
+            io.read_quantile_csv(path)
+
+    @pytest.mark.parametrize("reader, header, tail", [
+        (io.read_subjects_csv, "subject_id,survey_weight", "1.0"),
+        (io.read_summary_csv, "subject_id,p_inactive,tac_per_day", "0.5,1.0"),
+        (io.read_quantile_csv, "subject_id,t_1,t_2", "0,1"),
+        # 1_0 sends the file from numpy's parser to the csv row loop
+        (io.read_readings_csv, "subject_id,timestamp_min,count", "0,1_0"),
+    ])
+    def test_over_long_field_reports_line(self, tmp_path, reader, header, tail):
+        path = tmp_path / "t.csv"
+        path.write_text(f"{header}\na,{tail}\n{'x' * 140000},{tail}\n")
+        with pytest.raises(io.InputValidationError,
+                           match=r"t\.csv: line 3: field larger than field limit"):
+            reader(path)
 
     def test_distance_matrix_emitter(self, tmp_path):
         from actidist.geometry import pairwise_wasserstein
@@ -165,8 +216,8 @@ class TestBuildDist:
         assert rc == 0
         ids, grids = io.read_quantile_csv(out / "quantiles.csv")
         assert ids == ["a", "b"]
-        assert grids[0].m == 4
-        assert grids[0].values.tolist() == [0, 0, 2, 4]
+        assert grids.shape[1] == 4
+        assert grids[0].tolist() == [0, 0, 2, 4]
         summary = io.read_summary_csv(out / "summary.csv")
         assert summary["b"][0] == 1.0  # all-zero subject
 
@@ -177,6 +228,16 @@ class TestBuildDist:
                    str(subjects), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "line 3" in capsys.readouterr().err
+
+    def test_over_long_id_exits_2(self, tmp_path, capsys):
+        long_id = "x" * 140000
+        readings, subjects = write_toy_inputs(
+            tmp_path, rows=["a,0,1", f"{long_id},0,2"],
+            subjects_rows=["a,1.0,70,0", f"{long_id},1.0,71,1"])
+        rc = main(["build-dist", "--input", str(readings), "--subjects",
+                   str(subjects), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "subjects.csv: line 3: field larger than field limit" in capsys.readouterr().err
 
     def test_unreadable_input_exits_1(self, tmp_path):
         rc = main(["build-dist", "--input", str(tmp_path / "nope.csv"),
@@ -366,6 +427,17 @@ class TestRegress:
         assert len(lines) == len(ids) + 1
         got = np.array([float(l.split(",")[1]) for l in lines[1:]])
         np.testing.assert_allclose(got, expected, rtol=1e-15)
+
+    def test_predict_over_long_id_exits_2(self, tmp_path, capsys):
+        x = np.array([[0.0, 1.0], [1.0, 3.0], [2.0, 2.5]])
+        model_path = tmp_path / "model.json"
+        save_model(krr_fit(SurveySample(x, [1.0, 2.0, 0.5]), lam=0.5), model_path)
+        qpath = tmp_path / "q.csv"
+        qpath.write_text(f"subject_id,t_1,t_2\na,0,1\n{'x' * 140000},1,2\n")
+        rc = main(["predict", "--model", str(model_path), "--input", str(qpath),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "q.csv: line 3: field larger than field limit" in capsys.readouterr().err
 
 
 class TestClassify:

@@ -13,7 +13,6 @@ from actidist.regression import (
     NwConfig,
     SurveySample,
     distance_quantile_grid,
-    epanechnikov_kernel,
     gaussian_kernel,
     krr_fit,
     krr_loo,
@@ -88,6 +87,35 @@ class TestSurveySample:
         with pytest.raises(ValueError):
             d[0, 1] = 1.0
 
+    def test_matrix_and_grid_list_agree(self):
+        rng = np.random.default_rng(31)
+        grids = [QuantileGrid(np.sort(rng.gamma(2, 30, size=12))) for _ in range(9)]
+        x = np.stack([g.values for g in grids])
+        y, w = rng.normal(size=9), rng.uniform(0.5, 3.0, size=9)
+        from_list, from_matrix = SurveySample(grids, y, w), SurveySample(x, y, w)
+        assert from_list.kind == from_matrix.kind == "grid"
+        np.testing.assert_array_equal(from_list.predictors, x)
+        assert not from_matrix.predictors.flags.writeable
+        np.testing.assert_array_equal(from_list.distance_matrix(),
+                                      from_matrix.distance_matrix())
+        np.testing.assert_array_equal(from_list.distances_to(grids[3]),
+                                      from_matrix.distances_to(x[3]))
+        np.testing.assert_array_equal(krr_loo(from_list, 0.3), krr_loo(from_matrix, 0.3))
+        np.testing.assert_array_equal(nw_loo(from_list, NwConfig(bandwidth=20.0)),
+                                      nw_loo(from_matrix, NwConfig(bandwidth=20.0)))
+        model = krr_fit(from_matrix, 0.3)
+        np.testing.assert_array_equal(krr_predict_batch(model, grids[:4]),
+                                      krr_predict_batch(model, x[:4]))
+
+    @pytest.mark.parametrize("bad_row", [[0.0, 2.0, 1.0], [-1.0, 0.0, 1.0],
+                                         [0.0, np.inf, np.inf]])
+    def test_raw_matrix_checked_like_grids(self, bad_row):
+        with pytest.raises(ValueError) as grid_error:
+            QuantileGrid(np.array(bad_row))
+        x = np.array([[0.0, 1.0, 2.0], bad_row])
+        with pytest.raises(ValueError, match=str(grid_error.value)):
+            SurveySample(x, np.zeros(2))
+
     def test_binary_detection(self):
         assert SurveySample(np.array([1.0, 2.0]), np.array([0.0, 1.0])).is_binary()
         assert not SurveySample(np.array([1.0, 2.0]), np.array([0.0, 1.5])).is_binary()
@@ -108,8 +136,10 @@ class TestNwPredict:
         assert nw_predict(s, NwConfig(bandwidth=3.0), 0.0) == 3.0
 
     def test_empty_neighborhood_with_compact_kernel(self):
+        # exp(-u^2 / 2) underflows to exactly 0 beyond u ~ 39, so the
+        # Gaussian kernel has compact support in floating point
         s = SurveySample(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-        cfg = NwConfig(bandwidth=0.5, kernel_name="epanechnikov")
+        cfg = NwConfig(bandwidth=0.5)
         with pytest.raises(ValueError, match="empty neighborhood"):
             nw_predict(s, cfg, 50.0)
 
@@ -155,7 +185,7 @@ class TestNwLoo:
 
     def test_empty_neighborhood_reported_as_nan(self):
         s = SurveySample(np.array([0.0, 100.0, 100.3]), np.array([1.0, 2.0, 3.0]))
-        out = nw_loo(s, NwConfig(bandwidth=0.5, kernel_name="epanechnikov"))
+        out = nw_loo(s, NwConfig(bandwidth=0.5))
         assert np.isnan(out[0]) and np.isfinite(out[1:]).all()
 
 
@@ -163,7 +193,7 @@ class TestNwSelectBandwidth:
     def test_single_candidate(self):
         rng = np.random.default_rng(3)
         s = scalar_sample(rng, 10)
-        assert nw_select_bandwidth(s, NwConfig(bandwidth=1.0), [0.8]) == 0.8
+        assert nw_select_bandwidth(s, [0.8]) == 0.8
 
     def test_smooth_signal_beats_oversmoothing(self):
         rng = np.random.default_rng(4)
@@ -171,7 +201,7 @@ class TestNwSelectBandwidth:
         y = np.sin(2 * np.pi * x)
         s = SurveySample(x, y, np.ones(40))
         grid = np.array([0.02, 0.05, 0.1, 0.3, 1.0, 5.0])
-        h = nw_select_bandwidth(s, NwConfig(bandwidth=1.0), grid)
+        h = nw_select_bandwidth(s, grid)
 
         def loo_err(h_):
             preds = nw_loo(s, NwConfig(bandwidth=h_))
@@ -185,17 +215,15 @@ class TestNwSelectBandwidth:
         x = rng.normal(size=15)
         y = rng.normal(size=15)
         grid = np.array([0.1, 0.4, 1.0, 2.5])
-        h = nw_select_bandwidth(SurveySample(x, y), NwConfig(bandwidth=1.0), grid)
+        h = nw_select_bandwidth(SurveySample(x, y), grid)
         c = 4.0  # exact in binary floating point
-        h_scaled = nw_select_bandwidth(SurveySample(c * x, y),
-                                       NwConfig(bandwidth=1.0), c * grid)
+        h_scaled = nw_select_bandwidth(SurveySample(c * x, y), c * grid)
         assert h_scaled == c * h
 
     def test_all_empty_is_an_error(self):
         s = SurveySample(np.array([0.0, 100.0]), np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="empty neighborhood"):
-            nw_select_bandwidth(s, NwConfig(bandwidth=1.0, kernel_name="epanechnikov"),
-                                [0.1, 0.2])
+            nw_select_bandwidth(s, [0.1, 0.2])
 
     def test_distance_quantile_grid_is_positive(self):
         rng = np.random.default_rng(6)
@@ -527,8 +555,3 @@ class TestPersistence:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="unsupported kernel 'gaussian'"):
             load_model(path)
-
-
-def test_epanechnikov_support():
-    assert epanechnikov_kernel(np.array([0.0, 0.5, 2.0])).tolist() == [
-        0.75, 0.75 * 0.75, 0.0]

@@ -121,6 +121,17 @@ class TestWeightedR2:
         with pytest.raises(ValueError, match="zero variance response"):
             weighted_r2([2, 2, 2], [2, 2, 2], [1, 1, 1])
 
+    def test_constant_response_with_rounded_mean(self):
+        # sum(w * y) / sum(w) is not exactly 1.25 at these weights
+        with pytest.raises(ValueError, match="zero variance response"):
+            weighted_r2([1.25, 1.25, 1.25], [1.35, 1.05, 1.55], [0.1, 0.1, 0.1])
+
+    def test_underflowing_variance_is_zero_variance(self):
+        # the responses differ, but their weighted variance underflows to 0
+        y = [2.2e-313, 0.0, 0.0]
+        with pytest.raises(ValueError, match="zero variance response"):
+            weighted_r2(y, [0.0, 0.0, 0.0], [1, 1, 1])
+
     def test_rescaling_invariance(self):
         rng = np.random.default_rng(4)
         y, yhat = rng.normal(size=15), rng.normal(size=15)
