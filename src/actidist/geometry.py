@@ -26,15 +26,17 @@ class FrechetSummary:
     total_weight: float = 1.0
 
 
-def _cohort(x) -> np.ndarray:
+def _cohort(x, scalars: bool = False) -> np.ndarray:
     """Grids (a QuantileGrid list or an (n, m) matrix) as an (n, m) float
-    matrix, scalars (a 1-d array) as (n, 1); no copy of a float matrix."""
+    matrix, no copy of a float matrix; with `scalars`, a 1-d array as (n, 1)."""
     try:
         rows = np.asarray(x, dtype=float)
     except ValueError as exc:  # numpy refuses rows of unequal length
         raise ValueError("grid mismatch") from exc
     if rows.ndim == 0 or len(rows) == 0:
         raise ValueError("empty grid list")
+    if rows.ndim != 2 and not (scalars and rows.ndim == 1):
+        raise ValueError("a cohort is an (n, m) matrix or a list of QuantileGrid")
     return rows.reshape(len(rows), -1)
 
 
@@ -67,8 +69,8 @@ def pairwise_wasserstein(x, y=None) -> np.ndarray:
     cancels, are recomputed directly, which keeps duplicates at exactly 0.
     A square result is exactly symmetric with a zero diagonal.
     """
-    a = _cohort(x)
-    b = a if y is None else _cohort(y)
+    a = _cohort(x, scalars=True)
+    b = a if y is None else _cohort(y, scalars=True)
     m = a.shape[1]
     if b.shape[1] != m:
         raise ValueError("grid mismatch")

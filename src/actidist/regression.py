@@ -119,6 +119,8 @@ class SurveySample:
         """Distances from every training predictor to a query point: a grid
         (QuantileGrid or 1-d array) or a scalar."""
         query = np.asarray(x, dtype=float).reshape(1, -1)
+        if self.kind == GRID_KIND:
+            check_quantile_rows(query)
         return geometry.pairwise_wasserstein(self._matrix, query)[:, 0]
 
     def subset(self, mask: np.ndarray) -> "SurveySample":
@@ -289,8 +291,11 @@ def krr_predict(model: KrrModel, x) -> float:
 
 def krr_predict_batch(model: KrrModel, predictors) -> np.ndarray:
     """Predictions at several query points: grids (a (k, m) matrix or a list
-    of QuantileGrid) or scalars (a 1-d array)."""
-    d = geometry.pairwise_wasserstein(predictors, model.training_matrix)
+    of QuantileGrid, checked as QuantileGrid is) or scalars (a 1-d array)."""
+    query = np.asarray(predictors, dtype=float)
+    if model.kind == GRID_KIND:
+        check_quantile_rows(query)
+    d = geometry.pairwise_wasserstein(query, model.training_matrix)
     return laplacian_kernel(d, model.sigma) @ model.alpha
 
 

@@ -246,6 +246,15 @@ class TestCohortForms:
             with pytest.raises(ValueError, match="grid mismatch"):
                 call()
 
+    def test_single_grid_is_not_a_cohort(self):
+        g = uniform_grid(4.0, 5)
+        for call in (lambda: frechet_mean(g),
+                     lambda: frechet_variance(g.values, g),
+                     lambda: pointwise_sd_curve(g, g),
+                     lambda: summarize(g)):
+            with pytest.raises(ValueError, match="an \\(n, m\\) matrix"):
+                call()
+
     def test_matrix_widths_must_match(self):
         with pytest.raises(ValueError, match="grid mismatch"):
             pairwise_wasserstein(np.zeros((2, 4)), np.zeros((3, 5)))

@@ -116,6 +116,20 @@ class TestSurveySample:
         with pytest.raises(ValueError, match=str(grid_error.value)):
             SurveySample(x, np.zeros(2))
 
+    @pytest.mark.parametrize("bad_row", [[0.0, 2.0, 1.0], [-1.0, 0.0, 1.0],
+                                         [0.0, np.nan, 1.0]])
+    def test_raw_queries_checked_like_grids(self, bad_row):
+        with pytest.raises(ValueError) as grid_error:
+            QuantileGrid(np.array(bad_row))
+        x = np.array([[0.0, 1.0, 2.0], [1.0, 2.0, 4.0], [0.5, 3.0, 3.0]])
+        sample = SurveySample(x, np.array([0.0, 1.0, 2.0]))
+        model = krr_fit(sample, 0.3)
+        queries = np.array([[0.0, 1.0, 1.0], bad_row])
+        for call in (lambda: krr_predict_batch(model, queries),
+                     lambda: sample.distances_to(np.array(bad_row))):
+            with pytest.raises(ValueError, match=str(grid_error.value)):
+                call()
+
     def test_binary_detection(self):
         assert SurveySample(np.array([1.0, 2.0]), np.array([0.0, 1.0])).is_binary()
         assert not SurveySample(np.array([1.0, 2.0]), np.array([0.0, 1.5])).is_binary()
