@@ -9,29 +9,45 @@ failure, 2 validation failure.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import datagen, io
+# each command imports the estimators it calls, so that a process loads
+# only the modules its subcommand uses
+from . import io
 from .distribution import CensorSpec, build_mixed, tac_per_day
-from .evaluation import (
-    DEFAULT_LAMBDA_GRID,
-    assign_risk_groups,
-    classify_mortality,
-    compare_r2,
-    group_profiles,
-    stratify_age,
-)
-from .regression import SurveySample, krr_fit, krr_predict_batch, load_model, save_model
+
+# estimator names that other code reads as attributes of this module (the
+# benchmark's tracer checks do), imported on first access
+_MODULE_OF = {
+    "datagen": "datagen",
+    "DEFAULT_LAMBDA_GRID": "evaluation", "assign_risk_groups": "evaluation",
+    "classify_mortality": "evaluation", "compare_r2": "evaluation",
+    "group_profiles": "evaluation", "stratify_age": "evaluation",
+    "SurveySample": "regression", "krr_fit": "regression",
+    "krr_predict_batch": "regression", "load_model": "regression",
+    "save_model": "regression",
+}
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_MODULE_OF[name]}", __package__)
+    return module if name == _MODULE_OF[name] else getattr(module, name)
+
 
 DEFAULTS = {
     "build-dist": {"m": 500, "censor_lower": None, "censor_upper": None,
                    "with_summary": True},
+    # evaluation.DEFAULT_LAMBDA_GRID, written out so that importing the CLI
+    # does not import evaluation; a test keeps the two equal
     "regress": {"responses": ["response"],
-                "lambda_grid": [float(x) for x in DEFAULT_LAMBDA_GRID],
+                "lambda_grid": np.logspace(-4, 2, 13).tolist(),
                 "save_models": False},
     "classify": {"response": "mortality", "threshold": 0.5, "stratify_age": False},
     # population and design have no default: the config file must give them
@@ -144,6 +160,9 @@ def _tac_values(args, ids, x) -> np.ndarray:
 
 
 def cmd_regress(args) -> int:
+    from .evaluation import compare_r2
+    from .regression import SurveySample, krr_fit, save_models
+
     cfg = _merged(args, "regress")
     responses = cfg["responses"]
     if isinstance(responses, str):
@@ -162,7 +181,7 @@ def cmd_regress(args) -> int:
 
     out = _RunOutputs(Path(args.out))
     try:
-        report_rows = []
+        report_rows, models = [], []
         for name in responses:
             y = _numeric_column(ids, covariates, name, "response")
             dist_sample = dist_base.with_responses(y)
@@ -177,7 +196,9 @@ def cmd_regress(args) -> int:
             if cfg["save_models"]:
                 model = krr_fit(dist_sample, result.distribution.lam,
                                 sigma=result.distribution.sigma)
-                save_model(model, out.path(f"model_{name}.json"))
+                models.append((model, out.path(f"model_{name}.json")))
+        # the responses' models share one training matrix, encoded once
+        save_models(models)
         io.write_rows(
             out.path("report.csv"),
             ["response", "r2_distribution", "r2_tac", "lambda_distribution",
@@ -191,6 +212,14 @@ def cmd_regress(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .evaluation import (
+        assign_risk_groups,
+        classify_mortality,
+        group_profiles,
+        stratify_age,
+    )
+    from .regression import SurveySample
+
     cfg = _merged(args, "classify")
     ids, x, weights, covariates = _read_regression_inputs(args)
     name = cfg["response"]
@@ -237,7 +266,9 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _population_spec_from_config(cfg: dict) -> datagen.PopulationSpec:
+def _population_spec_from_config(cfg: dict):
+    from . import datagen
+
     pop = cfg.get("population")
     if not isinstance(pop, dict) or "strata" not in pop:
         raise ValueError("config must define population.strata")
@@ -266,6 +297,8 @@ def _population_spec_from_config(cfg: dict) -> datagen.PopulationSpec:
 
 
 def _design_from_config(cfg: dict):
+    from . import datagen
+
     design = cfg.get("design")
     if not isinstance(design, dict) or "kind" not in design:
         raise ValueError("config must define design.kind")
@@ -280,6 +313,8 @@ def _design_from_config(cfg: dict):
 
 
 def cmd_simulate(args) -> int:
+    from . import datagen
+
     cfg = _merged(args, "simulate")
     spec = _population_spec_from_config(cfg)
     design = _design_from_config(cfg)
@@ -303,6 +338,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    from .regression import krr_predict_batch, load_model
+
     model = load_model(args.model)
     ids, x = io.read_quantile_csv(args.input)
     preds = krr_predict_batch(model, x)

@@ -29,9 +29,10 @@ def _fmt(x) -> str:
 
 
 @contextlib.contextmanager
-def _csv_reader(path, reader_type=csv.reader):
+def _csv_reader(path, reader_type=csv.reader, bad=()):
     """A csv reader on path that reports a csv.Error (say, a field over
-    csv.field_size_limit()) as InputValidationError with file and line."""
+    csv.field_size_limit()) as InputValidationError with file and line,
+    after the problems the caller has collected in `bad` so far."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = reader_type(fh)
         try:
@@ -39,7 +40,8 @@ def _csv_reader(path, reader_type=csv.reader):
         except csv.Error as exc:
             # a DictReader's own line_num moves only after a good row
             line = getattr(reader, "reader", reader).line_num
-            raise InputValidationError(f"{path}: line {line}: {exc}") from exc
+            problems = [*bad, f"line {line}: {exc}"]
+            raise InputValidationError(f"{path}: " + "; ".join(problems)) from exc
 
 
 def write_rows(path, header, rows) -> None:
@@ -50,8 +52,8 @@ def write_rows(path, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-# rows per np.loadtxt call: bounds the reader's memory beyond the 16 B a
-# reading takes in the result
+# readings per np.loadtxt call: bounds the reader's memory beyond the 16 B a
+# reading takes in the result; a chunk of quantile rows takes as many bytes
 _READ_CHUNK_ROWS = 1 << 14
 # the id is an object field: a fixed-width string field would truncate it
 _READINGS_ROW = np.dtype([("subject_id", object), ("t", "f8"), ("count", "f8")])
@@ -81,28 +83,36 @@ def _is_readings_header(header) -> bool:
         "subject_id", "timestamp_min", "count"]
 
 
+def _loadtxt_chunks(fh, dtype):
+    """The rows left in fh through np.loadtxt, one array of `dtype` per
+    chunk of at most as many bytes as _READ_CHUNK_ROWS readings take; raises
+    ValueError where the parser refuses a row."""
+    max_rows = max(1, _READ_CHUNK_ROWS * _READINGS_ROW.itemsize // dtype.itemsize)
+    while True:
+        with warnings.catch_warnings():
+            # loadtxt warns on every blank line, and on a last chunk with no rows
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
+                              comments=None, max_rows=max_rows, ndmin=1)
+        yield rows
+        if len(rows) < max_rows:
+            return
+
+
 def _read_readings_chunks(fh):
     """The rows after the header through np.loadtxt, or None when it refuses
     a row or a value is non-finite or a count negative."""
     pieces: dict = {}
-    with warnings.catch_warnings():
-        # loadtxt warns on every blank line, and on a last chunk with no rows
-        warnings.simplefilter("ignore", UserWarning)
-        while True:
-            try:
-                rows = np.loadtxt(fh, dtype=_READINGS_ROW, delimiter=",",
-                                  quotechar='"', comments=None,
-                                  max_rows=_READ_CHUNK_ROWS, ndmin=1)
-            except ValueError:
-                return None
+    try:
+        for rows in _loadtxt_chunks(fh, _READINGS_ROW):
             t, count = rows["t"], rows["count"]
             if not (np.isfinite(t).all() and np.isfinite(count).all()
                     and (count >= 0).all()):
                 return None
             if len(rows):
                 _append_chunk(pieces, rows)
-            if len(rows) < _READ_CHUNK_ROWS:
-                break
+    except ValueError:
+        return None
     return {sid: _joined(parts) for sid, parts in pieces.items()}
 
 
@@ -132,7 +142,7 @@ def _read_readings_rows(path) -> dict:
     """read_readings_csv one csv row and two float() calls at a time."""
     per_subject: dict = {}
     bad: list[str] = []
-    with _csv_reader(path) as reader:
+    with _csv_reader(path, bad=bad) as reader:
         if not _is_readings_header(next(reader, None)):
             raise InputValidationError(
                 f"{path}: expected header subject_id,timestamp_min,count")
@@ -183,7 +193,7 @@ def read_subjects_csv(path) -> dict:
     """Subject metadata keyed by id: (survey_weight, covariates)."""
     out: dict = {}
     bad: list[str] = []
-    with _csv_reader(path, csv.DictReader) as reader:
+    with _csv_reader(path, csv.DictReader, bad) as reader:
         if reader.fieldnames is None or "subject_id" not in reader.fieldnames \
                 or "survey_weight" not in reader.fieldnames:
             raise InputValidationError(
@@ -246,7 +256,7 @@ def read_summary_csv(path) -> dict:
     """Read a distribution summary back as {subject_id: (p_inactive, tac)}."""
     out: dict = {}
     bad: list[str] = []
-    with _csv_reader(path, csv.DictReader) as reader:
+    with _csv_reader(path, csv.DictReader, bad) as reader:
         needed = {"subject_id", "p_inactive", "tac_per_day"}
         if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
             raise InputValidationError(f"{path}: not a summary table")
@@ -272,20 +282,69 @@ def read_summary_csv(path) -> dict:
 
 def write_quantile_csv(path, subject_ids, quantiles) -> None:
     """Quantile-grid table: one row per subject, columns t_1..t_m, from an
-    (n, m) matrix or a list of QuantileGrid."""
+    (n, m) matrix or a list of QuantileGrid.
+
+    Writes the bytes that write_rows would, one formatted line per subject:
+    the table as Python floats would take 4x the matrix.
+    """
     matrix = np.asarray(quantiles, dtype=float)
     header = ["subject_id"] + [f"t_{k}" for k in range(1, matrix.shape[1] + 1)]
-    # a row at a time: the table as Python floats takes 4x the matrix
-    rows = ([sid, *row.tolist()] for sid, row in zip(subject_ids, matrix))
-    write_rows(path, header, rows)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for sid, row in zip(subject_ids, matrix):
+            fh.write(_csv_field(sid) + "," + ",".join(map(repr, row.tolist())) + "\r\n")
 
 
 def read_quantile_csv(path):
     """Read back a quantile table as (subject_ids, read-only float64 (n, m)
-    matrix); each row is checked as a QuantileGrid is."""
+    matrix); each row is checked as a QuantileGrid is, and ids are unique.
+
+    numpy's C parser reads the rows in chunks, as in read_readings_csv; when
+    it refuses a row, a row fails the check, an id repeats or is longer than
+    csv.field_size_limit(), the csv row loop reads the file again and reports
+    the first bad row with its line number.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh, \
+            contextlib.suppress(csv.Error):  # the row loop reports it
+        header = next(csv.reader(fh), None)
+        if _is_quantile_header(header):
+            table = _read_quantile_chunks(fh, len(header) - 1)
+            if table is not None:
+                return table
+    return _read_quantile_rows(path)
+
+
+def _is_quantile_header(header) -> bool:
+    return bool(header) and header[0] == "subject_id" and len(header) >= 3
+
+
+def _read_quantile_chunks(fh, m: int):
+    """The rows after the header through np.loadtxt as read_quantile_csv
+    returns them, or None when the row loop must read the file."""
+    dtype = np.dtype([("subject_id", object), ("q", "f8", (m,))])
+    limit = csv.field_size_limit()
+    ids, blocks, seen = [], [], set()
+    try:
+        for rows in _loadtxt_chunks(fh, dtype):
+            chunk_ids = rows["subject_id"].tolist()
+            check_quantile_rows(rows["q"])
+            seen.update(chunk_ids)
+            ids += chunk_ids
+            if len(seen) < len(ids) or any(len(sid) > limit for sid in chunk_ids):
+                return None
+            blocks.append(rows["q"])
+    except ValueError:
+        return None
+    matrix = np.concatenate(blocks)
+    matrix.setflags(write=False)
+    return ids, matrix
+
+
+def _read_quantile_rows(path):
+    """read_quantile_csv one csv row at a time; stops at the first bad row."""
     with _csv_reader(path) as reader:
         header = next(reader, None)
-        if not header or header[0] != "subject_id" or len(header) < 3:
+        if not _is_quantile_header(header):
             raise InputValidationError(f"{path}: not a quantile table")
         ids, rows, seen = [], [], set()
         for lineno, row in enumerate(reader, start=2):
@@ -361,8 +420,9 @@ def write_readings_csv(path, subjects, sample_path=None, sample=()) -> None:
     """Long-format readings for a list of ActivitySeries.
 
     Writes the bytes that write_rows would, one block per subject: the id is
-    quoted once, every value is repr-formatted, and the timestamp strings are
-    reused while consecutive subjects share a grid.
+    quoted once, every value is repr-formatted (but for the constant "0.0" of
+    the many +0.0 readings), and the timestamp strings are reused while
+    consecutive subjects share a grid.
 
     With sample_path, the same pass writes `sample`, subjects drawn from
     `subjects` in their order, to that file. A sample subject with the id
@@ -381,7 +441,7 @@ def write_readings_csv(path, subjects, sample_path=None, sample=()) -> None:
             grid = s.timestamps.tobytes()
             times = [t + "," for t in map(repr, s.timestamps.tolist())]
         head = _csv_field(s.subject_id) + ","
-        rows = map(str.__add__, times, map(repr, s.readings.tolist()))
+        rows = map(str.__add__, times, _reprs(s.readings))
         return head + ("\r\n" + head).join(rows) + "\r\n"
 
     pending = iter(sample)
@@ -402,6 +462,14 @@ def write_readings_csv(path, subjects, sample_path=None, sample=()) -> None:
     if drawn is not None:
         raise ValueError(f"sample subject {drawn.subject_id!r} does not follow "
                          "the population order")
+
+
+def _reprs(values: np.ndarray):
+    """repr of each float64 value, one at a time, with "0.0" for +0.0 taken
+    as a constant; -0.0, whose sign bit is set, still goes through repr."""
+    nonzero = values.view(np.uint64) != 0
+    texts = map(repr, values[nonzero].tolist())
+    return (next(texts) if flag else "0.0" for flag in nonzero.tolist())
 
 
 def _same_readings(a, b) -> bool:

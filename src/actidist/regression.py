@@ -280,7 +280,8 @@ def krr_fit(sample: SurveySample, lam: float, sigma: float | None = None) -> Krr
         raise ValueError("singular kernel system; increase lambda")
     r = np.sqrt(sample.weights)
     alpha = r * (u @ ((u.T @ (r * sample.responses)) / shifted))
-    return KrrModel(kind=sample.kind, training_matrix=sample._matrix.copy(), alpha=alpha,
+    # the sample's matrix is read-only, so the model shares it
+    return KrrModel(kind=sample.kind, training_matrix=sample._matrix, alpha=alpha,
                     sigma=float(sigma), lam=float(lam))
 
 
@@ -375,8 +376,21 @@ def krr_select_lambda(sample: SurveySample, sigma: float, lambda_grid) -> float:
     return best_lam
 
 
-def save_model(model: KrrModel, path) -> None:
-    """Persist a fitted model as a self-describing JSON text artifact."""
+def save_models(pairs) -> None:
+    """Persist (model, path) pairs with save_model; a training matrix that
+    several models share is encoded to JSON once."""
+    matrix_texts: dict = {}
+    for model, path in pairs:
+        save_model(model, path, matrix_texts)
+
+
+def save_model(model: KrrModel, path, matrix_texts=None) -> None:
+    """Persist a fitted model as a self-describing JSON text artifact.
+
+    The file is json.dumps of the payload, with the training matrix last.
+    matrix_texts, a dict that save_models keeps across its calls, maps each
+    training matrix already encoded (keyed by shape and bytes) to its text.
+    """
     payload = {
         "format_version": model.format_version,
         "kind": model.kind,
@@ -384,26 +398,58 @@ def save_model(model: KrrModel, path) -> None:
         "sigma": model.sigma,
         "lambda": model.lam,
         "alpha": model.alpha.tolist(),
-        "training_matrix": model.training_matrix.tolist(),
     }
+    texts = {} if matrix_texts is None else matrix_texts
+    matrix = model.training_matrix
+    key = (matrix.shape, matrix.tobytes())
+    if key not in texts:
+        texts[key] = json.dumps(matrix.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload))
+        fh.write(json.dumps(payload)[:-1] + ', "training_matrix": ' + texts[key] + "}")
 
 
 def load_model(path) -> KrrModel:
-    """Read back a model written by save_model."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    """Read back a model written by save_model.
+
+    Rejects, with a ValueError that names the file, a payload save_model
+    would not write: another format version or kernel, an unknown kind, a
+    training matrix that is not finite (or, for grids, not rows that pass
+    check_quantile_rows), an alpha that is not one finite value per training
+    row, a sigma that is not positive and finite, or a lambda that is
+    negative or not finite.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _model_from_payload(json.load(fh))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _model_from_payload(payload) -> KrrModel:
+    if not isinstance(payload, dict):
+        raise ValueError("not a model object")
     version = payload.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
     if payload.get("kernel_name") != "laplacian":
         raise ValueError(f"unsupported kernel {payload.get('kernel_name')!r}")
-    return KrrModel(
-        kind=payload["kind"],
-        training_matrix=np.asarray(payload["training_matrix"], dtype=float),
-        alpha=np.asarray(payload["alpha"], dtype=float),
-        sigma=float(payload["sigma"]),
-        lam=float(payload["lambda"]),
-        format_version=version,
-    )
+    kind = payload.get("kind")
+    if kind not in (GRID_KIND, SCALAR_KIND):
+        raise ValueError(f"unknown model kind {kind!r}")
+    training = np.asarray(payload.get("training_matrix"), dtype=float)
+    if training.ndim != (2 if kind == GRID_KIND else 1) or training.size == 0:
+        raise ValueError(f"training_matrix is not a {kind} model's predictor matrix")
+    if kind == GRID_KIND:
+        check_quantile_rows(training)
+    elif not np.all(np.isfinite(training)):
+        raise ValueError("training predictors must be finite")
+    alpha = np.asarray(payload.get("alpha"), dtype=float)
+    if alpha.shape != training.shape[:1] or not np.all(np.isfinite(alpha)):
+        raise ValueError("alpha must hold one finite value per training row")
+    sigma, lam = float(payload.get("sigma")), float(payload.get("lambda"))
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ValueError("sigma must be positive and finite")
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValueError("lambda must be nonnegative and finite")
+    return KrrModel(kind=kind, training_matrix=training, alpha=alpha,
+                    sigma=sigma, lam=lam, format_version=version)

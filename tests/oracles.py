@@ -133,3 +133,11 @@ def median_heuristic_sigma(predictors, weights=None, distance=None) -> float:
     if np.all(sq_dists == 0):
         raise ValueError("degenerate predictor set")
     return float(np.sqrt(weighted_median(sq_dists, np.asarray(pair_weights))))
+
+
+def write_quantile_rows(path, subject_ids, quantiles) -> None:
+    """Quantile table written one csv row, and one value, at a time."""
+    matrix = np.asarray(quantiles, dtype=float)
+    header = ["subject_id"] + [f"t_{k}" for k in range(1, matrix.shape[1] + 1)]
+    rows = ([sid, *row.tolist()] for sid, row in zip(subject_ids, matrix))
+    write_rows(path, header, rows)

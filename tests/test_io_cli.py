@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -184,6 +185,24 @@ class TestReaders:
         with pytest.raises(io.InputValidationError,
                            match=r"t\.csv: line 3: field larger than field limit"):
             reader(path)
+
+    @pytest.mark.parametrize("reader, header, rows, first", [
+        (io.read_readings_csv, "subject_id,timestamp_min,count",
+         ["a,0,-1", "{long},0,1", "a,1,nan"], "line 2: negative count"),
+        (io.read_subjects_csv, "subject_id,survey_weight",
+         ["a,-1", "{long},1.0", "b,nan"],
+         "line 2: survey_weight must be positive and finite"),
+        (io.read_summary_csv, "subject_id,p_inactive,tac_per_day",
+         ["a,nan,1", "{long},0.5,1", "b,0.5,inf"], "line 2: non-finite value"),
+    ])
+    def test_csv_error_keeps_earlier_lines(self, tmp_path, reader, header, rows, first):
+        path = tmp_path / "t.csv"
+        body = "\n".join(rows).replace("{long}", "x" * 140000)
+        path.write_text(f"{header}\n{body}\n")
+        with pytest.raises(io.InputValidationError) as caught:
+            reader(path)
+        assert str(caught.value).startswith(
+            f"{path}: {first}; line 3: field larger than field limit")
 
     def test_distance_matrix_emitter(self, tmp_path):
         from actidist.geometry import pairwise_wasserstein
@@ -440,6 +459,41 @@ class TestRegress:
         assert "q.csv: line 3: field larger than field limit" in capsys.readouterr().err
 
 
+def bad_model(path, key, value):
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload[key] = value
+    bad = path.with_name("bad_model.json")
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    return bad
+
+
+class TestPredictModelChecks:
+    @pytest.mark.parametrize("key, value, message", [
+        ("alpha", [float("nan")] * 3, "alpha must hold one finite value per training row"),
+        ("alpha", [1.0, 2.0], "alpha must hold one finite value per training row"),
+        ("training_matrix", [[0.0, 1.0], [3.0, 1.0], [2.0, 2.5]],
+         "quantile values must be nondecreasing"),
+        ("training_matrix", [[0.0, 1.0], [1.0, float("nan")], [2.0, 2.5]],
+         "quantile values must be finite"),
+        ("kind", "banana", "unknown model kind 'banana'"),
+        ("sigma", -1.0, "sigma must be positive and finite"),
+        ("lambda", float("nan"), "lambda must be nonnegative and finite"),
+    ])
+    def test_bad_model_exits_2_without_output(self, tmp_path, capsys, key, value, message):
+        x = np.array([[0.0, 1.0], [1.0, 3.0], [2.0, 2.5]])
+        model_path = tmp_path / "model.json"
+        save_model(krr_fit(SurveySample(x, [1.0, 2.0, 0.5]), lam=0.5), model_path)
+        bad = bad_model(model_path, key, value)
+        qpath = tmp_path / "q.csv"
+        qpath.write_text("subject_id,t_1,t_2\na,0,1\nb,1,2\n")
+        out = tmp_path / "out"
+        rc = main(["predict", "--model", str(bad), "--input", str(qpath),
+                   "--out", str(out)])
+        assert rc == 2
+        assert f"error: {bad}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestClassify:
     def test_separable_cohort_perfect_confusion(self, classify_cohort):
         tmp_path, qpath, spath = classify_cohort
@@ -609,6 +663,42 @@ class TestCliMisc:
         assert "seed" not in printed["regress"] and "seed" not in printed["classify"]
         assert {"population", "design", "seed", "sample_seed"} == set(printed["simulate"])
 
+    def test_default_lambda_grid_is_compare_r2s(self):
+        from actidist.cli import DEFAULTS
+        from actidist.evaluation import DEFAULT_LAMBDA_GRID
+
+        assert DEFAULTS["regress"]["lambda_grid"] == DEFAULT_LAMBDA_GRID.tolist()
+
+    def test_cli_import_loads_no_estimator(self):
+        # a fresh process: this one has imported every module already
+        code = ("import sys, actidist.cli, actidist; "
+                "print(sorted(m for m in sys.modules if m.startswith('actidist.'))); "
+                "print(actidist.__all__)")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        loaded, exported = map(ast.literal_eval, proc.stdout.splitlines())
+        assert loaded == ["actidist.cli", "actidist.distribution", "actidist.io"]
+        assert exported == EXPORTED
+
+    def test_cli_keeps_its_former_names(self):
+        from actidist import cli, datagen, evaluation, regression
+
+        assert cli.krr_fit is regression.krr_fit
+        assert cli.compare_r2 is evaluation.compare_r2
+        assert cli.datagen is datagen
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            cli.nope
+
+    def test_exports_resolve(self):
+        import actidist
+
+        for name in EXPORTED:
+            assert getattr(actidist, name) is not None
+        assert actidist.krr_fit is krr_fit
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            actidist.nope
+
     def test_no_command_exits_2(self, capsys):
         assert main([]) == 2
 
@@ -620,3 +710,24 @@ class TestCliMisc:
                    str(subjects), "--out", str(out), "--m", "1"])
         assert rc == 2
         assert not list(out.glob("*.csv"))
+
+
+# actidist.__all__ as it was when the package imported every module eagerly
+EXPORTED = [
+    "ActivitySeries", "CensorSpec", "ClassificationOutcome", "DensityCurve",
+    "FrechetSummary", "IntensityLaw", "KrrModel", "MixedDistribution", "NO_CENSOR",
+    "NwConfig", "PoissonDesign", "PopulationSpec", "QuantileGrid", "R2Comparison",
+    "RISK_GROUP_A", "RISK_GROUP_B", "ResponseModel", "StratifiedDesign", "StratumSpec",
+    "SurveySample", "UNASSIGNED", "assign_risk_groups", "build_mixed", "censor_series",
+    "classify_mortality", "compare_r2", "datagen", "distance_quantile_grid",
+    "distribution", "draw_sample", "empirical_quantiles", "evaluation", "frechet_mean",
+    "frechet_variance", "gaussian_kernel", "geometry", "group_profiles", "ht_mean",
+    "inactive_proportion", "inclusion_probabilities", "kde_active", "krr_fit", "krr_loo",
+    "krr_predict", "krr_predict_batch", "krr_select_lambda", "laplacian_kernel",
+    "load_model", "median_heuristic_sigma_from_matrix", "nw_loo", "nw_predict",
+    "nw_select_bandwidth", "pairwise_wasserstein", "pointwise_sd_curve",
+    "quantiles_from_values", "regression", "save_model", "silverman_bandwidth",
+    "simulate_population", "stratify_age", "summarize", "survey",
+    "survey_sample_from_subjects", "tac_per_day", "wasserstein2", "weighted_auc",
+    "weighted_median", "weighted_r2",
+]

@@ -35,7 +35,7 @@ from actidist.regression import (
     nw_predict,
 )
 from actidist.survey import ht_mean, weighted_r2
-from oracles import median_heuristic_sigma, write_readings_rows
+from oracles import median_heuristic_sigma, write_quantile_rows, write_readings_rows
 
 finite = st.floats(-50.0, 50.0, allow_nan=False)
 positive = st.floats(0.1, 20.0, allow_nan=False)
@@ -488,8 +488,170 @@ class TestReadingsWriter:
             assert ((fuzz_dir / f"{name}.csv").read_bytes()
                     == (fuzz_dir / f"{name}_rows.csv").read_bytes())
 
+    def test_zero_constant_only_for_positive_zero(self, tmp_path):
+        subjects = [ActivitySeries("a", [0.0, 1.0, 2.0, 3.0], [0.0, -0.0, 5e-324, 2.0])]
+        io.write_readings_csv(tmp_path / "r.csv", subjects)
+        assert (tmp_path / "r.csv").read_text(encoding="utf-8").splitlines()[1:] == [
+            "a,0.0,0.0", "a,1.0,-0.0", "a,2.0,5e-324", "a,3.0,2.0"]
+
     def test_sample_out_of_population_order_rejected(self, tmp_path):
         population = equal_grid_subjects()
         with pytest.raises(ValueError, match="'b' does not follow the population order"):
             io.write_readings_csv(tmp_path / "population.csv", population,
                                   tmp_path / "sample.csv", population[::-1])
+
+
+def quantiles_by_both_paths(directory, text, chunks):
+    """As readings_by_both_paths, for the quantile table: (bulk, rows,
+    public), where the results are (ids, matrix) pairs or the error message."""
+    path = directory / "quantiles.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    bulk = None
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            header = next(csv.reader(fh), None)
+        except csv.Error:
+            header = None
+    if io._is_quantile_header(header):
+        bulk = []
+        for chunk in chunks:
+            with mock.patch.object(io, "_READ_CHUNK_ROWS", chunk), \
+                    open(path, "r", encoding="utf-8", newline="") as fh:
+                next(csv.reader(fh))
+                bulk.append(io._read_quantile_chunks(fh, len(header) - 1))
+    results = []
+    for reader in (io._read_quantile_rows, io.read_quantile_csv):
+        try:
+            results.append(reader(path))
+        except io.InputValidationError as exc:
+            results.append(str(exc))
+    return bulk, *results
+
+
+def assert_same_table(a, b):
+    """Equal ids and byte-equal read-only float64 matrices, or the same
+    error message."""
+    if isinstance(a, str) or isinstance(b, str):
+        assert a == b
+        return
+    (ids_a, x_a), (ids_b, x_b) = a, b
+    assert ids_a == ids_b
+    for x in (x_a, x_b):
+        assert x.dtype == np.float64 and not x.flags.writeable
+    assert x_a.shape == x_b.shape and x_a.tobytes() == x_b.tobytes()
+
+
+def assert_quantile_paths_agree(directory, text, chunks=(io._READ_CHUNK_ROWS, 1, 2, 3)):
+    """The bulk path, where it accepts the file, returns what the row loop
+    returns, and read_quantile_csv matches the row loop either way. Returns
+    whether the bulk path accepted the file at every chunk size."""
+    bulk, rows, public = quantiles_by_both_paths(directory, text, chunks)
+    assert_same_table(public, rows)
+    for result in bulk or ():
+        if result is not None:
+            assert_same_table(result, rows)
+    return bulk is not None and all(r is not None for r in bulk)
+
+
+# ids that need quoting or keep surrounding whitespace, non-ASCII ids, and a
+# few plain ones so that ids repeat
+quantile_ids = st.one_of(
+    st.sampled_from(["a", "b", "a,b", 'say "hi"', "two\nlines", "cr\rlf", " pad ",
+                     "\t", "naïve", "日本", ""]),
+    st.text(max_size=6))
+quantile_values = st.one_of(
+    st.sampled_from(["0", "1", "2.5", "-1", "-0.0", " 3 ", "1_0", "nan", "inf",
+                     "1e400", "١", ""]),
+    st.floats(0.0, 1e6).map(repr))
+
+
+@st.composite
+def quantile_text(draw):
+    """A quantile header and rows whose ids are quoted as the writer quotes
+    them or written raw, with sorted, arbitrary (so decreasing, negative or
+    non-numeric) or ragged values, blank lines, and one kind of line end."""
+    m = draw(st.integers(2, 3))
+    lines = [",".join(["subject_id"] + [f"t_{k}" for k in range(1, m + 1)])]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["sorted"] * 6 + ["arbitrary", "ragged", "blank"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "", " "])))
+            continue
+        sid = draw(quantile_ids)
+        field = io._csv_field(sid) if draw(st.booleans()) else sid
+        width = m if kind != "ragged" else draw(st.sampled_from([m - 1, m + 1]))
+        if kind == "sorted":
+            values = [repr(v) for v in sorted(draw(
+                st.lists(st.floats(0.0, 1e6), min_size=width, max_size=width)))]
+        else:
+            values = draw(st.lists(quantile_values, min_size=width, max_size=width))
+        lines.append(",".join([field, *values]))
+    end = draw(line_ends)
+    return end.join(lines) + end
+
+
+Q_HEADER = "subject_id,t_1,t_2\n"
+# rows 100 .. _READ_CHUNK_ROWS + 50, two values each: longer than one chunk
+LONG_QUANTILES = Q_HEADER.replace("\n", "\r\n") + "".join(
+    f"s{i},{i},{i + 0.5}\r\n" for i in range(100, io._READ_CHUNK_ROWS + 150))
+
+
+class TestQuantileReaderPaths:
+    """numpy's chunked parser against the csv row loop for the quantile table."""
+
+    @fuzz
+    @given(quantile_text())
+    def test_fuzzed_files_agree(self, fuzz_dir, text):
+        assert_quantile_paths_agree(fuzz_dir, text)
+
+    @pytest.mark.parametrize("text, bulk", [
+        ('"a,b",0,1\n"say ""hi""",1,2\n"two\nlines",1,2\n', True),
+        (" a ,0,1\na,1,2\n", True),
+        ('naïve,0,1\n日本,1,2\n"",2,3\n', True),
+        ("a,0,1\rb,1,2\r", True),
+        ("a,0,1\r\n\r\n\nb,0,1\n\n", True),
+        ("a,0,1\n  \nb,0,1\n", False),
+        ("a,1_0,20\n", False),
+        ("a,0,١\n", False),
+        ("a, 1 , 2 \n", True),
+        ("a,-0.0,0.0\n", True),
+        ("a,0,nan\n", False),
+        ("a,0,inf\n", False),
+        ("a,2,1\n", False),
+        ("a,-1,0\n", False),
+        ("a,0,1,2\n", False),
+        ("a,0\n", False),
+        ("a,0,1\nb,0,1\na,1,2\n", False),
+        ("", True),
+        (f"{'x' * 131072},0,1\n", True),
+        (f"{'x' * 131073},0,1\n", False),
+        (f"a,0,1\n{'x' * 140000},1,2\n", False),
+    ], ids=["quoted_ids", "padded_ids", "non_ascii", "lone_cr", "blank_lines",
+            "space_line", "underscore", "arabic_digit", "padded_values",
+            "negative_zero", "nan", "inf", "decreasing", "negative", "long_row",
+            "short_row", "duplicate_id", "no_rows", "id_at_field_limit",
+            "id_over_field_limit", "over_long_id"])
+    def test_explicit_files_agree(self, tmp_path, text, bulk):
+        assert assert_quantile_paths_agree(tmp_path, Q_HEADER + text) is bulk
+
+    def test_table_longer_than_one_chunk(self, tmp_path):
+        assert assert_quantile_paths_agree(tmp_path, LONG_QUANTILES,
+                                           chunks=(io._READ_CHUNK_ROWS,))
+        ids, x = io.read_quantile_csv(tmp_path / "quantiles.csv")
+        assert ids[-1] == f"s{io._READ_CHUNK_ROWS + 149}"
+        assert x.shape == (io._READ_CHUNK_ROWS + 50, 2)
+        np.testing.assert_array_equal(x[:, 1] - x[:, 0], 0.5)
+
+
+class TestQuantileWriter:
+    @fuzz
+    @given(st.lists(quantile_ids, min_size=1, max_size=5).flatmap(lambda ids: st.tuples(
+        st.just(ids),
+        arrays(st.one_of(st.sampled_from(special_values), st.floats(0.0, 1e300)),
+               (len(ids), 3)))))
+    def test_matches_row_at_a_time_writer(self, fuzz_dir, table):
+        ids, x = table
+        x = np.sort(x, axis=1)
+        io.write_quantile_csv(fuzz_dir / "block.csv", ids, x)
+        write_quantile_rows(fuzz_dir / "rows.csv", ids, x)
+        assert (fuzz_dir / "block.csv").read_bytes() == (fuzz_dir / "rows.csv").read_bytes()

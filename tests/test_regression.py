@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -25,6 +26,7 @@ from actidist.regression import (
     nw_predict,
     nw_select_bandwidth,
     save_model,
+    save_models,
 )
 from oracles import dense_loo_hat, refit_loo, training_predictions
 
@@ -569,3 +571,113 @@ class TestPersistence:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="unsupported kernel 'gaussian'"):
             load_model(path)
+
+
+def model_payload(model) -> dict:
+    """The payload save_model writes, in its order."""
+    return {"format_version": model.format_version, "kind": model.kind,
+            "kernel_name": "laplacian", "sigma": model.sigma, "lambda": model.lam,
+            "alpha": model.alpha.tolist(),
+            "training_matrix": model.training_matrix.tolist()}
+
+
+class TestModelFile:
+    def test_models_sharing_a_matrix(self, tmp_path):
+        rng = np.random.default_rng(31)
+        base = grid_sample(rng, 6)
+        # the responses of one regress run share the predictors
+        models = [krr_fit(base.with_responses(rng.normal(size=6)), lam=lam, sigma=20.0)
+                  for lam in (0.1, 0.5)]
+        # and a model on other predictors in between
+        models.insert(1, krr_fit(scalar_sample(rng, 5), lam=0.3, sigma=1.0))
+        paths = [tmp_path / f"model_{k}.json" for k in range(3)]
+        save_models(zip(models, paths))
+        for model, path in zip(models, paths):
+            assert path.read_text(encoding="utf-8") == json.dumps(model_payload(model))
+
+    def test_one_model(self, tmp_path):
+        model = krr_fit(grid_sample(np.random.default_rng(32), 4), lam=0.2)
+        save_model(model, tmp_path / "model.json")
+        assert (tmp_path / "model.json").read_text(encoding="utf-8") == json.dumps(
+            model_payload(model))
+
+    def test_equal_matrices_in_other_arrays(self, tmp_path):
+        """Equal bytes share the text; -0.0 and 0.0 do not."""
+        x = np.array([[0.0, 1.0], [1.0, 2.0], [2.0, 4.0]])
+        signed = x.copy()
+        signed[0, 0] = -0.0
+        models = [krr_fit(SurveySample(m, [1.0, 0.0, 2.0]), lam=0.5, sigma=1.0)
+                  for m in (x, x.copy(), signed)]
+        paths = [tmp_path / f"model_{k}.json" for k in range(3)]
+        save_models(zip(models, paths))
+        texts = [p.read_text(encoding="utf-8") for p in paths]
+        assert texts == [json.dumps(model_payload(m)) for m in models]
+        assert '"training_matrix": [[-0.0, 1.0]' in texts[2]
+
+
+def write_payload(path, payload) -> None:
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+def corrupt(payload, key, value):
+    out = dict(payload)
+    out[key] = value
+    return out
+
+
+class TestLoadModelChecks:
+    @pytest.fixture
+    def grid_payload(self):
+        rng = np.random.default_rng(33)
+        return model_payload(krr_fit(grid_sample(rng, 4, m=3), lam=0.2, sigma=20.0))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("alpha", [1.0, float("nan"), 0.0, 1.0], "alpha must hold one finite value"),
+        ("alpha", [1.0, 2.0, 3.0], "alpha must hold one finite value"),
+        ("alpha", [[1.0], [2.0], [3.0], [4.0]], "alpha must hold one finite value"),
+        ("alpha", ["a", "b", "c", "d"], "could not convert string to float"),
+        ("training_matrix", [[0.0, 1.0, float("nan")]] * 4, "must be finite"),
+        ("training_matrix", [[3.0, 2.0, 1.0]] * 4, "must be nondecreasing"),
+        ("training_matrix", [[-1.0, 2.0, 3.0]] * 4, "must be nonnegative"),
+        ("training_matrix", [0.0, 1.0, 2.0, 3.0], "not a grid model's predictor matrix"),
+        ("training_matrix", [[0.0, 1.0], [0.0]], "inhomogeneous"),
+        ("training_matrix", None, "not a grid model's predictor matrix"),
+        ("kind", "banana", "unknown model kind 'banana'"),
+        ("sigma", 0.0, "sigma must be positive and finite"),
+        ("sigma", -1.0, "sigma must be positive and finite"),
+        ("sigma", float("inf"), "sigma must be positive and finite"),
+        ("sigma", float("nan"), "sigma must be positive and finite"),
+        ("sigma", "abc", "could not convert string to float"),
+        ("sigma", None, "must be a string or a real number"),
+        ("lambda", -0.5, "lambda must be nonnegative and finite"),
+        ("lambda", float("inf"), "lambda must be nonnegative and finite"),
+        ("lambda", [0.5], "must be a string or a real number"),
+        ("format_version", 2, "unsupported model format version 2"),
+    ])
+    def test_rejected_with_file_name(self, tmp_path, grid_payload, key, value, message):
+        path = tmp_path / "model.json"
+        write_payload(path, corrupt(grid_payload, key, value))
+        with pytest.raises(ValueError, match=rf"model\.json: .*{message}"):
+            load_model(path)
+
+    def test_scalar_model_needs_finite_predictors(self, tmp_path):
+        payload = model_payload(krr_fit(scalar_sample(np.random.default_rng(34), 3),
+                                        lam=0.2, sigma=1.0))
+        path = tmp_path / "model.json"
+        write_payload(path, payload)
+        assert load_model(path).kind == "scalar"
+        write_payload(path, corrupt(payload, "training_matrix", [0.0, float("inf"), 1.0]))
+        with pytest.raises(ValueError, match="training predictors must be finite"):
+            load_model(path)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "{", "{}"])
+    def test_not_a_model(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=r"model\.json: "):
+            load_model(path)
+
+    def test_zero_lambda_accepted(self, tmp_path, grid_payload):
+        path = tmp_path / "model.json"
+        write_payload(path, corrupt(grid_payload, "lambda", 0))
+        assert load_model(path).lam == 0.0
