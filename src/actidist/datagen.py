@@ -115,12 +115,14 @@ def _draw_subject(rng, stratum: StratumSpec, minutes: int):
 
     inactive = rng.random(minutes) < rate
     if law.kind == "gamma":
-        positive = rng.gamma(shape, scale, size=minutes)
+        readings = rng.gamma(shape, scale, size=minutes)
         spread = float(np.sqrt(shape) * scale)
     else:
-        positive = rng.lognormal(mu, s, size=minutes)
+        readings = rng.lognormal(mu, s, size=minutes)
         spread = float(s)
-    readings = np.where(inactive, 0.0, np.maximum(positive, 1e-9))
+    # in place, so that no second float array of `minutes` values is made
+    np.maximum(readings, 1e-9, out=readings)
+    np.putmask(readings, inactive, 0.0)
     return readings, rate, spread
 
 
@@ -140,9 +142,12 @@ def simulate_population(spec: PopulationSpec):
     """Generate the finite population and its true summary means.
 
     Returns (subjects, truth) where truth maps each numeric covariate name
-    to its exact finite-population mean.
+    to its exact finite-population mean. Every subject's timestamps are one
+    shared read-only array.
     """
     counts = _allocate(spec.size, [s.proportion for s in spec.strata])
+    timestamps = np.arange(spec.minutes, dtype=float)
+    timestamps.setflags(write=False)
     subjects = []
     index = 0
     for stratum, count in zip(spec.strata, counts):
@@ -161,7 +166,7 @@ def simulate_population(spec: PopulationSpec):
             }
             series = ActivitySeries(
                 subject_id=f"S{index:05d}",
-                timestamps=np.arange(spec.minutes, dtype=float),
+                timestamps=timestamps,
                 readings=readings,
                 survey_weight=1.0,
                 covariates=covariates,

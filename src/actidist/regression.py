@@ -15,6 +15,7 @@ distance; scalar predictors use the absolute difference.
 
 from __future__ import annotations
 
+import copy
 import json
 import warnings
 from dataclasses import dataclass
@@ -55,7 +56,9 @@ class SurveySample:
     Predictors are quantile grids (an (n, m) matrix or a list of
     QuantileGrid) or scalars (a 1-d array); responses are continuous, or 0/1
     when the sample is used for classification. The predictors are held as
-    one read-only matrix, (n, m) for grids and (n,) for scalars.
+    one read-only matrix, (n, m) for grids and (n,) for scalars: a float64
+    array that is read-only and owns its data, as read_quantile_csv returns,
+    is shared, anything else is copied.
     """
 
     def __init__(self, predictors, responses, weights=None):
@@ -64,14 +67,20 @@ class SurveySample:
         if n < 1:
             raise ValueError("empty sample")
         weights = np.ones(n) if weights is None else np.array(weights, dtype=float)
-        if weights.shape != (n,) or responses.ndim != 1:
-            raise ValueError("responses and weights must be aligned 1-d arrays")
+        weights.setflags(write=False)
+        self.weights = weights
+        self.responses = self._checked(responses)
         if not np.all(np.isfinite(weights) & (weights > 0)):
             raise ValueError("weights must be positive and finite")
-        if not np.all(np.isfinite(responses)):
-            raise ValueError("responses must be finite")
 
-        matrix = np.array(predictors, dtype=float)
+        # nothing can write a read-only float64 array that owns its data
+        # without copying it, so the sample may share it
+        if (isinstance(predictors, np.ndarray) and predictors.dtype == np.float64
+                and predictors.base is None and not predictors.flags.writeable):
+            matrix = predictors
+        else:
+            matrix = np.array(predictors, dtype=float)
+            matrix.setflags(write=False)
         if matrix.shape[:1] != (n,):
             raise ValueError("predictors and responses must have equal length")
         if matrix.ndim == 2 and matrix.shape[1] > 0:
@@ -81,14 +90,18 @@ class SurveySample:
             self.kind = SCALAR_KIND
         else:
             raise ValueError("predictors must be quantile grids or finite scalars")
-        matrix.setflags(write=False)
-        weights.setflags(write=False)
         self._matrix = matrix
-        self.responses = responses
-        self.weights = weights
         # distances and kernel spectra depend only on predictors and weights,
         # so samples made by with_responses share this cache
         self._cache: dict = {}
+
+    def _checked(self, responses) -> np.ndarray:
+        responses = np.asarray(responses, dtype=float)
+        if responses.ndim != 1 or responses.shape != self.weights.shape:
+            raise ValueError("responses and weights must be aligned 1-d arrays")
+        if not np.all(np.isfinite(responses)):
+            raise ValueError("responses must be finite")
+        return responses
 
     @property
     def n(self) -> int:
@@ -129,9 +142,10 @@ class SurveySample:
 
     def with_responses(self, responses) -> "SurveySample":
         """The same predictors and weights with other responses; the new
-        sample shares this one's cached distances and kernel spectrum."""
-        out = SurveySample(self._matrix, responses, self.weights)
-        out._cache = self._cache
+        sample shares this one's predictor matrix, cached distances and
+        kernel spectrum."""
+        out = copy.copy(self)
+        out.responses = self._checked(responses)
         return out
 
 

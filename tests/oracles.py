@@ -141,3 +141,30 @@ def write_quantile_rows(path, subject_ids, quantiles) -> None:
     header = ["subject_id"] + [f"t_{k}" for k in range(1, matrix.shape[1] + 1)]
     rows = ([sid, *row.tolist()] for sid, row in zip(subject_ids, matrix))
     write_rows(path, header, rows)
+
+
+def draw_subject_where(rng, stratum, minutes: int):
+    """datagen._draw_subject with the readings formed in one np.where over
+    a clamped copy of the draw, instead of in place."""
+    lo, hi = stratum.inactivity_range
+    rate = float(rng.uniform(lo, hi)) if hi > lo else float(lo)
+
+    law = stratum.intensity
+    if law.kind == "lognormal":
+        mu, s = law.params
+    elif law.kind == "lognormal_fixed_mean":
+        mean_level, s_lo, s_hi = law.params
+        s = float(rng.uniform(s_lo, s_hi))
+        mu = float(np.log(mean_level) - 0.5 * s * s)
+    else:
+        shape, scale = law.params
+
+    inactive = rng.random(minutes) < rate
+    if law.kind == "gamma":
+        positive = rng.gamma(shape, scale, size=minutes)
+        spread = float(np.sqrt(shape) * scale)
+    else:
+        positive = rng.lognormal(mu, s, size=minutes)
+        spread = float(s)
+    readings = np.where(inactive, 0.0, np.maximum(positive, 1e-9))
+    return readings, rate, spread

@@ -9,6 +9,7 @@ from actidist.datagen import (
     StratifiedDesign,
     StratumSpec,
     _allocate,
+    _draw_subject,
     draw_sample,
     inclusion_probabilities,
     simulate_population,
@@ -16,6 +17,7 @@ from actidist.datagen import (
     tac_response_spec,
 )
 from actidist.distribution import inactive_proportion, tac_per_day
+from oracles import draw_subject_where
 
 
 def single_stratum_spec(size=20, seed=0, minutes=50, inactivity=(0.4, 0.4),
@@ -79,6 +81,71 @@ class TestSimulatePopulation:
         stratum = StratumSpec("a", 0.7, (0.1, 0.2), IntensityLaw("gamma", (1.0, 1.0)))
         with pytest.raises(ValueError, match="sum to 1"):
             PopulationSpec(size=10, strata=(stratum,), minutes=10, seed=0)
+
+
+LAWS = [
+    IntensityLaw("lognormal", (3.0, 0.8)),
+    # most draws fall below the 1e-9 floor, so the clamp does the work
+    IntensityLaw("lognormal", (-21.0, 2.0)),
+    IntensityLaw("gamma", (2.0, 45.0)),
+    IntensityLaw("lognormal_fixed_mean", (80.0, 0.3, 1.5)),
+]
+
+
+class TestDrawSubject:
+    @pytest.mark.parametrize("law", LAWS, ids=lambda law: f"{law.kind}{law.params}")
+    @pytest.mark.parametrize("inactivity", [(0.2, 0.8), (0.0, 0.0), (1.0, 1.0)])
+    def test_matches_where_formula(self, law, inactivity):
+        stratum = StratumSpec("all", 1.0, inactivity, law)
+        for seed in range(4):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            readings, rate, spread = _draw_subject(rng, stratum, 300)
+            expected, expected_rate, expected_spread = draw_subject_where(
+                oracle_rng, stratum, 300)
+            assert readings.tobytes() == expected.tobytes()
+            assert (rate, spread) == (expected_rate, expected_spread)
+            # the stream goes on where the former formula left it
+            assert rng.random() == oracle_rng.random()
+
+    def test_population_matches_where_formula(self):
+        strata = (
+            StratumSpec("idle", 0.25, (1.0, 1.0), LAWS[0]),
+            StratumSpec("low", 0.25, (0.1, 0.9), LAWS[1]),
+            StratumSpec("gamma", 0.25, (0.3, 0.6), LAWS[2]),
+            StratumSpec("fixed", 0.25, (0.5, 0.5), LAWS[3]),
+        )
+        spec = PopulationSpec(size=12, strata=strata, minutes=200, seed=11)
+        subjects, _ = simulate_population(spec)
+        assert all(np.all(s.readings == 0) for s in subjects
+                   if s.covariates["stratum"] == "idle")
+        stratum_of = {s.name: s for s in strata}
+        for index, subject in enumerate(subjects):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=spec.seed, spawn_key=(index,)))
+            expected, rate, spread = draw_subject_where(
+                rng, stratum_of[subject.covariates["stratum"]], spec.minutes)
+            assert subject.readings.tobytes() == expected.tobytes()
+            assert subject.covariates["inactivity_rate"] == rate
+            assert subject.covariates["intensity_spread"] == spread
+
+    def test_subjects_share_one_read_only_grid(self):
+        subjects, _ = simulate_population(single_stratum_spec(size=6, minutes=30))
+        grid = subjects[0].timestamps
+        assert all(s.timestamps is grid for s in subjects)
+        assert grid.tolist() == list(range(30))
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            subjects[-1].timestamps[:] = 0.0
+        sample = draw_sample(subjects, StratifiedDesign({"all": 0.5}), seed=0)
+        assert all(s.timestamps is grid for s in sample)
+
+    def test_each_population_has_its_own_grid(self):
+        a, _ = simulate_population(single_stratum_spec(size=2, seed=1))
+        b, _ = simulate_population(single_stratum_spec(size=2, seed=1))
+        assert a[0].timestamps is not b[0].timestamps
+        assert a[0].timestamps.tobytes() == b[0].timestamps.tobytes()
 
 
 class TestDesigns:

@@ -17,7 +17,7 @@ from actidist.datagen import (
     spread_response_spec,
     two_cluster_spec,
 )
-from actidist.distribution import QuantileGrid
+from actidist.distribution import ActivitySeries, QuantileGrid
 from actidist.regression import (
     SurveySample,
     krr_fit,
@@ -25,7 +25,7 @@ from actidist.regression import (
     load_model,
     save_model,
 )
-from oracles import read_subject_readings_csv
+from oracles import read_subject_readings_csv, write_readings_rows
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -57,6 +57,41 @@ class TestReaders:
         assert series[0].survey_weight == 2.0
         assert series[0].covariates == {"age": 70, "mortality": 0}
         assert series[1].readings.tolist() == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("chunk_rows", [1 << 14, 3])
+    def test_in_order_series_share_the_readers_arrays(self, tmp_path, monkeypatch,
+                                                      chunk_rows):
+        monkeypatch.setattr(io, "_READ_CHUNK_ROWS", chunk_rows)
+        readings, subjects = default_toy(tmp_path)
+        read = io.read_readings_csv(readings)
+        monkeypatch.setattr(io, "read_readings_csv", lambda path: read)
+        series = io.load_series(readings, subjects)
+        for s in series:
+            t, counts = read[s.subject_id]
+            assert np.shares_memory(s.timestamps, t)
+            assert np.shares_memory(s.readings, counts)
+
+    def test_out_of_order_rows_are_sorted(self, tmp_path):
+        readings, subjects = write_toy_inputs(
+            tmp_path,
+            rows=["a,2,5", "b,1,7", "a,0,1", "b,0,6", "a,1,3", "b,2,8"],
+            subjects_rows=["a,2.0,70,0", "b,1.0,80,1"])
+        read = io.read_readings_csv(readings)
+        series = io.load_series(readings, subjects)
+        assert [s.timestamps.tolist() for s in series] == [[0, 1, 2]] * 2
+        assert [s.readings.tolist() for s in series] == [[1, 3, 5], [6, 7, 8]]
+        # the reader's arrays stay in file order
+        assert read["a"][0].tolist() == [2, 0, 1]
+
+    @pytest.mark.parametrize("rows", [
+        ["a,0,1", "a,1,2", "a,1,3"],
+        ["a,1,1", "a,0,2", "a,1,3"],
+    ], ids=["in order", "out of order"])
+    def test_duplicate_timestamps_rejected(self, tmp_path, rows):
+        readings, subjects = write_toy_inputs(
+            tmp_path, rows=rows, subjects_rows=["a,1.0,70,0"])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            io.load_series(readings, subjects)
 
     def test_negative_count_reports_line(self, tmp_path):
         readings, subjects = write_toy_inputs(
@@ -596,6 +631,40 @@ SIM_CONFIG = {
     "seed": 3,
     "sample_seed": 4,
 }
+
+
+class TestReadingsWriterGrids:
+    def test_shared_equal_and_signed_grids(self, tmp_path):
+        """A grid shared by object takes the previous subject's strings; an
+        equal grid in another array is matched by bytes, so -0.0 differs."""
+        grid = np.arange(3.0)
+        grid.setflags(write=False)
+        signed = grid.copy()
+        signed[0] = -0.0
+        subjects = [ActivitySeries(sid, t, [1.0, 0.0, 2.5])
+                    for sid, t in [("a", grid), ("b", grid), ("c", grid.copy()),
+                                   ("d", signed), ("e", signed), ("f", grid)]]
+        assert subjects[1].timestamps is subjects[0].timestamps
+        io.write_readings_csv(tmp_path / "block.csv", subjects)
+        write_readings_rows(tmp_path / "rows.csv", subjects)
+        data = (tmp_path / "block.csv").read_bytes()
+        assert data == (tmp_path / "rows.csv").read_bytes()
+        text = data.decode("utf-8")
+        firsts = [line for line in text.splitlines() if line.split(",")[1] in ("0.0", "-0.0")]
+        assert firsts == ["a,0.0,1.0", "b,0.0,1.0", "c,0.0,1.0",
+                          "d,-0.0,1.0", "e,-0.0,1.0", "f,0.0,1.0"]
+
+    def test_simulated_population_and_sample(self, tmp_path):
+        population, _ = simulate_population(two_cluster_spec(8, seed=3, minutes=50))
+        sample = draw_sample(population, StratifiedDesign({"frail": 0.5, "active": 0.5}),
+                             seed=4)
+        io.write_readings_csv(tmp_path / "population.csv", population,
+                              tmp_path / "sample.csv", sample)
+        write_readings_rows(tmp_path / "population_rows.csv", population)
+        write_readings_rows(tmp_path / "sample_rows.csv", sample)
+        for name in ("population", "sample"):
+            assert ((tmp_path / f"{name}.csv").read_bytes()
+                    == (tmp_path / f"{name}_rows.csv").read_bytes())
 
 
 class TestSimulate:

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from actidist import geometry
+from actidist import geometry, io
 from actidist.distribution import QuantileGrid
 from actidist.evaluation import DEFAULT_LAMBDA_GRID
 from actidist.regression import (
@@ -131,6 +131,64 @@ class TestSurveySample:
                      lambda: sample.distances_to(np.array(bad_row))):
             with pytest.raises(ValueError, match=str(grid_error.value)):
                 call()
+
+    def test_with_responses_shares_the_predictors(self, monkeypatch):
+        s = grid_sample(np.random.default_rng(34), 6)
+        calls = []
+        monkeypatch.setattr("actidist.regression.check_quantile_rows",
+                            lambda values: calls.append(values))
+        y = np.arange(6.0)
+        t = s.with_responses(y)
+        assert t.predictors is s.predictors
+        assert t.weights is s.weights and t.kind == s.kind
+        assert t.responses.tolist() == y.tolist()
+        assert s.responses.tolist() != y.tolist()
+        assert calls == []
+
+    @pytest.mark.parametrize("y, message", [
+        (np.zeros(5), "aligned 1-d"),
+        (np.zeros((6, 1)), "aligned 1-d"),
+        (np.zeros((1, 6)), "aligned 1-d"),
+        ([0.0, 1.0, np.nan, 0.0, 1.0, 2.0], "responses must be finite"),
+        ([0.0, 1.0, 2.0, 3.0, 4.0, -np.inf], "responses must be finite"),
+        (["a"] * 6, "could not convert"),
+    ])
+    def test_with_responses_rejects_bad_responses(self, y, message):
+        s = grid_sample(np.random.default_rng(35), 6)
+        with pytest.raises(ValueError, match=message):
+            s.with_responses(y)
+
+    def test_frozen_matrix_shared_other_input_copied(self, tmp_path):
+        x = np.array([[0.0, 1.0, 2.0], [1.0, 2.0, 4.0], [0.5, 3.0, 3.0]])
+        y = np.array([0.0, 1.0, 2.0])
+        copied = SurveySample(x, y).predictors
+        assert not np.shares_memory(copied, x)
+        assert x.flags.writeable and not copied.flags.writeable
+        x[0, 0] = 0.25
+        assert copied[0, 0] == 0.0
+
+        frozen = x.copy()
+        frozen.setflags(write=False)
+        assert SurveySample(frozen, y).predictors is frozen
+        # a read-only view can be written through its base; a float32 or a
+        # grid list is converted
+        for other in (x[:], frozen[:], frozen.astype(np.float32), list(frozen)):
+            if isinstance(other, np.ndarray) and other.dtype == float:
+                other.setflags(write=False)
+            assert SurveySample(other, y).predictors is not other
+
+        io.write_quantile_csv(tmp_path / "q.csv", ["a", "b", "c"], frozen)
+        for ids, matrix in (io.read_quantile_csv(tmp_path / "q.csv"),
+                            io._read_quantile_rows(tmp_path / "q.csv")):
+            assert matrix.base is None and not matrix.flags.writeable
+            assert SurveySample(matrix, y).predictors is matrix
+
+    def test_models_of_one_predictor_set_share_the_matrix(self):
+        base = grid_sample(np.random.default_rng(36), 6)
+        rng = np.random.default_rng(37)
+        models = [krr_fit(base.with_responses(rng.normal(size=6)), lam=0.2, sigma=20.0)
+                  for _ in range(3)]
+        assert all(m.training_matrix is base.predictors for m in models)
 
     def test_binary_detection(self):
         assert SurveySample(np.array([1.0, 2.0]), np.array([0.0, 1.0])).is_binary()
