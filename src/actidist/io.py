@@ -299,9 +299,8 @@ def write_quantile_csv(path, subject_ids, quantiles) -> None:
 
 
 def read_quantile_csv(path):
-    """Read back a quantile table as (subject_ids, float64 (n, m) matrix);
-    the matrix is read-only and owns its data, so a SurveySample shares it.
-    Each row is checked as a QuantileGrid is, and ids are unique.
+    """Read back a quantile table as (subject_ids, read-only float64 (n, m)
+    matrix); each row is checked as a QuantileGrid is, and ids are unique.
 
     numpy's C parser reads the rows in chunks, as in read_readings_csv; when
     it refuses a row, a row fails the check, an id repeats or is longer than
@@ -366,8 +365,7 @@ def _read_quantile_rows(path):
                 check_quantile_rows(rows[-1])
             except ValueError as exc:
                 raise InputValidationError(f"{path}: line {lineno}: {exc}") from exc
-    # a stacked array owns its data, so a SurveySample shares it
-    matrix = np.stack(rows) if rows else np.empty((0, len(header) - 1))
+    matrix = np.array(rows, dtype=float).reshape(len(rows), len(header) - 1)
     matrix.setflags(write=False)
     return ids, matrix
 
@@ -437,16 +435,14 @@ def write_readings_csv(path, subjects, sample_path=None, sample=()) -> None:
     """
     if sample and sample_path is None:
         raise TypeError("sample needs sample_path")
-    last, grid, times = None, None, []
+    grid, times = None, []
 
     def block(s) -> str:
-        nonlocal last, grid, times
-        # the previous subject's array, or its bytes, not values: 0.0 == -0.0,
-        # but they print differently
-        if s.timestamps is not last and s.timestamps.tobytes() != grid:
+        nonlocal grid, times
+        # bytes, not values: 0.0 == -0.0, but they print differently
+        if s.timestamps.tobytes() != grid:
             grid = s.timestamps.tobytes()
             times = [t + "," for t in map(repr, s.timestamps.tolist())]
-        last = s.timestamps
         head = _csv_field(s.subject_id) + ","
         rows = map(str.__add__, times, _reprs(s.readings))
         return head + ("\r\n" + head).join(rows) + "\r\n"

@@ -56,9 +56,7 @@ class SurveySample:
     Predictors are quantile grids (an (n, m) matrix or a list of
     QuantileGrid) or scalars (a 1-d array); responses are continuous, or 0/1
     when the sample is used for classification. The predictors are held as
-    one read-only matrix, (n, m) for grids and (n,) for scalars: a float64
-    array that is read-only and owns its data, as read_quantile_csv returns,
-    is shared, anything else is copied.
+    one read-only matrix, (n, m) for grids and (n,) for scalars.
     """
 
     def __init__(self, predictors, responses, weights=None):
@@ -73,14 +71,7 @@ class SurveySample:
         if not np.all(np.isfinite(weights) & (weights > 0)):
             raise ValueError("weights must be positive and finite")
 
-        # nothing can write a read-only float64 array that owns its data
-        # without copying it, so the sample may share it
-        if (isinstance(predictors, np.ndarray) and predictors.dtype == np.float64
-                and predictors.base is None and not predictors.flags.writeable):
-            matrix = predictors
-        else:
-            matrix = np.array(predictors, dtype=float)
-            matrix.setflags(write=False)
+        matrix = np.array(predictors, dtype=float)
         if matrix.shape[:1] != (n,):
             raise ValueError("predictors and responses must have equal length")
         if matrix.ndim == 2 and matrix.shape[1] > 0:
@@ -90,6 +81,7 @@ class SurveySample:
             self.kind = SCALAR_KIND
         else:
             raise ValueError("predictors must be quantile grids or finite scalars")
+        matrix.setflags(write=False)
         self._matrix = matrix
         # distances and kernel spectra depend only on predictors and weights,
         # so samples made by with_responses share this cache

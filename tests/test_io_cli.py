@@ -635,8 +635,8 @@ SIM_CONFIG = {
 
 class TestReadingsWriterGrids:
     def test_shared_equal_and_signed_grids(self, tmp_path):
-        """A grid shared by object takes the previous subject's strings; an
-        equal grid in another array is matched by bytes, so -0.0 differs."""
+        """A grid byte-equal to the previous subject's, shared or copied,
+        takes its time strings; -0.0 differs by bytes, so it prints apart."""
         grid = np.arange(3.0)
         grid.setflags(write=False)
         signed = grid.copy()
