@@ -42,8 +42,7 @@ def __getattr__(name: str):
 
 
 DEFAULTS = {
-    "build-dist": {"m": 500, "censor_lower": None, "censor_upper": None,
-                   "with_summary": True},
+    "build-dist": {"m": 500, "censor_lower": None, "censor_upper": None},
     # evaluation.DEFAULT_LAMBDA_GRID, written out so that importing the CLI
     # does not import evaluation; a test keeps the two equal
     "regress": {"responses": ["response"],
@@ -105,9 +104,8 @@ def cmd_build_dist(args) -> int:
         mixed = [build_mixed(s, censor=censor, m=int(cfg["m"])) for s in subjects]
         ids = [s.subject_id for s in subjects]
         io.write_quantile_csv(out.path("quantiles.csv"), ids, [mx.quantiles for mx in mixed])
-        if cfg["with_summary"]:
-            tacs = [tac_per_day(s) for s in subjects]
-            io.write_summary_csv(out.path("summary.csv"), ids, mixed, tacs)
+        tacs = [tac_per_day(s) for s in subjects]
+        io.write_summary_csv(out.path("summary.csv"), ids, mixed, tacs)
     except Exception:
         out.cleanup()
         raise
@@ -266,14 +264,32 @@ def cmd_classify(args) -> int:
     return 0
 
 
+_STRATUM_KEYS = {"name", "proportion", "inactivity_range", "intensity", "age_range",
+                 "mortality_rate", "response"}
+_DESIGN_KEYS = {"stratified": {"kind", "fractions"},
+                "poisson": {"kind", "expected_n", "size_covariate"}}
+
+
+def _check_keys(section, known, where: str) -> None:
+    if not isinstance(section, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise ValueError(f"unknown config keys in {where}: {', '.join(unknown)}")
+
+
 def _population_spec_from_config(cfg: dict):
     from . import datagen
 
     pop = cfg.get("population")
     if not isinstance(pop, dict) or "strata" not in pop:
         raise ValueError("config must define population.strata")
+    _check_keys(pop, {"size", "minutes", "strata"}, "population")
     strata = []
-    for entry in pop["strata"]:
+    for k, entry in enumerate(pop["strata"]):
+        where = f"population.strata[{k}]"
+        _check_keys(entry, _STRATUM_KEYS, where)
+        _check_keys(entry["intensity"], {"kind", "params"}, f"{where}.intensity")
         intensity = datagen.IntensityLaw(entry["intensity"]["kind"],
                                          tuple(entry["intensity"]["params"]))
         response = None
@@ -302,14 +318,15 @@ def _design_from_config(cfg: dict):
     design = cfg.get("design")
     if not isinstance(design, dict) or "kind" not in design:
         raise ValueError("config must define design.kind")
+    if design["kind"] not in _DESIGN_KEYS:
+        raise ValueError(f"unknown design kind {design['kind']!r}")
+    _check_keys(design, _DESIGN_KEYS[design["kind"]], f"{design['kind']} design")
     if design["kind"] == "stratified":
         return datagen.StratifiedDesign(fractions=dict(design["fractions"]))
-    if design["kind"] == "poisson":
-        return datagen.PoissonDesign(
-            expected_n=int(design["expected_n"]),
-            size_covariate=design.get("size_covariate"),
-        )
-    raise ValueError(f"unknown design kind {design['kind']!r}")
+    return datagen.PoissonDesign(
+        expected_n=int(design["expected_n"]),
+        size_covariate=design.get("size_covariate"),
+    )
 
 
 def cmd_simulate(args) -> int:

@@ -25,7 +25,7 @@ from .regression import (
     nw_loo,
     nw_select_bandwidth,
 )
-from .survey import median_heuristic_sigma_from_matrix, weighted_r2
+from .survey import check_weights, median_heuristic_sigma_from_matrix, weighted_r2
 
 DEFAULT_LAMBDA_GRID = np.logspace(-4, 2, 13)
 
@@ -147,11 +147,15 @@ def weighted_auc(probabilities, actual, weights) -> float:
     """
     p = np.asarray(probabilities, dtype=float)
     y = np.asarray(actual, dtype=float)
-    w = np.asarray(weights, dtype=float)
+    if p.ndim != 1 or y.shape != p.shape or not np.all(np.isfinite(p)):
+        raise ValueError("probabilities must be finite, one per label")
+    w = check_weights(weights, p.size)
     pos, neg = y == 1, y == 0
-    w_pos, w_neg = w[pos], w[neg]
-    if w_pos.size == 0 or w_neg.size == 0:
+    if not pos.any() or not neg.any():
         return float("nan")
+    # an exact power-of-two scale per class: no pair weight overflows, and
+    # the heaviest pair stays positive
+    w_pos, w_neg = (np.ldexp(v, -np.frexp(v.max())[1]) for v in (w[pos], w[neg]))
     diff = p[pos][:, None] - p[neg][None, :]
     wins = np.where(diff > 0, 1.0, np.where(diff == 0, 0.5, 0.0))
     pair_w = w_pos[:, None] * w_neg[None, :]
@@ -246,7 +250,7 @@ def group_profiles(grids, weights, group_labels, groups=None) -> dict:
     labels = list(group_labels)
     if len(labels) != len(x):
         raise ValueError("labels must match grids")
-    w = np.asarray(weights, dtype=float)
+    w = check_weights(weights, len(x))
     if groups is None:
         groups = sorted(set(labels))
     out = {}

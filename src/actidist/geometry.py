@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import QuantileGrid
+from .survey import check_weights
 
 
 @dataclass(frozen=True)
@@ -41,13 +42,7 @@ def _cohort(x, scalars: bool = False) -> np.ndarray:
 
 
 def _normalized_weights(weights, n: int) -> np.ndarray:
-    if weights is None:
-        return np.full(n, 1.0 / n)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (n,):
-        raise ValueError("weights must match the number of grids")
-    if np.any(w <= 0):
-        raise ValueError("weights must be positive")
+    w = check_weights(weights, n)
     return w / w.sum()
 
 
@@ -108,42 +103,35 @@ def frechet_mean(grids, weights=None) -> QuantileGrid:
     return QuantileGrid(values=w @ values)
 
 
-def frechet_variance(grids, mean: QuantileGrid, weights=None) -> float:
-    """Dispersion around the Frechet mean in squared Wasserstein distance.
-
-    Unweighted cohorts use the small-sample 1/(n-1) divisor; weighted cohorts
-    average the squared distances with normalized weights.
-    """
-    values = _cohort(grids)
-    n = values.shape[0]
-    if mean.m != values.shape[1]:
-        raise ValueError("grid mismatch")
-    sq_dist = np.mean((values - mean.values) ** 2, axis=1)
-    if weights is None:
-        if n < 2:
-            raise ValueError("variance undefined")
-        return float(sq_dist.sum() / (n - 1))
-    w = _normalized_weights(weights, n)
-    return float(w @ sq_dist)
-
-
-def pointwise_sd_curve(grids, mean: QuantileGrid, weights=None) -> np.ndarray:
-    """Per-grid-point (weighted) standard deviation of quantile values.
-
-    The midpoint-rule integral of the squared curve over t equals the Frechet
-    variance computed with the same divisor.
-    """
+def _sq_deviation_curve(grids, mean: QuantileGrid, weights) -> np.ndarray:
+    """Per-grid-point mean squared deviation from `mean`: with normalized
+    weights, or with the 1/(n-1) divisor for an unweighted cohort."""
     values = _cohort(grids)
     n = values.shape[0]
     if mean.m != values.shape[1]:
         raise ValueError("grid mismatch")
     sq = (values - mean.values) ** 2
-    if weights is None:
-        if n < 2:
-            raise ValueError("variance undefined")
-        return np.sqrt(sq.sum(axis=0) / (n - 1))
-    w = _normalized_weights(weights, n)
-    return np.sqrt(w @ sq)
+    if weights is not None:
+        return _normalized_weights(weights, n) @ sq
+    if n < 2:
+        raise ValueError("variance undefined")
+    return sq.sum(axis=0) / (n - 1)
+
+
+def frechet_variance(grids, mean: QuantileGrid, weights=None) -> float:
+    """Dispersion around the Frechet mean in squared Wasserstein distance.
+
+    Unweighted cohorts use the small-sample 1/(n-1) divisor; weighted cohorts
+    average the squared distances with normalized weights. It is the
+    midpoint-rule integral over t of the squared pointwise sd curve.
+    """
+    return float(np.mean(_sq_deviation_curve(grids, mean, weights)))
+
+
+def pointwise_sd_curve(grids, mean: QuantileGrid, weights=None) -> np.ndarray:
+    """Per-grid-point (weighted) standard deviation of quantile values, with
+    the divisor of frechet_variance."""
+    return np.sqrt(_sq_deviation_curve(grids, mean, weights))
 
 
 def summarize(grids, weights=None) -> FrechetSummary:
@@ -156,10 +144,10 @@ def summarize(grids, weights=None) -> FrechetSummary:
     values = _cohort(grids)
     mean = frechet_mean(values, weights)
     if weights is None and len(values) < 2:
-        variance, sd = 0.0, np.zeros(mean.m)
+        curve = np.zeros(mean.m)
         warnings.warn("single-grid cohort; variance set to 0", stacklevel=2)
     else:
-        variance = frechet_variance(values, mean, weights)
-        sd = pointwise_sd_curve(values, mean, weights)
+        curve = _sq_deviation_curve(values, mean, weights)
     total = float(len(values)) if weights is None else float(np.sum(weights))
-    return FrechetSummary(mean=mean, variance=variance, pointwise_sd=sd, total_weight=total)
+    return FrechetSummary(mean=mean, variance=float(np.mean(curve)),
+                          pointwise_sd=np.sqrt(curve), total_weight=total)

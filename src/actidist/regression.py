@@ -24,7 +24,7 @@ import numpy as np
 
 from . import geometry
 from .distribution import check_quantile_rows
-from .survey import median_heuristic_sigma_from_matrix
+from .survey import check_weights, median_heuristic_sigma_from_matrix
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -64,12 +64,9 @@ class SurveySample:
         n = responses.size
         if n < 1:
             raise ValueError("empty sample")
-        weights = np.ones(n) if weights is None else np.array(weights, dtype=float)
-        weights.setflags(write=False)
-        self.weights = weights
+        self.weights = check_weights(weights, n)
+        self.weights.setflags(write=False)
         self.responses = self._checked(responses)
-        if not np.all(np.isfinite(weights) & (weights > 0)):
-            raise ValueError("weights must be positive and finite")
 
         matrix = np.array(predictors, dtype=float)
         if matrix.shape[:1] != (n,):
@@ -90,7 +87,7 @@ class SurveySample:
     def _checked(self, responses) -> np.ndarray:
         responses = np.asarray(responses, dtype=float)
         if responses.ndim != 1 or responses.shape != self.weights.shape:
-            raise ValueError("responses and weights must be aligned 1-d arrays")
+            raise ValueError("responses must be an aligned 1-d array, one value per weight")
         if not np.all(np.isfinite(responses)):
             raise ValueError("responses must be finite")
         return responses

@@ -10,20 +10,27 @@ from __future__ import annotations
 import numpy as np
 
 
+def check_weights(weights, n: int) -> np.ndarray:
+    """The one survey-weight rule of the package: None means n unit weights;
+    otherwise n positive finite weights with a finite sum, as a new array."""
+    if weights is None:
+        return np.ones(n)
+    w = np.array(weights, dtype=float)
+    if w.shape != (n,):
+        raise ValueError(f"weights must be one per unit: expected {n}, got shape {w.shape}")
+    with np.errstate(over="ignore"):
+        if not (np.all(np.isfinite(w) & (w > 0)) and np.isfinite(w.sum())):
+            raise ValueError("weights must be positive and finite")
+    return w
+
+
 def _check_sample(values, weights) -> tuple[np.ndarray, np.ndarray]:
     v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        raise ValueError("empty sample")
-    if weights is None:
-        w = np.ones_like(v)
-    else:
-        w = np.asarray(weights, dtype=float)
-    if w.shape != v.shape:
-        raise ValueError("values and weights must have equal length")
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError("values must be a nonempty 1-d array")
+    w = check_weights(weights, v.size)
     if not np.all(np.isfinite(v)):
         raise ValueError("values must be finite")
-    if not np.all(np.isfinite(w) & (w > 0)):
-        raise ValueError("weights must be positive and finite")
     return v, w
 
 
@@ -40,7 +47,12 @@ def weighted_median(values, weights=None) -> float:
     weights landing on exactly 0.5 keep the same crossing point after the
     weights are rescaled by a common constant.
     """
-    v, w = _check_sample(values, weights)
+    return _weighted_median(*_check_sample(values, weights))
+
+
+def _weighted_median(v: np.ndarray, w: np.ndarray) -> float:
+    """weighted_median of checked values and nonnegative weights with a
+    positive finite sum; zero weights count as absent."""
     order = np.argsort(v, kind="stable")
     v, w = v[order], w[order]
     cdf = np.cumsum(w) / np.sum(w)
@@ -50,25 +62,23 @@ def weighted_median(values, weights=None) -> float:
 
 def median_heuristic_sigma_from_matrix(dist_matrix: np.ndarray, weights=None) -> float:
     """Kernel scale: square root of the weighted median of the squared
-    distances d_ij^2 over pairs i < j, each pair weighted w_i * w_j."""
+    distances d_ij^2 over pairs i < j, each pair weighted w_i * w_j.
+
+    Pair weights are exp(log w_i + log w_j - max): the heaviest is exactly 1,
+    none overflows, one that underflows counts as 0, and equal weights of
+    any size give the unit-weight scale.
+    """
     d = np.asarray(dist_matrix, dtype=float)
     n = d.shape[0]
     if d.shape != (n, n) or n < 2:
         raise ValueError("need a square distance matrix of size >= 2")
+    log_w = np.log(check_weights(weights, n))
     iu, ju = np.triu_indices(n, k=1)
     sq = d[iu, ju] ** 2
     if np.all(sq == 0):
         raise ValueError("degenerate predictor set")
-    if weights is None:
-        pair_w = np.ones(sq.size)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (n,):
-            raise ValueError("weights must match the matrix")
-        if np.any(w <= 0):
-            raise ValueError("weights must be positive")
-        pair_w = w[iu] * w[ju]
-    return float(np.sqrt(weighted_median(sq, pair_w)))
+    log_pair = log_w[iu] + log_w[ju]
+    return float(np.sqrt(_weighted_median(sq, np.exp(log_pair - log_pair.max()))))
 
 
 def weighted_r2(y, yhat_loo, weights=None) -> float:

@@ -293,6 +293,16 @@ class TestBuildDist:
         assert rc == 2
         assert "subjects.csv: line 3: field larger than field limit" in capsys.readouterr().err
 
+    def test_with_summary_is_an_unknown_config_key(self, tmp_path, capsys):
+        readings, subjects = default_toy(tmp_path)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"with_summary": False}))
+        rc = main(["build-dist", "--input", str(readings), "--subjects",
+                   str(subjects), "--out", str(tmp_path / "out"), "--config", str(config)])
+        assert rc == 2
+        assert "unknown build-dist config keys: with_summary" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*"))
+
     def test_unreadable_input_exits_1(self, tmp_path):
         rc = main(["build-dist", "--input", str(tmp_path / "nope.csv"),
                    "--subjects", str(tmp_path / "nope2.csv"),
@@ -709,6 +719,32 @@ class TestSimulate:
         config.write_text(json.dumps(bad))
         rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: c["population"].update(minuts=10080),
+         "unknown config keys in population: minuts"),
+        (lambda c: c["population"]["strata"][1].update(mortality_rte=0.9),
+         "unknown config keys in population.strata[1]: mortality_rte"),
+        (lambda c: c["population"]["strata"][0]["intensity"].update(parms=[1.0]),
+         "unknown config keys in population.strata[0].intensity: parms"),
+        (lambda c: c.update(design={"kind": "poisson", "expected_n": 20,
+                                    "size_covarite": "age"}),
+         "unknown config keys in poisson design: size_covarite"),
+        (lambda c: c["design"].update(expected_n=20),
+         "unknown config keys in stratified design: expected_n"),
+        (lambda c: c["population"]["strata"].append("c"),
+         "population.strata[2] must be a JSON object"),
+    ], ids=["population", "stratum", "intensity", "poisson_design",
+            "stratified_design", "non_object_stratum"])
+    def test_misspelled_nested_key_exits_2(self, tmp_path, capsys, edit, message):
+        cfg = json.loads(json.dumps(SIM_CONFIG))
+        edit(cfg)
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_ground_truth_contents(self, tmp_path):
         config = tmp_path / "sim.json"

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
+from actidist.distribution import QuantileGrid
+from actidist.evaluation import group_profiles, weighted_auc
+from actidist.geometry import frechet_mean, frechet_variance, pointwise_sd_curve, summarize
+from actidist.regression import SurveySample
 from actidist.survey import (
+    check_weights,
     ht_mean,
     median_heuristic_sigma_from_matrix,
     weighted_median,
@@ -161,3 +166,84 @@ class TestDuplicateSplit:
         v_split = np.array([1.0, 2.0, 3.0, 3.0])
         w_split = np.array([2.0, 2.0, 2.0, 2.0])
         assert weighted_median(v_split, w_split) == weighted_median(v, w)
+
+
+GRIDS = np.array([[0.0, 1.0, 2.0], [1.0, 1.0, 3.0], [0.0, 2.0, 5.0]])
+POINTS = np.array([0.0, 1.0, 3.0])
+
+# every weighted entry point, called on a three-unit sample with weights w
+WEIGHTED_ENTRY_POINTS = {
+    "ht_mean": lambda w: ht_mean(POINTS, w),
+    "weighted_median": lambda w: weighted_median(POINTS, w),
+    "weighted_r2": lambda w: weighted_r2(POINTS, POINTS[::-1], w),
+    "median_heuristic_sigma_from_matrix": lambda w: median_heuristic_sigma_from_matrix(
+        np.abs(POINTS[:, None] - POINTS[None, :]), w),
+    "frechet_mean": lambda w: frechet_mean(GRIDS, w),
+    "frechet_variance": lambda w: frechet_variance(GRIDS, QuantileGrid(GRIDS[0]), w),
+    "pointwise_sd_curve": lambda w: pointwise_sd_curve(GRIDS, QuantileGrid(GRIDS[0]), w),
+    "summarize": lambda w: summarize(GRIDS, w),
+    "group_profiles": lambda w: group_profiles(GRIDS, w, ["a", "b", "a"]),
+    "SurveySample": lambda w: SurveySample(GRIDS, POINTS, w),
+    "weighted_auc": lambda w: weighted_auc([0.9, 0.2, 0.4], [1, 0, 1], w),
+}
+
+BAD_WEIGHTS = {
+    "nan": [1.0, np.nan, 1.0],
+    "inf": [1.0, np.inf, 1.0],
+    "zero": [1.0, 0.0, 1.0],
+    "negative": [1.0, -1.0, 1.0],
+    "wrong_length": [1.0, 1.0],
+    "overflowing_sum": [1e308, 1e308, 1.0],
+}
+
+
+class TestWeightRule:
+    @pytest.mark.parametrize("bad", BAD_WEIGHTS.values(), ids=BAD_WEIGHTS.keys())
+    @pytest.mark.parametrize("call", WEIGHTED_ENTRY_POINTS.values(),
+                             ids=WEIGHTED_ENTRY_POINTS.keys())
+    def test_bad_weights_rejected(self, call, bad):
+        with pytest.raises(ValueError, match="weights must"):
+            call(bad)
+
+    def test_check_weights(self):
+        assert check_weights(None, 3).tolist() == [1.0, 1.0, 1.0]
+        w = np.array([2.0, 3.0])
+        checked = check_weights(w, 2)
+        assert checked.tolist() == [2.0, 3.0] and checked is not w
+        assert check_weights([1e-320, 1e300], 2).tolist() == [1e-320, 1e300]
+
+
+class TestHeuristicWeightRange:
+    def distances(self, n=9):
+        x = np.random.default_rng(11).normal(size=n)
+        return np.abs(x[:, None] - x[None, :])
+
+    @pytest.mark.parametrize("c", [1e-170, 1e170])
+    def test_equal_weights_of_any_size_give_unit_sigma(self, c):
+        d = self.distances()
+        assert (median_heuristic_sigma_from_matrix(d, [c] * 9)
+                == median_heuristic_sigma_from_matrix(d))
+
+    def test_weights_spanning_200_decades(self):
+        sigma = median_heuristic_sigma_from_matrix(self.distances(),
+                                                   np.logspace(-200, 0, 9))
+        assert np.isfinite(sigma) and sigma > 0
+
+    def test_one_dominant_weight_keeps_its_pairs(self):
+        # every pair weight but those of unit 0 underflows: sigma is the
+        # unit-weight median over unit 0's pairs
+        d = self.distances()
+        w = [1e300] + [1e-30] * 8
+        expected = np.sqrt(weighted_median(d[0, 1:] ** 2))
+        assert median_heuristic_sigma_from_matrix(d, w) == expected
+
+
+class TestWeightedAucWeightRange:
+    @pytest.mark.parametrize("c", [1e-170, 1e200])
+    def test_equal_weights_of_any_size(self, c):
+        p, y = [0.9, 0.2, 0.4, 0.4], [1, 0, 1, 0]
+        assert weighted_auc(p, y, [c] * 4) == weighted_auc(p, y, [1.0] * 4) == 0.875
+
+    def test_non_finite_probabilities_rejected(self):
+        with pytest.raises(ValueError, match="probabilities must be finite"):
+            weighted_auc([0.9, np.nan], [1, 0], [1.0, 1.0])
