@@ -40,7 +40,7 @@ print(f"  total activity count per day {tac_per_day(subject):,.0f}")
 
 # The full mixed distribution on a 500-point quantile grid. Levels below the
 # inactivity probability sit exactly at the atom.
-mixed = build_mixed(subject, m=500, with_density=True)
+mixed = build_mixed(subject, m=500)
 q = mixed.quantiles
 print(f"\nmixed distribution: p_inactive = {mixed.p_inactive:.3f}, "
       f"atom at {mixed.atom_value}")

@@ -42,7 +42,6 @@ _EXPORTS = {
     ),
     "regression": (
         "KrrModel",
-        "NwConfig",
         "SurveySample",
         "distance_quantile_grid",
         "gaussian_kernel",

@@ -56,7 +56,8 @@ DEFAULTS = {
 
 
 class _RunOutputs:
-    """Tracks files written during one run so failures leave no partial output."""
+    """Tracks the files one run writes; an exception that leaves its with
+    block deletes them, so failures leave no partial output."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
@@ -68,9 +69,13 @@ class _RunOutputs:
         self.created.append(p)
         return p
 
-    def cleanup(self) -> None:
-        for p in self.created:
-            p.unlink(missing_ok=True)
+    def __enter__(self) -> "_RunOutputs":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            for p in self.created:
+                p.unlink(missing_ok=True)
 
 
 def _merged(args, command: str) -> dict:
@@ -99,16 +104,12 @@ def cmd_build_dist(args) -> int:
     cfg = _merged(args, "build-dist")
     censor = _censor(cfg)
     subjects = io.load_series(args.input, args.subjects)
-    out = _RunOutputs(Path(args.out))
-    try:
+    with _RunOutputs(Path(args.out)) as out:
         mixed = [build_mixed(s, censor=censor, m=int(cfg["m"])) for s in subjects]
         ids = [s.subject_id for s in subjects]
         io.write_quantile_csv(out.path("quantiles.csv"), ids, [mx.quantiles for mx in mixed])
         tacs = [tac_per_day(s) for s in subjects]
         io.write_summary_csv(out.path("summary.csv"), ids, mixed, tacs)
-    except Exception:
-        out.cleanup()
-        raise
     return 0
 
 
@@ -177,8 +178,7 @@ def cmd_regress(args) -> int:
     dist_base = SurveySample(x, np.zeros(len(ids)), weights)
     tac_base = SurveySample(tac, np.zeros(len(ids)), weights)
 
-    out = _RunOutputs(Path(args.out))
-    try:
+    with _RunOutputs(Path(args.out)) as out:
         report_rows, models = [], []
         for name in responses:
             y = _numeric_column(ids, covariates, name, "response")
@@ -203,9 +203,6 @@ def cmd_regress(args) -> int:
              "lambda_tac", "sigma_distribution", "sigma_tac"],
             report_rows,
         )
-    except Exception:
-        out.cleanup()
-        raise
     return 0
 
 
@@ -233,8 +230,7 @@ def cmd_classify(args) -> int:
     risk = assign_risk_groups(outcome)
     labels = list(risk) if strata is None else [f"{r}/{s}" for r, s in zip(risk, strata)]
 
-    out = _RunOutputs(Path(args.out))
-    try:
+    with _RunOutputs(Path(args.out)) as out:
         io.write_rows(
             out.path("predictions.csv"),
             ["subject_id", "probability", "predicted_label", "actual_label",
@@ -258,9 +254,6 @@ def cmd_classify(args) -> int:
                        zip(ids, risk))
         profiles = group_profiles(x, weights, labels)
         io.write_frechet_summary_csv(out.path("group_profiles.csv"), profiles)
-    except Exception:
-        out.cleanup()
-        raise
     return 0
 
 
@@ -340,17 +333,13 @@ def cmd_simulate(args) -> int:
     pi = datagen.inclusion_probabilities(population, design)
     sample = datagen.draw_sample(population, design, seed=int(cfg["sample_seed"]))
 
-    out = _RunOutputs(Path(args.out))
-    try:
+    with _RunOutputs(Path(args.out)) as out:
         # one pass formats each population subject once for both files
         io.write_readings_csv(out.path("population_readings.csv"), population,
                               out.path("sample_readings.csv"), sample)
         io.write_subjects_csv(out.path("population_subjects.csv"), population)
         io.write_subjects_csv(out.path("sample_subjects.csv"), sample)
         io.write_ground_truth_csv(out.path("ground_truth.csv"), truth, population, pi)
-    except Exception:
-        out.cleanup()
-        raise
     return 0
 
 
@@ -360,13 +349,9 @@ def cmd_predict(args) -> int:
     model = load_model(args.model)
     ids, x = io.read_quantile_csv(args.input)
     preds = krr_predict_batch(model, x)
-    out = _RunOutputs(Path(args.out))
-    try:
+    with _RunOutputs(Path(args.out)) as out:
         io.write_rows(out.path("predictions.csv"), ["subject_id", "prediction"],
                        zip(ids, preds))
-    except Exception:
-        out.cleanup()
-        raise
     return 0
 
 

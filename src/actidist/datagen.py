@@ -228,6 +228,12 @@ def _stratum_indices(population) -> dict:
     return groups
 
 
+def _stratum_take(design: StratifiedDesign, name, n_s: int) -> int:
+    """Units a stratified design draws from stratum `name` of n_s units;
+    pi and draw_sample both use it, so the draw matches the probabilities."""
+    return max(1, round(design.fractions[name] * n_s))
+
+
 def inclusion_probabilities(population, design) -> np.ndarray:
     """Per-unit inclusion probability pi_i implied by the design."""
     n = len(population)
@@ -238,9 +244,7 @@ def inclusion_probabilities(population, design) -> np.ndarray:
         if missing:
             raise ValueError(f"design omits strata: {sorted(missing)}")
         for name, idx in groups.items():
-            n_s = len(idx)
-            take = max(1, round(design.fractions[name] * n_s))
-            pi[idx] = take / n_s
+            pi[idx] = _stratum_take(design, name, len(idx)) / len(idx)
         return pi
     if isinstance(design, PoissonDesign):
         if design.size_covariate is None:
@@ -269,9 +273,8 @@ def draw_sample(population, design, seed: int):
     if isinstance(design, StratifiedDesign):
         selected = []
         for name, idx in sorted(_stratum_indices(population).items()):
-            n_s = len(idx)
-            take = max(1, round(design.fractions[name] * n_s))
-            chosen = rng.choice(n_s, size=take, replace=False)
+            chosen = rng.choice(len(idx), size=_stratum_take(design, name, len(idx)),
+                                replace=False)
             selected.extend(idx[int(c)] for c in chosen)
         selected = sorted(selected)
     else:

@@ -52,8 +52,8 @@ class ActivitySeries:
             raise ValueError("timestamps must be finite")
         if timestamps.size > 1 and np.any(np.diff(timestamps) <= 0):
             raise ValueError("timestamps must be strictly increasing")
-        if not self.survey_weight > 0:
-            raise ValueError("survey_weight must be positive")
+        if not (np.isfinite(self.survey_weight) and self.survey_weight > 0):
+            raise ValueError("survey_weight must be positive and finite")
 
     @property
     def n_obs(self) -> int:
@@ -168,7 +168,6 @@ class MixedDistribution:
     p_inactive: float
     quantiles: QuantileGrid
     atom_value: float = 0.0
-    active_density: DensityCurve | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.p_inactive <= 1.0:
@@ -298,27 +297,17 @@ def build_mixed(
     series: ActivitySeries,
     censor: CensorSpec = NO_CENSOR,
     m: int = DEFAULT_GRID_SIZE,
-    with_density: bool = False,
 ) -> MixedDistribution:
     """Two-step construction: inactivity proportion, then censored quantiles.
 
     The quantile grid covers the full mixed distribution, so every level
-    below p_inactive sits at the atom value. The optional density curve is
-    only built when at least one active reading exists.
+    below p_inactive sits at the atom value. kde_active gives the density
+    of the active part.
     """
-    p_inactive = inactive_proportion(series, censor)
-    censored = censor_series(series, censor)
-    quantiles = empirical_quantiles(censored, m)
-
-    density = None
-    if with_density and p_inactive < 1.0:
-        density = kde_active(series, censor)
-
     return MixedDistribution(
-        p_inactive=p_inactive,
-        quantiles=quantiles,
+        p_inactive=inactive_proportion(series, censor),
+        quantiles=empirical_quantiles(censor_series(series, censor), m),
         atom_value=censor.atom_value,
-        active_density=density,
     )
 
 

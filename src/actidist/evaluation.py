@@ -3,7 +3,6 @@ classification, risk grouping, and stratified Frechet profiles."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,6 @@ from .distribution import (
     tac_per_day,
 )
 from .regression import (
-    NwConfig,
     SurveySample,
     distance_quantile_grid,
     krr_loo,
@@ -162,11 +160,11 @@ def weighted_auc(probabilities, actual, weights) -> float:
     return float((wins * pair_w).sum() / pair_w.sum())
 
 
-def classify_mortality(sample: SurveySample, cfg: NwConfig | None = None,
+def classify_mortality(sample: SurveySample, bandwidth: float | None = None,
                        threshold: float = 0.5) -> ClassificationOutcome:
     """Leave-one-out mortality probabilities from the survey smoother.
 
-    With no explicit configuration the bandwidth is selected by weighted
+    With no explicit bandwidth one is selected by weighted
     leave-one-out error over the pairwise-distance quantile grid. A subject
     is predicted deceased when its probability reaches the threshold.
     """
@@ -174,11 +172,10 @@ def classify_mortality(sample: SurveySample, cfg: NwConfig | None = None,
         raise ValueError("responses must be 0/1 for classification")
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
-    if cfg is None:
-        h = nw_select_bandwidth(sample, distance_quantile_grid(sample))
-        cfg = NwConfig(bandwidth=h)
+    if bandwidth is None:
+        bandwidth = nw_select_bandwidth(sample, distance_quantile_grid(sample))
 
-    probs = nw_loo(sample, cfg)
+    probs = nw_loo(sample, bandwidth)
     classified = np.isfinite(probs)
     predicted = np.where(classified & (probs >= threshold), 1, 0)
     actual = sample.responses.astype(int)
@@ -193,7 +190,7 @@ def classify_mortality(sample: SurveySample, cfg: NwConfig | None = None,
 
     return ClassificationOutcome(
         probabilities=probs, predicted=predicted, actual=actual, weights=w,
-        classified=classified, threshold=threshold, bandwidth=cfg.bandwidth,
+        classified=classified, threshold=threshold, bandwidth=float(bandwidth),
         tp=tp, fp=fp, tn=tn, fn=fn, auc=auc,
     )
 
@@ -239,25 +236,17 @@ def stratify_age(ages, breaks=AGE_STRATA) -> list[str]:
     return labels
 
 
-def group_profiles(grids, weights, group_labels, groups=None) -> dict:
+def group_profiles(grids, weights, group_labels) -> dict:
     """Weighted Frechet summary (mean, variance, sd curve) per group of the
-    rows of `grids`, an (n, m) matrix or a list of QuantileGrid.
-
-    Groups listed in `groups` but absent from the labels are skipped with a
-    warning rather than failing the whole report.
-    """
+    rows of `grids`, an (n, m) matrix or a list of QuantileGrid, keyed by
+    the sorted distinct labels."""
     x = np.asarray(grids, dtype=float)
     labels = list(group_labels)
     if len(labels) != len(x):
         raise ValueError("labels must match grids")
     w = check_weights(weights, len(x))
-    if groups is None:
-        groups = sorted(set(labels))
     out = {}
-    for group in groups:
+    for group in sorted(set(labels)):
         mask = np.asarray([lab == group for lab in labels])
-        if not mask.any():
-            warnings.warn(f"empty group {group!r} skipped", stacklevel=2)
-            continue
         out[group] = geometry.summarize(x[mask], w[mask])
     return out

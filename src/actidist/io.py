@@ -30,9 +30,10 @@ def _fmt(x) -> str:
 
 @contextlib.contextmanager
 def _csv_reader(path, reader_type=csv.reader, bad=()):
-    """A csv reader on path that reports a csv.Error (say, a field over
-    csv.field_size_limit()) as InputValidationError with file and line,
-    after the problems the caller has collected in `bad` so far."""
+    """A csv reader on path. When the block ends, the problems the caller
+    has collected in `bad` are raised as one InputValidationError that names
+    the file; a csv.Error (say, a field over csv.field_size_limit()) is
+    reported after them with its line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = reader_type(fh)
         try:
@@ -42,6 +43,8 @@ def _csv_reader(path, reader_type=csv.reader, bad=()):
             line = getattr(reader, "reader", reader).line_num
             problems = [*bad, f"line {line}: {exc}"]
             raise InputValidationError(f"{path}: " + "; ".join(problems)) from exc
+    if bad:
+        raise InputValidationError(f"{path}: " + "; ".join(bad))
 
 
 def write_rows(path, header, rows) -> None:
@@ -171,8 +174,6 @@ def _read_readings_rows(path) -> dict:
                 entry = per_subject[sid] = ([], [])
             entry[0].append(t)
             entry[1].append(count)
-    if bad:
-        raise InputValidationError(f"{path}: " + "; ".join(bad))
     if not per_subject:
         raise InputValidationError(f"{path}: no data rows")
     return {sid: (np.array(t), np.array(count))
@@ -224,8 +225,6 @@ def read_subjects_csv(path) -> dict:
                 if key not in ("subject_id", "survey_weight") and val not in (None, "")
             }
             out[sid] = (weight, covariates)
-    if bad:
-        raise InputValidationError(f"{path}: " + "; ".join(bad))
     return out
 
 
@@ -278,8 +277,6 @@ def read_summary_csv(path) -> dict:
                 bad.append(f"line {lineno}: duplicate subject_id {sid!r}")
                 continue
             out[sid] = (p_inactive, tac)
-    if bad:
-        raise InputValidationError(f"{path}: " + "; ".join(bad))
     return out
 
 

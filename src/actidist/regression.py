@@ -138,20 +138,15 @@ class SurveySample:
         return out
 
 
-@dataclass(frozen=True)
-class NwConfig:
-    """Smoother configuration: the bandwidth of the Gaussian local kernel.
-    The distance follows the predictors: Wasserstein for grids, absolute for
-    scalars."""
-
-    bandwidth: float
-
-    def __post_init__(self):
-        if not self.bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
+def _nw_weights(dist, bandwidth: float, weights: np.ndarray) -> np.ndarray:
+    """Smoother weights kernel(d / h) * w, before normalization; the distance
+    follows the predictors: Wasserstein for grids, absolute for scalars."""
+    if not bandwidth > 0:
+        raise ValueError("bandwidth must be positive")
+    return gaussian_kernel(dist / bandwidth) * weights
 
 
-def nw_predict(sample: SurveySample, cfg: NwConfig, x) -> float:
+def nw_predict(sample: SurveySample, bandwidth: float, x) -> float:
     """Survey-weighted Nadaraya-Watson prediction at a query point.
 
     s_i proportional to kernel(d(X_i, x) / h) * w_i, normalized to sum one.
@@ -159,8 +154,7 @@ def nw_predict(sample: SurveySample, cfg: NwConfig, x) -> float:
     the observed response range so the bound also holds under floating
     point; binary responses therefore yield a probability in [0, 1].
     """
-    d = sample.distances_to(x)
-    k = gaussian_kernel(d / cfg.bandwidth) * sample.weights
+    k = _nw_weights(sample.distances_to(x), bandwidth, sample.weights)
     total = k.sum()
     if not total > 0:
         raise ValueError("empty neighborhood")
@@ -168,7 +162,7 @@ def nw_predict(sample: SurveySample, cfg: NwConfig, x) -> float:
     return float(np.clip(pred, sample.responses.min(), sample.responses.max()))
 
 
-def nw_loo(sample: SurveySample, cfg: NwConfig) -> np.ndarray:
+def nw_loo(sample: SurveySample, bandwidth: float) -> np.ndarray:
     """Leave-one-out smoother predictions at every training point.
 
     Entry i is the prediction at X_i with observation i removed. Points
@@ -177,7 +171,7 @@ def nw_loo(sample: SurveySample, cfg: NwConfig) -> np.ndarray:
     """
     if sample.n < 2:
         raise ValueError("need at least two observations")
-    k = gaussian_kernel(sample.distance_matrix() / cfg.bandwidth) * sample.weights
+    k = _nw_weights(sample.distance_matrix(), bandwidth, sample.weights)
     np.fill_diagonal(k, 0.0)
     totals = k.sum(axis=1)
     y = sample.responses
@@ -201,7 +195,7 @@ def nw_select_bandwidth(sample: SurveySample, h_grid) -> float:
         raise ValueError("bandwidths must be positive")
     best_h, best_err = None, np.inf
     for h in h_grid:
-        preds = nw_loo(sample, NwConfig(bandwidth=float(h)))
+        preds = nw_loo(sample, float(h))
         if np.any(~np.isfinite(preds)):
             continue
         err = float(np.sum(sample.weights * (sample.responses - preds) ** 2))
@@ -212,17 +206,16 @@ def nw_select_bandwidth(sample: SurveySample, h_grid) -> float:
     return best_h
 
 
-def distance_quantile_grid(sample: SurveySample, probs=None) -> np.ndarray:
-    """Default bandwidth grid: quantiles of the positive pairwise distances."""
-    if probs is None:
-        probs = np.linspace(0.05, 0.95, 10)
+def distance_quantile_grid(sample: SurveySample) -> np.ndarray:
+    """Default bandwidth grid: the 5%, 15%, ..., 95% quantiles of the
+    positive pairwise distances."""
     d = sample.distance_matrix()
     iu, ju = np.triu_indices(sample.n, k=1)
     pos = d[iu, ju]
     pos = pos[pos > 0]
     if pos.size == 0:
         raise ValueError("degenerate predictor set")
-    return np.unique(np.quantile(pos, probs))
+    return np.unique(np.quantile(pos, np.linspace(0.05, 0.95, 10)))
 
 
 @dataclass(frozen=True)
@@ -234,7 +227,6 @@ class KrrModel:
     alpha: np.ndarray
     sigma: float
     lam: float
-    format_version: int = MODEL_FORMAT_VERSION
 
 
 def _kernel_spectrum(sample: SurveySample, sigma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -395,7 +387,7 @@ def save_model(model: KrrModel, path, matrix_texts=None) -> None:
     training matrix already encoded (keyed by shape and bytes) to its text.
     """
     payload = {
-        "format_version": model.format_version,
+        "format_version": MODEL_FORMAT_VERSION,
         "kind": model.kind,
         "kernel_name": "laplacian",
         "sigma": model.sigma,
@@ -455,4 +447,4 @@ def _model_from_payload(payload) -> KrrModel:
     if not (np.isfinite(lam) and lam >= 0):
         raise ValueError("lambda must be nonnegative and finite")
     return KrrModel(kind=kind, training_matrix=training, alpha=alpha,
-                    sigma=sigma, lam=lam, format_version=version)
+                    sigma=sigma, lam=lam)

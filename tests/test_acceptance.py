@@ -33,7 +33,6 @@ from actidist.evaluation import (
 )
 from actidist.geometry import frechet_mean
 from actidist.regression import (
-    NwConfig,
     SurveySample,
     krr_fit,
     krr_loo,
@@ -163,7 +162,7 @@ def test_criterion_05_invariance_suite():
         query = float(rng.normal() * 4)
         h = float(rng.uniform(0.1, 3.0))
         try:
-            pred = nw_predict(SurveySample(x, y, w), NwConfig(bandwidth=h), query)
+            pred = nw_predict(SurveySample(x, y, w), h, query)
         except ValueError:
             continue
         assert y.min() <= pred <= y.max()
@@ -175,9 +174,9 @@ def test_criterion_05_invariance_suite():
         x, y, w = sample_instance()
         c = float(rng.uniform(0.01, 100.0))
         query = float(rng.normal())
-        cfg = NwConfig(bandwidth=1.0)
-        a = nw_predict(SurveySample(x, y, w), cfg, query)
-        b = nw_predict(SurveySample(x, y, c * w), cfg, query)
+        bandwidth = 1.0
+        a = nw_predict(SurveySample(x, y, w), bandwidth, query)
+        b = nw_predict(SurveySample(x, y, c * w), bandwidth, query)
         assert abs(a - b) <= 1e-12
         cases += 1
 
@@ -239,9 +238,9 @@ def test_criterion_05_invariance_suite():
         w2 = np.concatenate([w, [w[0] / 2]])
         w2[0] = w[0] / 2
         query = float(rng.normal())
-        cfg = NwConfig(bandwidth=1.0)
-        a = nw_predict(SurveySample(x, y, w), cfg, query)
-        b = nw_predict(SurveySample(x2, y2, w2), cfg, query)
+        bandwidth = 1.0
+        a = nw_predict(SurveySample(x, y, w), bandwidth, query)
+        b = nw_predict(SurveySample(x2, y2, w2), bandwidth, query)
         assert abs(a - b) <= 1e-12
         cases += 1
 

@@ -44,6 +44,11 @@ class TestActivitySeries:
         with pytest.raises(ValueError):
             series([1.0], survey_weight=0.0)
 
+    @pytest.mark.parametrize("weight", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="survey_weight must be positive and finite"):
+            series([1.0], survey_weight=weight)
+
 
 class TestInactiveProportion:
     def test_zero_atom_count(self):
@@ -197,10 +202,9 @@ class TestBuildMixed:
         assert mixed.atom_value == 0.0
 
     def test_fully_inactive(self):
-        mixed = build_mixed(series([0, 0, 0]), m=8, with_density=True)
+        mixed = build_mixed(series([0, 0, 0]), m=8)
         assert mixed.p_inactive == 1.0
         assert np.all(mixed.quantiles.values == 0)
-        assert mixed.active_density is None
 
     def test_no_zeros(self):
         assert build_mixed(series([3, 9]), m=4).p_inactive == 0.0

@@ -24,7 +24,7 @@ from actidist.evaluation import (
     weighted_auc,
 )
 from actidist.geometry import summarize
-from actidist.regression import NwConfig, SurveySample
+from actidist.regression import SurveySample
 
 
 def make_outcome(predicted, actual, classified=None):
@@ -86,7 +86,7 @@ class TestClassifyMortality:
     def test_all_negative_cohort(self):
         rng = np.random.default_rng(5)
         sample = SurveySample(rng.normal(size=10), np.zeros(10))
-        out = classify_mortality(sample, NwConfig(bandwidth=1.0))
+        out = classify_mortality(sample, 1.0)
         assert np.all(out.probabilities == 0.0)
         assert out.tp == 0.0 and out.fp == 0.0
 
@@ -94,7 +94,7 @@ class TestClassifyMortality:
         rng = np.random.default_rng(6)
         y = (rng.random(10) < 0.5).astype(float)
         sample = SurveySample(rng.normal(size=10), y)
-        out = classify_mortality(sample, NwConfig(bandwidth=1.0), threshold=0.0)
+        out = classify_mortality(sample, 1.0, threshold=0.0)
         assert np.all(out.predicted == 1)
         assert out.fn == 0.0
 
@@ -109,7 +109,7 @@ class TestClassifyMortality:
     def test_nonbinary_rejected(self):
         sample = SurveySample(np.array([0.0, 1.0]), np.array([0.0, 2.0]))
         with pytest.raises(ValueError, match="0/1"):
-            classify_mortality(sample, NwConfig(bandwidth=1.0))
+            classify_mortality(sample, 1.0)
 
     def test_partition_law_with_dyadic_weights(self):
         rng = np.random.default_rng(9)
@@ -117,7 +117,7 @@ class TestClassifyMortality:
         y = (rng.random(n) < 0.4).astype(float)
         w = rng.integers(1, 9, size=n) / 4.0
         sample = SurveySample(rng.normal(size=n) + 2 * y, y, w)
-        out = classify_mortality(sample, NwConfig(bandwidth=0.8))
+        out = classify_mortality(sample, 0.8)
         assert out.tp + out.fp + out.tn + out.fn == w[out.classified].sum()
 
     def test_threshold_monotonicity(self):
@@ -125,10 +125,10 @@ class TestClassifyMortality:
         n = 20
         y = (rng.random(n) < 0.5).astype(float)
         sample = SurveySample(rng.normal(size=n), y, rng.uniform(0.5, 2, n))
-        cfg = NwConfig(bandwidth=1.0)
+        bandwidth = 1.0
         prev = np.inf
         for threshold in (0.0, 0.25, 0.5, 0.75, 1.0):
-            out = classify_mortality(sample, cfg, threshold=threshold)
+            out = classify_mortality(sample, bandwidth, threshold=threshold)
             assert out.tp + out.fp <= prev + 1e-12
             prev = out.tp + out.fp
 
@@ -210,10 +210,3 @@ class TestGroupProfiles:
         profiles = group_profiles(grids, np.ones(4), labels)
         np.testing.assert_array_equal(profiles["a"].mean.values,
                                       profiles["b"].mean.values)
-
-    def test_empty_group_warns_and_skips(self):
-        grids = self.grids()
-        with pytest.warns(UserWarning, match="empty group"):
-            profiles = group_profiles(grids, np.ones(4), ["a"] * 4,
-                                      groups=["a", "ghost"])
-        assert "ghost" not in profiles

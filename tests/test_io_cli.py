@@ -626,6 +626,37 @@ class TestClassify:
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
+class TestJoinChecks:
+    """A quantile-table id that the subjects or summary file lacks is named on
+    stderr, exits 2, and leaves no output directory."""
+
+    @pytest.mark.parametrize("command, column, rows", [
+        ("regress", "response", ["0.5", "1.5"]),
+        ("classify", "mortality", ["0", "1"]),
+    ])
+    def test_id_missing_from_subjects(self, tmp_path, capsys, command, column, rows):
+        # the subjects file holds a and b; the quantile table also has c
+        qpath, spath = write_toy_cohort(tmp_path, column, rows)
+        out = tmp_path / "out"
+        rc = main([command, "--input", str(qpath), "--subjects", str(spath),
+                   "--out", str(out)])
+        assert rc == 2
+        assert "error: subjects file lacks entries for: c" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_id_missing_from_summary(self, tmp_path, capsys):
+        qpath, spath = write_toy_cohort(tmp_path, "response", ["0.5", "1.5", "2.0"])
+        summary = tmp_path / "summary.csv"
+        summary.write_text("subject_id,p_inactive,tac_per_day\n"
+                           "a,0.5,10.0\nc,0.5,30.0\n")
+        out = tmp_path / "out"
+        rc = main(["regress", "--input", str(qpath), "--subjects", str(spath),
+                   "--summary", str(summary), "--out", str(out)])
+        assert rc == 2
+        assert "error: summary file lacks entries for: b" in capsys.readouterr().err
+        assert not out.exists()
+
+
 SIM_CONFIG = {
     "population": {
         "size": 60,
@@ -816,12 +847,29 @@ class TestCliMisc:
         assert rc == 2
         assert not list(out.glob("*.csv"))
 
+    def test_failure_after_writes_deletes_written_files(self, classify_cohort,
+                                                        monkeypatch, capsys):
+        tmp_path, qpath, spath = classify_cohort
+        out = tmp_path / "out_partial"
 
-# actidist.__all__ as it was when the package imported every module eagerly
+        def full_disk(path, summaries):
+            raise OSError("disk full")
+
+        # classify has written three tables when it reaches the profiles
+        monkeypatch.setattr(io, "write_frechet_summary_csv", full_disk)
+        rc = main(["classify", "--input", str(qpath), "--subjects", str(spath),
+                   "--out", str(out)])
+        assert rc == 1
+        assert "error: disk full" in capsys.readouterr().err
+        assert out.is_dir() and not list(out.iterdir())
+
+
+# actidist.__all__ as it was when the package imported every module eagerly,
+# less the removed NwConfig
 EXPORTED = [
     "ActivitySeries", "CensorSpec", "ClassificationOutcome", "DensityCurve",
     "FrechetSummary", "IntensityLaw", "KrrModel", "MixedDistribution", "NO_CENSOR",
-    "NwConfig", "PoissonDesign", "PopulationSpec", "QuantileGrid", "R2Comparison",
+    "PoissonDesign", "PopulationSpec", "QuantileGrid", "R2Comparison",
     "RISK_GROUP_A", "RISK_GROUP_B", "ResponseModel", "StratifiedDesign", "StratumSpec",
     "SurveySample", "UNASSIGNED", "assign_risk_groups", "build_mixed", "censor_series",
     "classify_mortality", "compare_r2", "datagen", "distance_quantile_grid",

@@ -27,7 +27,6 @@ from actidist.geometry import (
     wasserstein2,
 )
 from actidist.regression import (
-    NwConfig,
     SurveySample,
     krr_fit,
     krr_predict_batch,
@@ -80,7 +79,7 @@ class TestNwProperties:
         x, y, w = instance
         sample = SurveySample(x, y, w)
         try:
-            pred = nw_predict(sample, NwConfig(bandwidth=bandwidth), query)
+            pred = nw_predict(sample, bandwidth, query)
         except ValueError:
             return  # numerically empty neighborhood
         assert y.min() <= pred <= y.max()
@@ -89,25 +88,25 @@ class TestNwProperties:
     @given(regression_instance(), finite, scale_factor)
     def test_weight_rescaling(self, instance, query, c):
         x, y, w = instance
-        cfg = NwConfig(bandwidth=1.0)
+        bandwidth = 1.0
         try:
-            base = nw_predict(SurveySample(x, y, w), cfg, query)
+            base = nw_predict(SurveySample(x, y, w), bandwidth, query)
         except ValueError:
             return
-        scaled = nw_predict(SurveySample(x, y, c * w), cfg, query)
+        scaled = nw_predict(SurveySample(x, y, c * w), bandwidth, query)
         assert scaled == pytest.approx(base, abs=1e-12)
 
     @common
     @given(regression_instance(min_size=3), st.integers(0, 2))
     def test_duplicate_split(self, instance, idx):
         x, y, w = instance
-        cfg = NwConfig(bandwidth=1.0)
-        base = nw_loo(SurveySample(x, y, w), cfg)
+        bandwidth = 1.0
+        base = nw_loo(SurveySample(x, y, w), bandwidth)
         x2 = np.concatenate([x, [x[idx]]])
         y2 = np.concatenate([y, [y[idx]]])
         w2 = np.concatenate([w, [w[idx] / 2]])
         w2[idx] = w[idx] / 2
-        split = nw_loo(SurveySample(x2, y2, w2), cfg)
+        split = nw_loo(SurveySample(x2, y2, w2), bandwidth)
         others = np.delete(np.arange(x.size), idx)
         finite_mask = np.isfinite(base[others])
         np.testing.assert_allclose(split[others][finite_mask],

@@ -10,8 +10,8 @@ from actidist.distribution import QuantileGrid
 from actidist.evaluation import DEFAULT_LAMBDA_GRID
 from actidist.regression import (
     _krr_loo_hat,
+    MODEL_FORMAT_VERSION,
     KrrModel,
-    NwConfig,
     SurveySample,
     distance_quantile_grid,
     gaussian_kernel,
@@ -103,8 +103,8 @@ class TestSurveySample:
         np.testing.assert_array_equal(from_list.distances_to(grids[3]),
                                       from_matrix.distances_to(x[3]))
         np.testing.assert_array_equal(krr_loo(from_list, 0.3), krr_loo(from_matrix, 0.3))
-        np.testing.assert_array_equal(nw_loo(from_list, NwConfig(bandwidth=20.0)),
-                                      nw_loo(from_matrix, NwConfig(bandwidth=20.0)))
+        np.testing.assert_array_equal(nw_loo(from_list, 20.0),
+                                      nw_loo(from_matrix, 20.0))
         model = krr_fit(from_matrix, 0.3)
         np.testing.assert_array_equal(krr_predict_batch(model, grids[:4]),
                                       krr_predict_batch(model, x[:4]))
@@ -194,49 +194,56 @@ class TestSurveySample:
 class TestNwPredict:
     def test_constant_responses(self):
         s = SurveySample(np.array([0.0, 1.0, 5.0]), np.array([3.0, 3.0, 3.0]))
-        assert nw_predict(s, NwConfig(bandwidth=1.0), 2.0) == 3.0
+        assert nw_predict(s, 1.0, 2.0) == 3.0
 
     def test_single_training_point(self):
         s = SurveySample(np.array([2.0]), np.array([7.0]))
-        assert nw_predict(s, NwConfig(bandwidth=0.5), 4.0) == 7.0
+        assert nw_predict(s, 0.5, 4.0) == 7.0
 
     def test_equidistant_weighting(self):
         s = SurveySample(np.array([-1.0, 1.0]), np.array([0.0, 4.0]),
                          np.array([1.0, 3.0]))
-        assert nw_predict(s, NwConfig(bandwidth=3.0), 0.0) == 3.0
+        assert nw_predict(s, 3.0, 0.0) == 3.0
 
     def test_empty_neighborhood_with_compact_kernel(self):
         # exp(-u^2 / 2) underflows to exactly 0 beyond u ~ 39, so the
         # Gaussian kernel has compact support in floating point
         s = SurveySample(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-        cfg = NwConfig(bandwidth=0.5)
         with pytest.raises(ValueError, match="empty neighborhood"):
-            nw_predict(s, cfg, 50.0)
+            nw_predict(s, 0.5, 50.0)
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, np.nan])
+    def test_invalid_bandwidth_rejected(self, bandwidth):
+        s = SurveySample(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            nw_predict(s, bandwidth, 0.5)
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            nw_loo(s, bandwidth)
 
     def test_convexity_bounds(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             s = scalar_sample(rng, 8, weight_range=(0.1, 5.0))
             x = rng.normal() * 3
-            pred = nw_predict(s, NwConfig(bandwidth=0.3), x)
+            pred = nw_predict(s, 0.3, x)
             assert s.responses.min() <= pred <= s.responses.max()
 
 
 class TestNwLoo:
     def test_two_points_swap(self):
         s = SurveySample(np.array([0.0, 1.0]), np.array([5.0, 9.0]))
-        np.testing.assert_array_equal(nw_loo(s, NwConfig(bandwidth=1.0)), [9.0, 5.0])
+        np.testing.assert_array_equal(nw_loo(s, 1.0), [9.0, 5.0])
 
     def test_matches_explicit_refit(self):
         rng = np.random.default_rng(1)
         s = scalar_sample(rng, 20, weight_range=(0.5, 3.0))
-        cfg = NwConfig(bandwidth=0.7)
-        fast = nw_loo(s, cfg)
+        bandwidth = 0.7
+        fast = nw_loo(s, bandwidth)
         mask = np.ones(20, dtype=bool)
         for i in range(20):
             mask[:] = True
             mask[i] = False
-            expected = nw_predict(s.subset(mask), cfg, s._matrix[i])
+            expected = nw_predict(s.subset(mask), bandwidth, s._matrix[i])
             assert fast[i] == pytest.approx(expected, abs=1e-12)
 
     def test_duplicate_split_leaves_other_entries(self):
@@ -244,18 +251,18 @@ class TestNwLoo:
         x = rng.normal(size=6)
         y = rng.normal(size=6)
         w = rng.uniform(1, 2, size=6)
-        cfg = NwConfig(bandwidth=1.0)
-        base = nw_loo(SurveySample(x, y, w), cfg)
+        bandwidth = 1.0
+        base = nw_loo(SurveySample(x, y, w), bandwidth)
         x2 = np.concatenate([x, [x[0]]])
         y2 = np.concatenate([y, [y[0]]])
         w2 = np.concatenate([w, [w[0] / 2]])
         w2[0] = w[0] / 2
-        split = nw_loo(SurveySample(x2, y2, w2), cfg)
+        split = nw_loo(SurveySample(x2, y2, w2), bandwidth)
         np.testing.assert_allclose(split[1:6], base[1:6], atol=1e-12)
 
     def test_empty_neighborhood_reported_as_nan(self):
         s = SurveySample(np.array([0.0, 100.0, 100.3]), np.array([1.0, 2.0, 3.0]))
-        out = nw_loo(s, NwConfig(bandwidth=0.5))
+        out = nw_loo(s, 0.5)
         assert np.isnan(out[0]) and np.isfinite(out[1:]).all()
 
 
@@ -274,7 +281,7 @@ class TestNwSelectBandwidth:
         h = nw_select_bandwidth(s, grid)
 
         def loo_err(h_):
-            preds = nw_loo(s, NwConfig(bandwidth=h_))
+            preds = nw_loo(s, h_)
             return np.sum((y - preds) ** 2)
 
         assert h in grid
@@ -540,11 +547,11 @@ class TestClassicalReduction:
         x = rng.normal(size=15)
         y = rng.normal(size=15)
         s = SurveySample(x, y, np.full(15, 2.5))
-        cfg = NwConfig(bandwidth=0.8)
+        bandwidth = 0.8
         for q in rng.normal(size=5):
             k = gaussian_kernel(np.abs(x - q) / 0.8)
             classical = np.sum(k * y) / np.sum(k)
-            assert nw_predict(s, cfg, q) == pytest.approx(classical, abs=1e-12)
+            assert nw_predict(s, bandwidth, q) == pytest.approx(classical, abs=1e-12)
 
     def test_krr_reduces_to_classical_ridge(self):
         rng = np.random.default_rng(19)
@@ -629,7 +636,7 @@ class TestPersistence:
 
 def model_payload(model) -> dict:
     """The payload save_model writes, in its order."""
-    return {"format_version": model.format_version, "kind": model.kind,
+    return {"format_version": MODEL_FORMAT_VERSION, "kind": model.kind,
             "kernel_name": "laplacian", "sigma": model.sigma, "lambda": model.lam,
             "alpha": model.alpha.tolist(),
             "training_matrix": model.training_matrix.tolist()}
