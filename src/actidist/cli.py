@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -57,11 +58,15 @@ DEFAULTS = {
 
 class _RunOutputs:
     """Tracks the files one run writes; an exception that leaves its with
-    block deletes them, so failures leave no partial output."""
+    block deletes them, and then the directories the run made for them while
+    they are empty, so failures leave no partial output."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.created: list[Path] = []
+        # deepest first: the order they can be removed in
+        self.made_dirs = list(itertools.takewhile(lambda p: not p.exists(),
+                                                  (out_dir, *out_dir.parents)))
         out_dir.mkdir(parents=True, exist_ok=True)
 
     def path(self, name: str) -> Path:
@@ -76,6 +81,11 @@ class _RunOutputs:
         if exc_type is not None:
             for p in self.created:
                 p.unlink(missing_ok=True)
+            for d in self.made_dirs:
+                try:
+                    d.rmdir()
+                except OSError:  # not empty: something else wrote there
+                    break
 
 
 def _merged(args, command: str) -> dict:

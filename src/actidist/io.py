@@ -384,13 +384,18 @@ def write_distance_matrix_csv(path, subject_ids, matrix: np.ndarray) -> None:
 
 
 def write_frechet_summary_csv(path, summaries: dict) -> None:
-    """Per-group Frechet curves: (group, t, mean, sd) rows."""
-    def rows():
+    """Per-group Frechet curves: (group, t, mean, sd) rows.
+
+    Writes the bytes that write_rows would, one formatted line per row: the
+    group label is quoted once per group and every value is repr-formatted.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerow(["group", "t", "mean", "sd"])
         for group, summary in summaries.items():
-            levels = summary.mean.levels
-            for t, mu, sd in zip(levels, summary.mean.values, summary.pointwise_sd):
-                yield [group, t, mu, sd]
-    write_rows(path, ["group", "t", "mean", "sd"], rows())
+            head = _csv_field(group) + ","
+            columns = (summary.mean.levels, summary.mean.values, summary.pointwise_sd)
+            for t, mu, sd in zip(*(map(repr, c.tolist()) for c in columns)):
+                fh.write(f"{head}{t},{mu},{sd}\r\n")
 
 
 def write_subjects_csv(path, subjects) -> None:

@@ -140,10 +140,20 @@ class SurveySample:
 
 def _nw_weights(dist, bandwidth: float, weights: np.ndarray) -> np.ndarray:
     """Smoother weights kernel(d / h) * w, before normalization; the distance
-    follows the predictors: Wasserstein for grids, absolute for scalars."""
+    follows the predictors: Wasserstein for grids, absolute for scalars.
+
+    The operations of gaussian_kernel(d / h) * w, in its order, each in place
+    on one new array the size of `dist`.
+    """
     if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
-    return gaussian_kernel(dist / bandwidth) * weights
+    k = np.divide(dist, bandwidth)
+    np.square(k, out=k)
+    k *= -0.5
+    np.exp(k, out=k)
+    k /= _SQRT_2PI
+    k *= weights
+    return k
 
 
 def nw_predict(sample: SurveySample, bandwidth: float, x) -> float:
@@ -167,7 +177,8 @@ def nw_loo(sample: SurveySample, bandwidth: float) -> np.ndarray:
 
     Entry i is the prediction at X_i with observation i removed. Points
     whose remaining kernel mass is zero come back as NaN so callers can
-    surface them instead of silently dropping subjects.
+    surface them instead of silently dropping subjects. The kernel takes
+    one n x n array.
     """
     if sample.n < 2:
         raise ValueError("need at least two observations")
@@ -175,47 +186,69 @@ def nw_loo(sample: SurveySample, bandwidth: float) -> np.ndarray:
     np.fill_diagonal(k, 0.0)
     totals = k.sum(axis=1)
     y = sample.responses
-    out = np.full(sample.n, np.nan)
     ok = totals > 0
-    out[ok] = (k[ok] @ y) / totals[ok]
+    if ok.all():
+        out = (k @ y) / totals
+    else:
+        out = np.full(sample.n, np.nan)
+        out[ok] = (k[ok] @ y) / totals[ok]
     np.clip(out, y.min(), y.max(), out=out)
     return out
 
 
-def nw_select_bandwidth(sample: SurveySample, h_grid) -> float:
-    """Pick the bandwidth minimizing weighted leave-one-out squared error.
+def _tuning_grid(values, name: str) -> np.ndarray:
+    """A bandwidth or penalty grid as a sorted float array; rejects an empty
+    grid and any entry that is not positive and finite."""
+    grid = np.sort(np.asarray(values, dtype=float))
+    if grid.size == 0:
+        raise ValueError(f"empty {name} grid")
+    if not np.all(np.isfinite(grid) & (grid > 0)):
+        raise ValueError(f"{name} grid entries must be positive and finite")
+    return grid
+
+
+def nw_select_bandwidth(sample: SurveySample, h_grid) -> tuple[float, np.ndarray]:
+    """Pick the bandwidth minimizing weighted leave-one-out squared error;
+    returns it with its nw_loo predictions.
 
     Candidates producing any empty leave-one-out neighborhood are skipped;
     ties break toward the smaller bandwidth.
     """
-    h_grid = np.sort(np.asarray(h_grid, dtype=float))
-    if h_grid.size == 0:
-        raise ValueError("empty bandwidth grid")
-    if np.any(h_grid <= 0):
-        raise ValueError("bandwidths must be positive")
-    best_h, best_err = None, np.inf
-    for h in h_grid:
+    best_h, best_preds, best_err = None, None, np.inf
+    for h in _tuning_grid(h_grid, "bandwidth"):
         preds = nw_loo(sample, float(h))
         if np.any(~np.isfinite(preds)):
             continue
         err = float(np.sum(sample.weights * (sample.responses - preds) ** 2))
         if err < best_err:
-            best_h, best_err = float(h), err
+            best_h, best_preds, best_err = float(h), preds, err
     if best_h is None:
         raise ValueError("empty neighborhood at every bandwidth")
-    return best_h
+    return best_h, best_preds
 
 
 def distance_quantile_grid(sample: SurveySample) -> np.ndarray:
-    """Default bandwidth grid: the 5%, 15%, ..., 95% quantiles of the
-    positive pairwise distances."""
+    """Default bandwidth grid: the distinct 5%, 15%, ..., 95% quantiles of
+    the positive pairwise distances, sorted.
+
+    The values of np.unique(np.quantile(pos, probs)), numpy's linear method,
+    from one np.partition of the distances.
+    """
     d = sample.distance_matrix()
-    iu, ju = np.triu_indices(sample.n, k=1)
-    pos = d[iu, ju]
-    pos = pos[pos > 0]
+    pos = d[np.triu(d > 0, k=1)]
     if pos.size == 0:
         raise ValueError("degenerate predictor set")
-    return np.unique(np.quantile(pos, np.linspace(0.05, 0.95, 10)))
+    # numpy's virtual index (n - 1) q, its neighbours and its lerp
+    at = (pos.size - 1) * np.linspace(0.05, 0.95, 10)
+    lo = np.floor(at)
+    below = lo.astype(np.intp)
+    above = np.minimum(below + 1, pos.size - 1)
+    pos.partition(np.concatenate((below, above)))
+    a, b, t = pos[below], pos[above], at - lo
+    diff = b - a
+    q = np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+    q.sort()
+    return q[np.concatenate(([True], q[1:] != q[:-1]))]
 
 
 @dataclass(frozen=True)
@@ -245,22 +278,36 @@ def _kernel_spectrum(sample: SurveySample, sigma: float) -> tuple[np.ndarray, np
     return cached[1]
 
 
+def _median_sigma(sample: SurveySample) -> float:
+    """The weighted median-heuristic kernel scale of the sample's predictors.
+
+    It depends only on the predictors and weights, so it is computed once
+    and cached on the sample, which samples made by with_responses share.
+    """
+    sigma = sample._cache.get("sigma")
+    if sigma is None:
+        sigma = median_heuristic_sigma_from_matrix(sample.distance_matrix(),
+                                                   sample.weights)
+        sample._cache["sigma"] = sigma
+    return sigma
+
+
 def krr_fit(sample: SurveySample, lam: float, sigma: float | None = None) -> KrrModel:
     """Fit survey-weighted kernel ridge regression.
 
     Solves (W K + lam I) alpha = W Y, where K_ij = laplacian_kernel(d(X_i, X_j))
     and W = diag(weights), as alpha = W^1/2 U diag(1 / (s + lam)) U^T W^1/2 Y
     from the spectrum of _kernel_spectrum. The kernel scale defaults to the
-    weighted median heuristic on the training predictors. A warning is
-    emitted when the condition number max|s + lam| / min|s + lam| exceeds
-    1e12; the system is singular when some s_k + lam falls to
-    n * eps * max|s + lam| or below, numpy's matrix_rank tolerance.
+    weighted median heuristic on the training predictors, computed once per
+    sample. A warning is emitted when the condition number
+    max|s + lam| / min|s + lam| exceeds 1e12; the system is singular when
+    some s_k + lam falls to n * eps * max|s + lam| or below, numpy's
+    matrix_rank tolerance.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     if sigma is None:
-        sigma = median_heuristic_sigma_from_matrix(sample.distance_matrix(),
-                                                   sample.weights)
+        sigma = _median_sigma(sample)
     if not sigma > 0:
         raise ValueError("sigma must be positive")
 
@@ -308,26 +355,31 @@ def _krr_loo_refit(sample: SurveySample, lam: float, sigma: float,
     return np.asarray(out, dtype=float)
 
 
-def _krr_loo_hat(sample: SurveySample, lam: float,
+def _krr_loo_hat(sample: SurveySample, lams,
                  sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Hat-matrix shortcut loo_i = y_i - (y_i - yhat_i) / (1 - H_ii); returns
-    the shortcut values and the denominators 1 - H_ii.
+    """Hat-matrix shortcut loo_i = y_i - (y_i - yhat_i) / (1 - H_ii) at one
+    penalty or a 1-d grid of them; returns the shortcut values and the
+    denominators 1 - H_ii, (n,) for one penalty and (n, L) for L.
 
     With S = U diag(s) U^T from _kernel_spectrum and g = lam / (s + lam),
     the hat matrix K (WK + lam I)^-1 W is W^-1/2 U diag(1 - g) U^T W^1/2, so
-    1 - H_ii = sum_k U_ik^2 g_k and y - yhat = W^-1/2 U diag(g) U^T W^1/2 y:
-    O(n^2) per lambda, without cancellation as H_ii nears 1 (Rifkin &
-    Lippert 2007, Notes on Regularized Least Squares).
+    1 - H_ii = sum_k U_ik^2 g_k and y - yhat = W^-1/2 U diag(g) U^T W^1/2 y
+    (Rifkin & Lippert 2007, Notes on Regularized Least Squares), without
+    cancellation as H_ii nears 1. The penalties are the columns of G, so
+    (U o U) G and U (G o U^T W^1/2 y) serve the whole grid in two n x n x L
+    products; one penalty is the one-column case.
     """
     evals, u = _kernel_spectrum(sample, sigma)
     r = np.sqrt(sample.weights)
     y = sample.responses
+    col = np.asarray(lams, dtype=float).reshape(1, -1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = lam / (evals + lam)
+        g = col / (evals[:, None] + col)
         denom = (u * u) @ g
-        resid = (u @ (g * (u.T @ (r * y)))) / r
-        loo = y - resid / denom
-    return loo, denom
+        resid = (u @ (g * (u.T @ (r * y))[:, None])) / r[:, None]
+        loo = y[:, None] - resid / denom
+    shape = (sample.n, *np.shape(lams))
+    return loo.reshape(shape), denom.reshape(shape)
 
 
 def krr_loo(sample: SurveySample, lam: float, sigma: float | None = None) -> np.ndarray:
@@ -335,13 +387,12 @@ def krr_loo(sample: SurveySample, lam: float, sigma: float | None = None) -> np.
 
     Uses the hat-matrix shortcut, and refits explicitly every entry whose
     shortcut denominator 1 - H_ii drops below 1e-10, where the formula is
-    no longer trustworthy.
+    no longer trustworthy. The kernel scale defaults as in krr_fit.
     """
     if sample.n < 2:
         raise ValueError("need at least two observations")
     if sigma is None:
-        sigma = median_heuristic_sigma_from_matrix(sample.distance_matrix(),
-                                                   sample.weights)
+        sigma = _median_sigma(sample)
     loo, denom = _krr_loo_hat(sample, lam, sigma)
     bad = np.flatnonzero((denom < 1e-10) | ~np.isfinite(loo))
     if bad.size:
@@ -352,17 +403,20 @@ def krr_loo(sample: SurveySample, lam: float, sigma: float | None = None) -> np.
 def krr_select_lambda(sample: SurveySample, sigma: float, lambda_grid) -> float:
     """Pick the ridge penalty minimizing weighted leave-one-out squared error.
 
-    Ties break toward the larger penalty (stronger regularization). Raises
-    ValueError when no penalty gives a finite error.
+    One _krr_loo_hat pass serves the grid; a penalty whose column has a
+    denominator below 1e-10 or a non-finite value goes through krr_loo, as
+    krr_loo would refit those entries. Ties break toward the larger penalty
+    (stronger regularization). Raises ValueError when no penalty gives a
+    finite error.
     """
-    grid = np.sort(np.asarray(lambda_grid, dtype=float))[::-1]
-    if grid.size == 0:
-        raise ValueError("empty lambda grid")
-    if np.any(grid <= 0):
-        raise ValueError("lambda grid entries must be positive")
+    grid = _tuning_grid(lambda_grid, "lambda")[::-1]
+    if sample.n < 2:
+        raise ValueError("need at least two observations")
+    loo, denom = _krr_loo_hat(sample, grid, sigma)
     best_lam, best_err = None, np.inf
-    for lam in grid:
-        preds = krr_loo(sample, float(lam), sigma=sigma)
+    for lam, preds, col_denom in zip(grid, loo.T, denom.T):
+        if np.any(col_denom < 1e-10) or not np.all(np.isfinite(preds)):
+            preds = krr_loo(sample, float(lam), sigma=sigma)
         err = float(np.sum(sample.weights * (sample.responses - preds) ** 2))
         if err < best_err:
             best_lam, best_err = float(lam), err

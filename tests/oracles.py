@@ -11,7 +11,14 @@ import numpy as np
 
 from actidist.geometry import _normalized_weights
 from actidist.io import InputValidationError, write_rows
-from actidist.regression import GRID_KIND, _krr_loo_refit, laplacian_kernel
+from actidist.regression import (
+    GRID_KIND,
+    _kernel_spectrum,
+    _krr_loo_refit,
+    gaussian_kernel,
+    krr_loo,
+    laplacian_kernel,
+)
 from actidist.survey import weighted_median
 
 
@@ -63,6 +70,78 @@ def dense_loo_hat(sample, lam: float, sigma: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         loo = (yhat - hii * sample.responses) / denom
     return loo, denom
+
+
+def loo_hat_matvec(sample, lam: float, sigma: float):
+    """The hat-matrix shortcut at one penalty through matrix-vector
+    products: returns (loo, 1 - H_ii)."""
+    evals, u = _kernel_spectrum(sample, sigma)
+    r = np.sqrt(sample.weights)
+    y = sample.responses
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = lam / (evals + lam)
+        denom = (u * u) @ g
+        resid = (u @ (g * (u.T @ (r * y)))) / r
+        loo = y - resid / denom
+    return loo, denom
+
+
+def select_lambda_loop(sample, sigma: float, lambda_grid) -> float:
+    """The penalty with the least weighted leave-one-out error, one krr_loo
+    call per penalty, largest first; ties keep the larger penalty."""
+    best_lam, best_err = None, np.inf
+    for lam in np.sort(np.asarray(lambda_grid, dtype=float))[::-1]:
+        preds = krr_loo(sample, float(lam), sigma=sigma)
+        err = float(np.sum(sample.weights * (sample.responses - preds) ** 2))
+        if err < best_err:
+            best_lam, best_err = float(lam), err
+    return best_lam
+
+
+def nw_loo_unfused(sample, bandwidth: float) -> np.ndarray:
+    """Leave-one-out smoother predictions from gaussian_kernel(d / h) * w,
+    each step a new array, and the rows with kernel mass copied out."""
+    k = gaussian_kernel(sample.distance_matrix() / bandwidth) * sample.weights
+    np.fill_diagonal(k, 0.0)
+    totals = k.sum(axis=1)
+    y = sample.responses
+    out = np.full(sample.n, np.nan)
+    ok = totals > 0
+    out[ok] = (k[ok] @ y) / totals[ok]
+    np.clip(out, y.min(), y.max(), out=out)
+    return out
+
+
+def select_bandwidth_loop(sample, h_grid) -> float:
+    """The bandwidth with the least weighted leave-one-out error among those
+    that leave no neighborhood empty, smallest first; ties keep the smaller."""
+    best_h, best_err = None, np.inf
+    for h in np.sort(np.asarray(h_grid, dtype=float)):
+        preds = nw_loo_unfused(sample, float(h))
+        if np.any(~np.isfinite(preds)):
+            continue
+        err = float(np.sum(sample.weights * (sample.responses - preds) ** 2))
+        if err < best_err:
+            best_h, best_err = float(h), err
+    return best_h
+
+
+def unique_distance_quantiles(sample) -> np.ndarray:
+    """np.unique(np.quantile(...)) of the positive pairwise distances over
+    i < j at 5%, 15%, ..., 95%."""
+    iu, ju = np.triu_indices(sample.n, k=1)
+    pos = sample.distance_matrix()[iu, ju]
+    return np.unique(np.quantile(pos[pos > 0], np.linspace(0.05, 0.95, 10)))
+
+
+def write_frechet_rows(path, summaries: dict) -> None:
+    """Frechet profile table written one csv row, and one value, at a time."""
+    def rows():
+        for group, summary in summaries.items():
+            levels = summary.mean.levels
+            for t, mu, sd in zip(levels, summary.mean.values, summary.pointwise_sd):
+                yield [group, t, mu, sd]
+    write_rows(path, ["group", "t", "mean", "sd"], rows())
 
 
 def read_subject_readings_csv(path, subject_id=None) -> dict:

@@ -25,7 +25,7 @@ from actidist.regression import (
     load_model,
     save_model,
 )
-from oracles import read_subject_readings_csv, write_readings_rows
+from oracles import read_subject_readings_csv, write_frechet_rows, write_readings_rows
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -249,6 +249,22 @@ class TestReaders:
         assert lines[0] == "subject_id,a,b"
         assert lines[1].split(",") == ["a", "0.0", "3.0"]
 
+    def test_frechet_summary_writer_matches_write_rows(self, tmp_path):
+        from actidist.geometry import FrechetSummary, summarize
+
+        grids = [QuantileGrid(np.linspace(0.0, 3.0, 5)), QuantileGrid(np.full(5, 4.0))]
+        signed = FrechetSummary(mean=QuantileGrid(np.array([-0.0, 0.0, 0.1, 2.5, 1e22])),
+                                variance=0.0,
+                                pointwise_sd=np.array([-0.0, 1e-300, 0.3, np.nan, 7.0]))
+        summaries = {'comma, and "quote"': summarize(grids, [1.0, 3.0]),
+                     "": signed, "plain/68-75": signed}
+        path, expected = tmp_path / "frechet.csv", tmp_path / "rows.csv"
+        io.write_frechet_summary_csv(path, summaries)
+        write_frechet_rows(expected, summaries)
+        assert path.read_bytes() == expected.read_bytes()
+        assert b'"comma, and ""quote""",0.1,' in path.read_bytes()
+        assert b"plain/68-75,0.1,-0.0,-0.0\r\n" in path.read_bytes()
+
     def test_frechet_summary_emitter(self, tmp_path):
         from actidist.geometry import summarize
 
@@ -410,6 +426,37 @@ class TestRegress:
                    "--out", str(tmp_path / "out3"), "--responses", "response",
                    "--config", str(config)])
         assert rc == 2
+
+    def test_non_finite_lambda_grid_exits_2(self, regress_cohort, capsys):
+        tmp_path, qpath, spath = regress_cohort
+        config = tmp_path / "nan_grid.json"
+        # Python's json reads NaN
+        config.write_text('{"lambda_grid": [NaN, 0.1]}')
+        out = tmp_path / "out_nan_grid"
+        rc = main(["regress", "--input", str(qpath), "--subjects", str(spath),
+                   "--out", str(out), "--responses", "response",
+                   "--config", str(config)])
+        assert rc == 2
+        assert "lambda grid entries must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sigma_heuristic_once_per_side(self, regress_cohort, monkeypatch):
+        from actidist import regression
+
+        tmp_path, qpath, spath = regress_cohort
+        calls = []
+        real = regression.median_heuristic_sigma_from_matrix
+
+        def counting(dist, weights=None):
+            calls.append(dist.shape)
+            return real(dist, weights)
+
+        monkeypatch.setattr(regression, "median_heuristic_sigma_from_matrix", counting)
+        rc = main(["regress", "--input", str(qpath), "--subjects", str(spath),
+                   "--out", str(tmp_path / "out_sigma"), "--responses", "response,age",
+                   "--save-models"])
+        assert rc == 0
+        assert len(calls) == 2
 
     def test_misspelled_config_key_exits_2(self, regress_cohort, capsys):
         tmp_path, qpath, spath = regress_cohort
@@ -611,6 +658,43 @@ class TestClassify:
         assert ("missing, non-numeric or non-finite covariate column 'age' for: b"
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
+
+    def test_nw_loo_once_per_candidate_bandwidth(self, classify_cohort, monkeypatch):
+        from actidist import evaluation, regression
+
+        tmp_path, qpath, spath = classify_cohort
+        grids, bandwidths = [], []
+        real_grid, real_loo = regression.distance_quantile_grid, regression.nw_loo
+
+        def recording_grid(sample):
+            grids.append(real_grid(sample))
+            return grids[-1]
+
+        def counting_loo(sample, bandwidth):
+            bandwidths.append(bandwidth)
+            return real_loo(sample, bandwidth)
+
+        monkeypatch.setattr(evaluation, "distance_quantile_grid", recording_grid)
+        for module in (evaluation, regression):
+            monkeypatch.setattr(module, "nw_loo", counting_loo)
+        rc = main(["classify", "--input", str(qpath), "--subjects", str(spath),
+                   "--out", str(tmp_path / "out_count"), "--stratify-age"])
+        assert rc == 0
+        assert len(grids) == 1 and grids[0].size > 1
+        assert bandwidths == grids[0].tolist()
+
+    def test_cold_classify_loads_no_numpy_ma(self, classify_cohort):
+        tmp_path, qpath, spath = classify_cohort
+        # a fresh process: this one may have imported numpy.ma already
+        code = ("import sys; from actidist.cli import main; "
+                f"rc = main(['classify', '--input', {str(qpath)!r}, '--subjects', "
+                f"{str(spath)!r}, '--out', {str(tmp_path / 'out_cold')!r}, "
+                "'--stratify-age']); "
+                "print(rc, 'numpy.ma' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert proc.stdout.split() == ["0", "False"]
 
     def test_rerun_byte_identical(self, classify_cohort):
         tmp_path, qpath, spath = classify_cohort
@@ -861,7 +945,38 @@ class TestCliMisc:
                    "--out", str(out)])
         assert rc == 1
         assert "error: disk full" in capsys.readouterr().err
-        assert out.is_dir() and not list(out.iterdir())
+        assert not out.exists()
+
+    def test_failed_run_keeps_an_existing_out_dir(self, classify_cohort,
+                                                  monkeypatch, capsys):
+        tmp_path, qpath, spath = classify_cohort
+        out = tmp_path / "existing"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n", encoding="utf-8")
+
+        def full_disk(path, summaries):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(io, "write_frechet_summary_csv", full_disk)
+        rc = main(["classify", "--input", str(qpath), "--subjects", str(spath),
+                   "--out", str(out)])
+        assert rc == 1
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+
+    def test_failed_run_removes_the_parents_it_made(self, classify_cohort,
+                                                    monkeypatch, capsys):
+        tmp_path, qpath, spath = classify_cohort
+        top = tmp_path / "new_parent"
+        out = top / "deeper" / "out"
+
+        def full_disk(path, summaries):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(io, "write_frechet_summary_csv", full_disk)
+        rc = main(["classify", "--input", str(qpath), "--subjects", str(spath),
+                   "--out", str(out)])
+        assert rc == 1
+        assert not top.exists() and tmp_path.is_dir()
 
 
 # actidist.__all__ as it was when the package imported every module eagerly,

@@ -28,7 +28,16 @@ from actidist.regression import (
     save_model,
     save_models,
 )
-from oracles import dense_loo_hat, refit_loo, training_predictions
+from oracles import (
+    dense_loo_hat,
+    loo_hat_matvec,
+    nw_loo_unfused,
+    refit_loo,
+    select_bandwidth_loop,
+    select_lambda_loop,
+    training_predictions,
+    unique_distance_quantiles,
+)
 
 
 def scalar_sample(rng, n, weight_range=(1.0, 1.0)):
@@ -270,7 +279,7 @@ class TestNwSelectBandwidth:
     def test_single_candidate(self):
         rng = np.random.default_rng(3)
         s = scalar_sample(rng, 10)
-        assert nw_select_bandwidth(s, [0.8]) == 0.8
+        assert nw_select_bandwidth(s, [0.8])[0] == 0.8
 
     def test_smooth_signal_beats_oversmoothing(self):
         rng = np.random.default_rng(4)
@@ -278,7 +287,7 @@ class TestNwSelectBandwidth:
         y = np.sin(2 * np.pi * x)
         s = SurveySample(x, y, np.ones(40))
         grid = np.array([0.02, 0.05, 0.1, 0.3, 1.0, 5.0])
-        h = nw_select_bandwidth(s, grid)
+        h, _ = nw_select_bandwidth(s, grid)
 
         def loo_err(h_):
             preds = nw_loo(s, h_)
@@ -292,9 +301,9 @@ class TestNwSelectBandwidth:
         x = rng.normal(size=15)
         y = rng.normal(size=15)
         grid = np.array([0.1, 0.4, 1.0, 2.5])
-        h = nw_select_bandwidth(SurveySample(x, y), grid)
+        h, _ = nw_select_bandwidth(SurveySample(x, y), grid)
         c = 4.0  # exact in binary floating point
-        h_scaled = nw_select_bandwidth(SurveySample(c * x, y), c * grid)
+        h_scaled, _ = nw_select_bandwidth(SurveySample(c * x, y), c * grid)
         assert h_scaled == c * h
 
     def test_all_empty_is_an_error(self):
@@ -539,6 +548,128 @@ class TestKrrSelectLambda:
         # constant zero responses make every penalty equivalent
         s = SurveySample(np.array([0.0, 1.0, 2.0]), np.zeros(3))
         assert krr_select_lambda(s, 1.0, [0.1, 1.0, 10.0]) == 10.0
+
+
+class TestTuningSweeps:
+    """The one-pass sweeps against the per-candidate loops they replace."""
+
+    @pytest.mark.parametrize("x", [
+        np.random.default_rng(40).normal(size=30),
+        # ties: repeated distances, and zero-distance pairs left out
+        np.random.default_rng(41).integers(0, 4, size=25).astype(float),
+        # every positive pair at one distance
+        np.array([0.0, 0.0, 0.0, 1.0]),
+        # one pair
+        np.array([0.0, 2.5]),
+        # 100 128 pairs
+        np.random.default_rng(42).exponential(size=448),
+    ], ids=["normal", "ties", "all-equal", "n=2", "1e5-pairs"])
+    def test_distance_quantile_grid_matches_numpy(self, x):
+        s = SurveySample(x, np.zeros(x.size))
+        got, expected = distance_quantile_grid(s), unique_distance_quantiles(s)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    def test_distance_quantile_grid_matches_numpy_on_random_samples(self):
+        # numpy interpolates from below under t < 0.5 and from above
+        # otherwise; the two forms round apart on about one sample in five
+        rng = np.random.default_rng(51)
+        for _ in range(300):
+            n = int(rng.integers(2, 40))
+            x = rng.exponential(size=n) * 10.0 ** rng.integers(-5, 5)
+            s = SurveySample(x, np.zeros(n))
+            assert distance_quantile_grid(s).tobytes() == unique_distance_quantiles(s).tobytes()
+
+    def test_distance_quantile_grid_matches_numpy_on_grids(self):
+        s = grid_sample(np.random.default_rng(43), 40)
+        assert distance_quantile_grid(s).tobytes() == unique_distance_quantiles(s).tobytes()
+
+    def test_one_penalty_is_the_matvec_shortcut(self):
+        rng = np.random.default_rng(44)
+        for s, sigma in ((scalar_sample(rng, 25, weight_range=(0.5, 3.0)), 1.0),
+                         (grid_sample(rng, 20), 30.0)):
+            for lam in DEFAULT_LAMBDA_GRID:
+                loo, denom = _krr_loo_hat(s, lam, sigma)
+                expected, expected_denom = loo_hat_matvec(s, lam, sigma)
+                assert loo.tobytes() == expected.tobytes()
+                assert denom.tobytes() == expected_denom.tobytes()
+
+    def test_grid_columns_match_one_penalty(self):
+        rng = np.random.default_rng(45)
+        s = grid_sample(rng, 20)
+        loo, denom = _krr_loo_hat(s, DEFAULT_LAMBDA_GRID, 30.0)
+        assert loo.shape == denom.shape == (20, DEFAULT_LAMBDA_GRID.size)
+        for j, lam in enumerate(DEFAULT_LAMBDA_GRID):
+            one, one_denom = _krr_loo_hat(s, lam, 30.0)
+            np.testing.assert_allclose(denom[:, j], one_denom, rtol=1e-12)
+            np.testing.assert_allclose(loo[:, j], one, atol=1e-10)
+
+    def test_lambda_sweep_matches_per_lambda_loop(self):
+        rng = np.random.default_rng(46)
+        for rep in range(12):
+            s = (scalar_sample(rng, 30, weight_range=(0.2, 6.0)) if rep % 2
+                 else grid_sample(rng, 25))
+            sigma = float(np.median(s.distance_matrix()[s.distance_matrix() > 0]))
+            assert (krr_select_lambda(s, sigma, DEFAULT_LAMBDA_GRID)
+                    == select_lambda_loop(s, sigma, DEFAULT_LAMBDA_GRID))
+
+    def test_lambda_sweep_refits_only_degenerate_columns(self, monkeypatch):
+        from actidist import regression
+
+        rng = np.random.default_rng(15)
+        s = SurveySample(rng.normal(size=6), rng.normal(size=6), np.full(6, 1e9))
+        grid = [1e-9, 1e-3, 1.0]
+        calls = []
+        real = regression.krr_loo
+
+        def counting(sample, lam, sigma=None):
+            calls.append(lam)
+            return real(sample, lam, sigma=sigma)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = select_lambda_loop(s, 1.0, grid)
+            _, denom = _krr_loo_hat(s, np.asarray(grid), 1.0)
+            monkeypatch.setattr(regression, "krr_loo", counting)
+            lam = krr_select_lambda(s, 1.0, grid)
+        assert lam == expected
+        degenerate = [g for g, col in zip(grid, denom.T) if np.any(col < 1e-10)]
+        assert degenerate and sorted(calls) == degenerate
+
+    def test_nw_loo_matches_unfused_kernel(self):
+        rng = np.random.default_rng(47)
+        cases = ((scalar_sample(rng, 30, weight_range=(0.2, 6.0)), 0.3),
+                 (grid_sample(rng, 25), 10.0),
+                 # an empty neighborhood: the rows with mass are copied out
+                 (SurveySample(np.array([0.0, 100.0, 100.3]), np.array([1.0, 2.0, 3.0])),
+                  0.5))
+        for s, h in cases:
+            got, expected = nw_loo(s, h), nw_loo_unfused(s, h)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_bandwidth_sweep_matches_loop_and_returns_its_loo(self):
+        rng = np.random.default_rng(48)
+        for rep in range(12):
+            s = (scalar_sample(rng, 30, weight_range=(0.2, 6.0)) if rep % 2
+                 else grid_sample(rng, 25))
+            grid = distance_quantile_grid(s)
+            h, loo = nw_select_bandwidth(s, grid)
+            assert h == select_bandwidth_loop(s, grid)
+            assert loo.tobytes() == nw_loo(s, h).tobytes()
+
+    @pytest.mark.parametrize("grid", [[np.nan, 0.1, 1.0], [np.inf, 0.1],
+                                      [-np.inf, 0.1], [0.1, np.nan]])
+    def test_non_finite_lambda_grid_rejected(self, grid):
+        s = scalar_sample(np.random.default_rng(49), 8)
+        with pytest.raises(ValueError, match="lambda grid entries must be positive and finite"):
+            krr_select_lambda(s, 1.0, grid)
+
+    @pytest.mark.parametrize("grid", [[np.nan, 0.1, 1.0], [np.inf, 0.1],
+                                      [-np.inf, 0.1], [0.1, np.nan]])
+    def test_non_finite_bandwidth_grid_rejected(self, grid):
+        s = scalar_sample(np.random.default_rng(50), 8)
+        with pytest.raises(ValueError,
+                           match="bandwidth grid entries must be positive and finite"):
+            nw_select_bandwidth(s, grid)
 
 
 class TestClassicalReduction:
