@@ -66,7 +66,8 @@ def read_readings_csv(path) -> dict:
     """Long-format readings (subject_id, timestamp_min, count) grouped by subject.
 
     Returns {subject_id: (timestamps, counts)} as float64 arrays in file
-    order, subjects in order of first appearance, ids stripped. numpy's C
+    order, subjects in order of first appearance, ids stripped; each array
+    owns its data, so no subject keeps a parser chunk alive. numpy's C
     parser reads the rows in chunks; when it refuses a row or a value fails
     a check, the csv row loop reads the whole file again. That loop accepts
     the same files as the parser and more, and reports every malformed row
@@ -116,7 +117,9 @@ def _read_readings_chunks(fh):
                 _append_chunk(pieces, rows)
     except ValueError:
         return None
-    return {sid: _joined(parts) for sid, parts in pieces.items()}
+    # in file order, each subject's pieces dropped as they are copied: a
+    # chunk is freed once the last subject in it is joined
+    return {sid: _joined(pieces.pop(sid)) for sid in list(pieces)}
 
 
 def _append_chunk(pieces: dict, rows) -> None:
@@ -136,8 +139,8 @@ def _append_chunk(pieces: dict, rows) -> None:
 
 
 def _joined(parts: list):
-    if len(parts) == 1:
-        return parts[0]
+    """One (timestamps, counts) from a subject's pieces, as arrays that own
+    their data (a piece is a view of its whole chunk)."""
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
@@ -421,33 +424,39 @@ def _csv_field(value) -> str:
     return buf.getvalue()[:-len(",\r\n")]
 
 
+# rows per text slice of a subject in write_readings_csv: bounds the row
+# strings held at once
+_WRITE_CHUNK_ROWS = 1 << 12
+
+
 def write_readings_csv(path, subjects, sample_path=None, sample=()) -> None:
     """Long-format readings for a list of ActivitySeries.
 
-    Writes the bytes that write_rows would, one block per subject: the id is
-    quoted once, every value is repr-formatted (but for the constant "0.0" of
-    the many +0.0 readings), and the timestamp strings are reused while
-    consecutive subjects share a grid.
+    Writes the bytes that write_rows would, _WRITE_CHUNK_ROWS rows of a
+    subject at a time, with no Python step per row: the "t," strings of a
+    timestamp grid are formatted once and kept while consecutive subjects
+    share the grid, and only the readings that are not +0.0 go through repr
+    (see _row_slices).
 
     With sample_path, the same pass writes `sample`, subjects drawn from
     `subjects` in their order, to that file. A sample subject with the id
-    and the byte-equal arrays of the subject just written takes its block;
-    one whose arrays differ is formatted from its own. A sample subject
-    left unmatched at the end raises ValueError.
+    and the byte-equal arrays of the subject just written takes its slices
+    as they are written; one whose arrays differ is formatted from its own.
+    A sample subject left unmatched at the end raises ValueError.
     """
     if sample and sample_path is None:
         raise TypeError("sample needs sample_path")
-    grid, times = None, []
+    grid, times = None, None
 
-    def block(s) -> str:
+    def write(s, targets) -> None:
         nonlocal grid, times
         # bytes, not values: 0.0 == -0.0, but they print differently
         if s.timestamps.tobytes() != grid:
             grid = s.timestamps.tobytes()
-            times = [t + "," for t in map(repr, s.timestamps.tolist())]
-        head = _csv_field(s.subject_id) + ","
-        rows = map(str.__add__, times, _reprs(s.readings))
-        return head + ("\r\n" + head).join(rows) + "\r\n"
+            times = np.array(list(map(repr, s.timestamps.tolist())), dtype=object) + ","
+        for text in _row_slices(s, times):
+            for fh in targets:
+                fh.write(text)
 
     pending = iter(sample)
     drawn = next(pending, None)
@@ -459,22 +468,42 @@ def write_readings_csv(path, subjects, sample_path=None, sample=()) -> None:
         # without sample_path the sample is empty, and files[-1] never written
         out, sample_out = files[0], files[-1]
         for s in subjects:
-            text = block(s)
-            out.write(text)
+            # the drawn subjects equal to s, up to the first that is not,
+            # take its slices; that one and any after it are formatted apart
+            targets, own = [out], []
             while drawn is not None and drawn.subject_id == s.subject_id:
-                sample_out.write(text if _same_readings(drawn, s) else block(drawn))
+                if not own and _same_readings(drawn, s):
+                    targets.append(sample_out)
+                else:
+                    own.append(drawn)
                 drawn = next(pending, None)
+            write(s, targets)
+            for d in own:
+                write(d, [sample_out])
     if drawn is not None:
         raise ValueError(f"sample subject {drawn.subject_id!r} does not follow "
                          "the population order")
 
 
-def _reprs(values: np.ndarray):
-    """repr of each float64 value, one at a time, with "0.0" for +0.0 taken
-    as a constant; -0.0, whose sign bit is set, still goes through repr."""
-    nonzero = values.view(np.uint64) != 0
-    texts = map(repr, values[nonzero].tolist())
-    return (next(texts) if flag else "0.0" for flag in nonzero.tolist())
+def _row_slices(s, times: np.ndarray):
+    """The text of s's rows, _WRITE_CHUNK_ROWS rows a slice, given the
+    object array of its "t," strings.
+
+    Only the readings whose bits are not those of +0.0 go through repr; they
+    are placed over a "0.0" fill by object-array indexing, added to the time
+    strings as object arrays, and the rows joined with the quoted id. So
+    -0.0, whose sign bit is set, still prints as "-0.0".
+    """
+    head = _csv_field(s.subject_id) + ","
+    sep = "\r\n" + head
+    for start in range(0, len(s.readings), _WRITE_CHUNK_ROWS):
+        values = s.readings[start:start + _WRITE_CHUNK_ROWS]
+        nonzero = values.view(np.uint64) != 0
+        cells = np.empty(len(values), dtype=object)
+        cells[:] = "0.0"  # np.full fills an object array 10x slower
+        cells[nonzero] = list(map(repr, values[nonzero].tolist()))
+        rows = times[start:start + len(values)] + cells
+        yield head + sep.join(rows.tolist()) + "\r\n"
 
 
 def _same_readings(a, b) -> bool:

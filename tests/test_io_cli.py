@@ -1,8 +1,11 @@
 import ast
+import dataclasses
+import itertools
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -758,6 +761,18 @@ SIM_CONFIG = {
 }
 
 
+def assert_writes_rows(tmp_path, population, sample=()):
+    """write_readings_csv writes population (and sample) with the bytes of
+    the row-at-a-time oracle."""
+    io.write_readings_csv(tmp_path / "population.csv", population,
+                          tmp_path / "sample.csv", sample)
+    write_readings_rows(tmp_path / "population_rows.csv", population)
+    write_readings_rows(tmp_path / "sample_rows.csv", sample)
+    for name in ("population", "sample"):
+        assert ((tmp_path / f"{name}.csv").read_bytes()
+                == (tmp_path / f"{name}_rows.csv").read_bytes())
+
+
 class TestReadingsWriterGrids:
     def test_shared_equal_and_signed_grids(self, tmp_path):
         """A grid byte-equal to the previous subject's, shared or copied,
@@ -783,13 +798,111 @@ class TestReadingsWriterGrids:
         population, _ = simulate_population(two_cluster_spec(8, seed=3, minutes=50))
         sample = draw_sample(population, StratifiedDesign({"frail": 0.5, "active": 0.5}),
                              seed=4)
-        io.write_readings_csv(tmp_path / "population.csv", population,
-                              tmp_path / "sample.csv", sample)
-        write_readings_rows(tmp_path / "population_rows.csv", population)
-        write_readings_rows(tmp_path / "sample_rows.csv", sample)
-        for name in ("population", "sample"):
-            assert ((tmp_path / f"{name}.csv").read_bytes()
-                    == (tmp_path / f"{name}_rows.csv").read_bytes())
+        assert_writes_rows(tmp_path, population, sample)
+
+
+def mixed_readings(n):
+    """n readings: +0.0 at every third minute, distinct non-zero floats
+    elsewhere."""
+    return np.where(np.arange(n) % 3 == 0, 0.0, np.arange(n) * 1.25 + 0.1)
+
+
+class TestReadingsWriterSlices:
+    """Edge cases of the sliced writer, each against write_readings_rows."""
+
+    @pytest.mark.parametrize("slice_rows", [io._WRITE_CHUNK_ROWS, 3])
+    def test_one_slice_and_a_slice_plus_one_row(self, tmp_path, monkeypatch, slice_rows):
+        monkeypatch.setattr(io, "_WRITE_CHUNK_ROWS", slice_rows)
+        subjects = [ActivitySeries(sid, np.arange(float(n)), mixed_readings(n))
+                    for sid, n in [("a", slice_rows), ("b", slice_rows + 1),
+                                   ("c", 2 * slice_rows)]]
+        assert_writes_rows(tmp_path, subjects)
+        lines = (tmp_path / "population.csv").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1 + 4 * slice_rows + 1
+
+    def test_grids_of_other_lengths(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(io, "_WRITE_CHUNK_ROWS", 2)
+        long, short = np.arange(5.0), np.arange(3.0) + 0.5
+        subjects = [ActivitySeries(sid, t, mixed_readings(len(t)) + 1.0)
+                    for sid, t in [("a", long), ("b", short), ("c", long),
+                                   ("d", long), ("e", short[:1])]]
+        assert_writes_rows(tmp_path, subjects)
+
+    def test_all_zero_no_zero_and_one_reading(self, tmp_path):
+        subjects = [ActivitySeries("zeros", np.arange(6.0), np.zeros(6)),
+                    ActivitySeries("positive", np.arange(6.0), np.arange(6.0) + 0.5),
+                    ActivitySeries("one", [7.0], [3.5]),
+                    ActivitySeries("one_zero", [7.0], [0.0])]
+        assert_writes_rows(tmp_path, subjects)
+
+    def test_signed_zero_subnormal_and_exponent_reprs(self, tmp_path):
+        values = [-0.0, 5e-324, 1e-05, 1e16, 0.0, 0.1]
+        subjects = [ActivitySeries("a", np.arange(6.0), values)]
+        assert_writes_rows(tmp_path, subjects)
+        counts = [line.split(",")[2] for line in
+                  (tmp_path / "population.csv").read_text(encoding="utf-8").splitlines()[1:]]
+        assert counts == ["-0.0", "5e-324", "1e-05", "1e+16", "0.0", "0.1"]
+
+    def test_ids_with_format_and_csv_characters(self, tmp_path):
+        ids = ["50%", "a{0}", '"q,x"']
+        subjects = [ActivitySeries(sid, np.arange(4.0), mixed_readings(4)) for sid in ids]
+        assert_writes_rows(tmp_path, subjects)
+        assert io.read_readings_csv(tmp_path / "population.csv").keys() == set(ids)
+
+    @pytest.mark.parametrize("slice_rows", [io._WRITE_CHUNK_ROWS, 2])
+    def test_sample_own_readings_then_shared_arrays(self, tmp_path, monkeypatch, slice_rows):
+        monkeypatch.setattr(io, "_WRITE_CHUNK_ROWS", slice_rows)
+        grid = np.arange(5.0)
+        population = [ActivitySeries(sid, grid, mixed_readings(5) + k)
+                      for k, sid in enumerate("abcd")]
+        sample = [dataclasses.replace(population[0], readings=population[0].readings + 1.0),
+                  dataclasses.replace(population[1], survey_weight=2.0),
+                  # one id drawn twice: its own readings, then the shared ones
+                  dataclasses.replace(population[2], readings=population[2].readings + 1.0),
+                  dataclasses.replace(population[2], survey_weight=2.0),
+                  dataclasses.replace(population[3], survey_weight=3.0)]
+        assert sample[1].readings is population[1].readings
+        assert_writes_rows(tmp_path, population, sample)
+
+
+class TestReadingsReaderMemory:
+    """Subjects of 1500 and 200 readings read in chunks of 1024 rows, so
+    that most subjects cross a chunk boundary and some sit inside one."""
+
+    CHUNK_ROWS = 1024
+
+    @pytest.fixture
+    def read(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(io, "_READ_CHUNK_ROWS", self.CHUNK_ROWS)
+        rng = np.random.default_rng(0)
+        subjects = [ActivitySeries(f"s{k}", np.arange(float(n)), rng.random(n))
+                    for k, n in enumerate([1500, 200] * 20)]
+        path = tmp_path / "readings.csv"
+        io.write_readings_csv(path, subjects)
+        io.read_readings_csv(path)  # loads what the parser loads once per process
+        tracemalloc.start()
+        try:
+            read = io.read_readings_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return read, peak
+
+    def test_every_array_owns_its_data(self, read):
+        arrays = [a for pair in read[0].values() for a in pair]
+        assert len(arrays) == 80
+        assert all(a.flags.owndata and a.base is None for a in arrays)
+
+    def test_no_two_subjects_share_memory(self, read):
+        arrays = [a for pair in read[0].values() for a in pair]
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
+
+    def test_peak_is_the_result_plus_a_few_chunks(self, read):
+        result, peak = read
+        nbytes = sum(t.nbytes + c.nbytes for t, c in result.values())
+        # a chunk: the parser's rows and the two float64 columns taken from them
+        chunk_bytes = self.CHUNK_ROWS * (io._READINGS_ROW.itemsize + 16)
+        assert peak <= nbytes + 8 * chunk_bytes
 
 
 class TestSimulate:
