@@ -429,7 +429,7 @@ def _csv_field(value) -> str:
 _WRITE_CHUNK_ROWS = 1 << 12
 
 
-def write_readings_csv(path, subjects, sample_path=None, sample=()) -> None:
+def write_readings_csv(path, subjects, sample_path=None, sample_ids=()) -> None:
     """Long-format readings for a list of ActivitySeries.
 
     Writes the bytes that write_rows would, _WRITE_CHUNK_ROWS rows of a
@@ -438,51 +438,31 @@ def write_readings_csv(path, subjects, sample_path=None, sample=()) -> None:
     share the grid, and only the readings that are not +0.0 go through repr
     (see _row_slices).
 
-    With sample_path, the same pass writes `sample`, subjects drawn from
-    `subjects` in their order, to that file. A sample subject with the id
-    and the byte-equal arrays of the subject just written takes its slices
-    as they are written; one whose arrays differ is formatted from its own.
-    A sample subject left unmatched at the end raises ValueError.
+    With sample_path, each subject whose id is in `sample_ids` is written to
+    that file too, in the same pass and from the same slices. An id that no
+    subject has raises ValueError.
     """
-    if sample and sample_path is None:
-        raise TypeError("sample needs sample_path")
+    sample_ids = set(sample_ids)
+    if sample_ids and sample_path is None:
+        raise TypeError("sample_ids needs sample_path")
+    unknown = sample_ids - {s.subject_id for s in subjects}
+    if unknown:
+        raise ValueError(f"sample subject {min(unknown)!r} is not in the population")
     grid, times = None, None
-
-    def write(s, targets) -> None:
-        nonlocal grid, times
-        # bytes, not values: 0.0 == -0.0, but they print differently
-        if s.timestamps.tobytes() != grid:
-            grid = s.timestamps.tobytes()
-            times = np.array(list(map(repr, s.timestamps.tolist())), dtype=object) + ","
-        for text in _row_slices(s, times):
-            for fh in targets:
-                fh.write(text)
-
-    pending = iter(sample)
-    drawn = next(pending, None)
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(open(p, "w", encoding="utf-8", newline=""))
                  for p in (path, sample_path) if p is not None]
         for fh in files:
             csv.writer(fh).writerow(["subject_id", "timestamp_min", "count"])
-        # without sample_path the sample is empty, and files[-1] never written
-        out, sample_out = files[0], files[-1]
         for s in subjects:
-            # the drawn subjects equal to s, up to the first that is not,
-            # take its slices; that one and any after it are formatted apart
-            targets, own = [out], []
-            while drawn is not None and drawn.subject_id == s.subject_id:
-                if not own and _same_readings(drawn, s):
-                    targets.append(sample_out)
-                else:
-                    own.append(drawn)
-                drawn = next(pending, None)
-            write(s, targets)
-            for d in own:
-                write(d, [sample_out])
-    if drawn is not None:
-        raise ValueError(f"sample subject {drawn.subject_id!r} does not follow "
-                         "the population order")
+            # bytes, not values: 0.0 == -0.0, but they print differently
+            if s.timestamps.tobytes() != grid:
+                grid = s.timestamps.tobytes()
+                times = np.array(list(map(repr, s.timestamps.tolist())), dtype=object) + ","
+            targets = files if s.subject_id in sample_ids else files[:1]
+            for text in _row_slices(s, times):
+                for fh in targets:
+                    fh.write(text)
 
 
 def _row_slices(s, times: np.ndarray):
@@ -504,11 +484,6 @@ def _row_slices(s, times: np.ndarray):
         cells[nonzero] = list(map(repr, values[nonzero].tolist()))
         rows = times[start:start + len(values)] + cells
         yield head + sep.join(rows.tolist()) + "\r\n"
-
-
-def _same_readings(a, b) -> bool:
-    return (a.timestamps.tobytes() == b.timestamps.tobytes()
-            and a.readings.tobytes() == b.readings.tobytes())
 
 
 def write_ground_truth_csv(path, true_means: dict, subjects, pi: np.ndarray) -> None:

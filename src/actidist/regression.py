@@ -39,13 +39,21 @@ def gaussian_kernel(u: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * np.asarray(u) ** 2) / _SQRT_2PI
 
 
+def _check_kernel(sigma: float, lam=0.0) -> None:
+    """Rejects a kernel scale that is not positive and finite, and a ridge
+    penalty (or any of a grid of them) that is negative or not finite."""
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ValueError("sigma must be positive and finite")
+    if not np.all(np.isfinite(lam) & (np.asarray(lam) >= 0)):
+        raise ValueError("lambda must be nonnegative and finite")
+
+
 def laplacian_kernel(dist, sigma: float):
     """exp(-dist / sigma); the reproducing kernel used for ridge regression."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _check_kernel(sigma)
     d = np.asarray(dist, dtype=float)
-    if np.any(d < 0):
-        raise ValueError("distances must be nonnegative")
+    if not np.all(d >= 0):
+        raise ValueError("distances must be nonnegative, not NaN")
     out = np.exp(-d / sigma)
     return float(out) if np.isscalar(dist) else out
 
@@ -207,6 +215,24 @@ def _tuning_grid(values, name: str) -> np.ndarray:
     return grid
 
 
+def _least_loo_error(sample: SurveySample, grid, columns,
+                    message: str) -> tuple[float, np.ndarray]:
+    """(value, predictions) for the first grid value whose leave-one-out
+    predictions in `columns` have the least weighted squared error, skipping
+    any with a non-finite entry; ValueError(message) when no error is finite.
+    """
+    best, best_err = None, np.inf
+    for value, preds in zip(grid, columns):
+        if not np.all(np.isfinite(preds)):
+            continue
+        err = float(np.sum(sample.weights * (sample.responses - preds) ** 2))
+        if err < best_err:
+            best, best_err = (float(value), preds), err
+    if best is None:
+        raise ValueError(message)
+    return best
+
+
 def nw_select_bandwidth(sample: SurveySample, h_grid) -> tuple[float, np.ndarray]:
     """Pick the bandwidth minimizing weighted leave-one-out squared error;
     returns it with its nw_loo predictions.
@@ -214,17 +240,9 @@ def nw_select_bandwidth(sample: SurveySample, h_grid) -> tuple[float, np.ndarray
     Candidates producing any empty leave-one-out neighborhood are skipped;
     ties break toward the smaller bandwidth.
     """
-    best_h, best_preds, best_err = None, None, np.inf
-    for h in _tuning_grid(h_grid, "bandwidth"):
-        preds = nw_loo(sample, float(h))
-        if np.any(~np.isfinite(preds)):
-            continue
-        err = float(np.sum(sample.weights * (sample.responses - preds) ** 2))
-        if err < best_err:
-            best_h, best_preds, best_err = float(h), preds, err
-    if best_h is None:
-        raise ValueError("empty neighborhood at every bandwidth")
-    return best_h, best_preds
+    grid = _tuning_grid(h_grid, "bandwidth")
+    return _least_loo_error(sample, grid, (nw_loo(sample, float(h)) for h in grid),
+                            "empty neighborhood at every bandwidth")
 
 
 def distance_quantile_grid(sample: SurveySample) -> np.ndarray:
@@ -304,12 +322,9 @@ def krr_fit(sample: SurveySample, lam: float, sigma: float | None = None) -> Krr
     some s_k + lam falls to n * eps * max|s + lam| or below, numpy's
     matrix_rank tolerance.
     """
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
     if sigma is None:
         sigma = _median_sigma(sample)
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    _check_kernel(sigma, lam)
 
     evals, u = _kernel_spectrum(sample, sigma)
     shifted = evals + lam
@@ -382,47 +397,43 @@ def _krr_loo_hat(sample: SurveySample, lams,
     return loo.reshape(shape), denom.reshape(shape)
 
 
-def krr_loo(sample: SurveySample, lam: float, sigma: float | None = None) -> np.ndarray:
-    """Leave-one-out ridge predictions with the kernel scale held fixed.
+def krr_loo(sample: SurveySample, lam: float | np.ndarray,
+            sigma: float | None = None) -> np.ndarray:
+    """Leave-one-out ridge predictions with the kernel scale held fixed, at
+    one penalty, (n,), or at each of a 1-d grid of them, (n, L).
 
     Uses the hat-matrix shortcut, and refits explicitly every entry whose
     shortcut denominator 1 - H_ii drops below 1e-10, where the formula is
-    no longer trustworthy. The kernel scale defaults as in krr_fit.
+    no longer trustworthy, or whose value is not finite; a refit fills its
+    own column. The kernel scale defaults as in krr_fit.
     """
     if sample.n < 2:
         raise ValueError("need at least two observations")
     if sigma is None:
         sigma = _median_sigma(sample)
+    _check_kernel(sigma, lam)
     loo, denom = _krr_loo_hat(sample, lam, sigma)
-    bad = np.flatnonzero((denom < 1e-10) | ~np.isfinite(loo))
-    if bad.size:
-        loo[bad] = _krr_loo_refit(sample, lam, sigma, bad)
+    # (n, 1) views for one penalty, so a refit writes through to `loo`
+    columns, denoms = loo.reshape(sample.n, -1), denom.reshape(sample.n, -1)
+    for j, lam_j in enumerate(np.reshape(lam, -1)):
+        bad = np.flatnonzero((denoms[:, j] < 1e-10) | ~np.isfinite(columns[:, j]))
+        if bad.size:
+            columns[bad, j] = _krr_loo_refit(sample, float(lam_j), sigma, bad)
     return loo
 
 
-def krr_select_lambda(sample: SurveySample, sigma: float, lambda_grid) -> float:
-    """Pick the ridge penalty minimizing weighted leave-one-out squared error.
+def krr_select_lambda(sample: SurveySample, sigma: float,
+                      lambda_grid) -> tuple[float, np.ndarray]:
+    """Pick the ridge penalty minimizing weighted leave-one-out squared error;
+    returns it with its krr_loo predictions.
 
-    One _krr_loo_hat pass serves the grid; a penalty whose column has a
-    denominator below 1e-10 or a non-finite value goes through krr_loo, as
-    krr_loo would refit those entries. Ties break toward the larger penalty
-    (stronger regularization). Raises ValueError when no penalty gives a
-    finite error.
+    One krr_loo call serves the whole grid. Ties break toward the larger
+    penalty (stronger regularization). Raises ValueError when no penalty
+    gives a finite error.
     """
     grid = _tuning_grid(lambda_grid, "lambda")[::-1]
-    if sample.n < 2:
-        raise ValueError("need at least two observations")
-    loo, denom = _krr_loo_hat(sample, grid, sigma)
-    best_lam, best_err = None, np.inf
-    for lam, preds, col_denom in zip(grid, loo.T, denom.T):
-        if np.any(col_denom < 1e-10) or not np.all(np.isfinite(preds)):
-            preds = krr_loo(sample, float(lam), sigma=sigma)
-        err = float(np.sum(sample.weights * (sample.responses - preds) ** 2))
-        if err < best_err:
-            best_lam, best_err = float(lam), err
-    if best_lam is None:
-        raise ValueError("no lambda in the grid gives a finite leave-one-out error")
-    return best_lam
+    return _least_loo_error(sample, grid, krr_loo(sample, grid, sigma=sigma).T,
+                            "no lambda in the grid gives a finite leave-one-out error")
 
 
 def save_models(pairs) -> None:
@@ -496,9 +507,6 @@ def _model_from_payload(payload) -> KrrModel:
     if alpha.shape != training.shape[:1] or not np.all(np.isfinite(alpha)):
         raise ValueError("alpha must hold one finite value per training row")
     sigma, lam = float(payload.get("sigma")), float(payload.get("lambda"))
-    if not (np.isfinite(sigma) and sigma > 0):
-        raise ValueError("sigma must be positive and finite")
-    if not (np.isfinite(lam) and lam >= 0):
-        raise ValueError("lambda must be nonnegative and finite")
+    _check_kernel(sigma, lam)
     return KrrModel(kind=kind, training_matrix=training, alpha=alpha,
                     sigma=sigma, lam=lam)

@@ -74,7 +74,10 @@ def median_heuristic_sigma_from_matrix(dist_matrix: np.ndarray, weights=None) ->
         raise ValueError("need a square distance matrix of size >= 2")
     log_w = np.log(check_weights(weights, n))
     iu, ju = np.triu_indices(n, k=1)
-    sq = d[iu, ju] ** 2
+    sq = d[iu, ju]
+    if not np.all(sq >= 0):
+        raise ValueError("distances must be nonnegative, not NaN")
+    sq **= 2
     if np.all(sq == 0):
         raise ValueError("degenerate predictor set")
     log_pair = log_w[iu] + log_w[ju]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,37 @@ class TestCompareR2:
             if result.r2_distribution <= 0.1 and result.r2_tac <= 0.1:
                 lows += 1
         assert lows >= 0.9 * reps
+
+    def test_each_degenerate_entry_refitted_once_per_side(self, monkeypatch):
+        from actidist import regression
+
+        rng = np.random.default_rng(15)
+        y, w = rng.normal(size=40), np.full(40, 1e9)
+        grids = [QuantileGrid(np.sort(rng.gamma(2, 30, size=8))) for _ in range(40)]
+        sides = {"grid": SurveySample(grids, y, w),
+                 "tac": SurveySample(rng.normal(size=40), y, w)}
+        lambda_grid = [1e-9, 1e-6, 1e-3]
+        degenerate = {}
+        for name, s in sides.items():
+            loo, denom = regression._krr_loo_hat(s, np.asarray(lambda_grid),
+                                                 regression._median_sigma(s))
+            degenerate[name] = sorted(
+                (lam, int(i)) for j, lam in enumerate(lambda_grid)
+                for i in np.flatnonzero((denom[:, j] < 1e-10) | ~np.isfinite(loo[:, j])))
+        refits = {"grid": [], "tac": []}
+        real = regression._krr_loo_refit
+
+        def counting(sample, lam, sigma, indices):
+            side = "grid" if sample.kind == "grid" else "tac"
+            refits[side].extend((lam, int(i)) for i in indices)
+            return real(sample, lam, sigma, indices)
+
+        monkeypatch.setattr(regression, "_krr_loo_refit", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            compare_r2(sides["grid"], sides["tac"], lambda_grid)
+        assert degenerate["grid"] or degenerate["tac"]
+        assert {k: sorted(v) for k, v in refits.items()} == degenerate
 
     def test_mismatched_responses_rejected(self):
         grids = [QuantileGrid(np.array([0.0, 1.0])), QuantileGrid(np.array([2.0, 3.0]))]

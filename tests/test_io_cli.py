@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import itertools
 import json
 import os
@@ -761,13 +760,14 @@ SIM_CONFIG = {
 }
 
 
-def assert_writes_rows(tmp_path, population, sample=()):
-    """write_readings_csv writes population (and sample) with the bytes of
-    the row-at-a-time oracle."""
+def assert_writes_rows(tmp_path, population, sample_ids=()):
+    """write_readings_csv writes population (and the subjects with the
+    sample ids) with the bytes of the row-at-a-time oracle."""
     io.write_readings_csv(tmp_path / "population.csv", population,
-                          tmp_path / "sample.csv", sample)
+                          tmp_path / "sample.csv", sample_ids)
     write_readings_rows(tmp_path / "population_rows.csv", population)
-    write_readings_rows(tmp_path / "sample_rows.csv", sample)
+    write_readings_rows(tmp_path / "sample_rows.csv",
+                        [s for s in population if s.subject_id in sample_ids])
     for name in ("population", "sample"):
         assert ((tmp_path / f"{name}.csv").read_bytes()
                 == (tmp_path / f"{name}_rows.csv").read_bytes())
@@ -798,7 +798,7 @@ class TestReadingsWriterGrids:
         population, _ = simulate_population(two_cluster_spec(8, seed=3, minutes=50))
         sample = draw_sample(population, StratifiedDesign({"frail": 0.5, "active": 0.5}),
                              seed=4)
-        assert_writes_rows(tmp_path, population, sample)
+        assert_writes_rows(tmp_path, population, [s.subject_id for s in sample])
 
 
 def mixed_readings(n):
@@ -850,19 +850,16 @@ class TestReadingsWriterSlices:
         assert io.read_readings_csv(tmp_path / "population.csv").keys() == set(ids)
 
     @pytest.mark.parametrize("slice_rows", [io._WRITE_CHUNK_ROWS, 2])
-    def test_sample_own_readings_then_shared_arrays(self, tmp_path, monkeypatch, slice_rows):
+    def test_sample_ids_take_the_population_slices(self, tmp_path, monkeypatch,
+                                                   slice_rows):
         monkeypatch.setattr(io, "_WRITE_CHUNK_ROWS", slice_rows)
         grid = np.arange(5.0)
         population = [ActivitySeries(sid, grid, mixed_readings(5) + k)
-                      for k, sid in enumerate("abcd")]
-        sample = [dataclasses.replace(population[0], readings=population[0].readings + 1.0),
-                  dataclasses.replace(population[1], survey_weight=2.0),
-                  # one id drawn twice: its own readings, then the shared ones
-                  dataclasses.replace(population[2], readings=population[2].readings + 1.0),
-                  dataclasses.replace(population[2], survey_weight=2.0),
-                  dataclasses.replace(population[3], survey_weight=3.0)]
-        assert sample[1].readings is population[1].readings
-        assert_writes_rows(tmp_path, population, sample)
+                      for k, sid in enumerate("abcde")]
+        # ids in any order and repeated: the sample file follows the population
+        assert_writes_rows(tmp_path, population, ["d", "a", "d", "b"])
+        text = (tmp_path / "sample.csv").read_text(encoding="utf-8")
+        assert [line[0] for line in text.splitlines()[1::5]] == ["a", "b", "d"]
 
 
 class TestReadingsReaderMemory:

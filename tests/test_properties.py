@@ -2,7 +2,6 @@
 the CSV readers."""
 
 import csv
-import dataclasses
 import math
 from unittest import mock
 
@@ -437,13 +436,10 @@ def equal_grid_subjects():
 
 
 def population_and_picks():
-    """Subjects, and for each whether the sample leaves it out, draws it with
-    its arrays shared (as draw_sample does), or draws its id with other
-    readings."""
+    """Subjects, and for each whether the sample draws its id."""
     return readings_subjects().flatmap(lambda population: st.tuples(
         st.just(population),
-        st.lists(st.sampled_from(["skip", "share", "own"]),
-                 min_size=len(population), max_size=len(population))))
+        st.lists(st.booleans(), min_size=len(population), max_size=len(population))))
 
 
 class TestReadingsWriter:
@@ -473,16 +469,16 @@ class TestReadingsWriter:
 
     @fuzz
     @given(population_and_picks())
-    @example((equal_grid_subjects(), ["share", "skip", "own"]))
+    @example((equal_grid_subjects(), [True, False, True]))
     def test_population_and_sample_in_one_pass(self, fuzz_dir, drawn):
         population, picks = drawn
-        sample = [dataclasses.replace(s, survey_weight=2.0) if pick == "share"
-                  else dataclasses.replace(s, readings=s.readings + 1.0)
-                  for s, pick in zip(population, picks) if pick != "skip"]
+        ids = {s.subject_id for s, pick in zip(population, picks) if pick}
         io.write_readings_csv(fuzz_dir / "population.csv", population,
-                              fuzz_dir / "sample.csv", sample)
+                              fuzz_dir / "sample.csv", ids)
         write_readings_rows(fuzz_dir / "population_rows.csv", population)
-        write_readings_rows(fuzz_dir / "sample_rows.csv", sample)
+        # a drawn id stands for every subject with that id
+        write_readings_rows(fuzz_dir / "sample_rows.csv",
+                            [s for s in population if s.subject_id in ids])
         for name in ("population", "sample"):
             assert ((fuzz_dir / f"{name}.csv").read_bytes()
                     == (fuzz_dir / f"{name}_rows.csv").read_bytes())
@@ -493,11 +489,11 @@ class TestReadingsWriter:
         assert (tmp_path / "r.csv").read_text(encoding="utf-8").splitlines()[1:] == [
             "a,0.0,0.0", "a,1.0,-0.0", "a,2.0,5e-324", "a,3.0,2.0"]
 
-    def test_sample_out_of_population_order_rejected(self, tmp_path):
-        population = equal_grid_subjects()
-        with pytest.raises(ValueError, match="'b' does not follow the population order"):
-            io.write_readings_csv(tmp_path / "population.csv", population,
-                                  tmp_path / "sample.csv", population[::-1])
+    def test_unknown_sample_id_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="sample subject 'x' is not in the population"):
+            io.write_readings_csv(tmp_path / "population.csv", equal_grid_subjects(),
+                                  tmp_path / "sample.csv", ["c", "x", "a"])
+        assert not (tmp_path / "population.csv").exists()
 
 
 def quantiles_by_both_paths(directory, text, chunks):

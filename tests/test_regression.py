@@ -332,6 +332,36 @@ class TestLaplacianKernel:
         with pytest.raises(ValueError):
             laplacian_kernel(-1.0, 1.0)
 
+    def test_nan_distance_rejected(self):
+        with pytest.raises(ValueError, match="distances must be nonnegative, not NaN"):
+            laplacian_kernel(np.array([0.5, np.nan]), 1.0)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_scale_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            laplacian_kernel(1.0, sigma)
+
+
+class TestRidgeParameterChecks:
+    """krr_fit and krr_loo reject what load_model would, with its messages."""
+
+    @pytest.mark.parametrize("lam, sigma, message", [
+        (np.nan, 1.0, "lambda must be nonnegative and finite"),
+        (np.inf, 1.0, "lambda must be nonnegative and finite"),
+        (0.1, np.inf, "sigma must be positive and finite"),
+        (0.1, np.nan, "sigma must be positive and finite"),
+    ])
+    def test_fit_and_loo_reject(self, lam, sigma, message):
+        s = scalar_sample(np.random.default_rng(53), 6)
+        for estimator in (krr_fit, krr_loo):
+            with pytest.raises(ValueError, match=message):
+                estimator(s, lam, sigma=sigma)
+
+    def test_loo_rejects_a_grid_with_a_non_finite_penalty(self):
+        s = scalar_sample(np.random.default_rng(54), 6)
+        with pytest.raises(ValueError, match="lambda must be nonnegative and finite"):
+            krr_loo(s, np.array([1.0, np.nan]), sigma=1.0)
+
 
 class TestKrrFit:
     def test_single_point_hand_solve(self):
@@ -482,14 +512,15 @@ class TestKrrSelectLambda:
     def test_single_candidate(self):
         rng = np.random.default_rng(16)
         s = scalar_sample(rng, 8)
-        assert krr_select_lambda(s, 1.0, [0.7]) == 0.7
+        lam, loo = krr_select_lambda(s, 1.0, [0.7])
+        assert lam == 0.7 and loo.shape == (8,)
 
     def test_noiseless_smooth_signal(self):
         x = np.linspace(-2, 2, 25)
         y = np.tanh(x)
         s = SurveySample(x, y)
         grid = np.logspace(-4, 2, 7)
-        lam = krr_select_lambda(s, 1.0, grid)
+        lam, _ = krr_select_lambda(s, 1.0, grid)
 
         def loo_err(l_):
             preds = krr_loo(s, l_, sigma=1.0)
@@ -521,7 +552,7 @@ class TestKrrSelectLambda:
         monkeypatch.setattr(np.linalg, "eigh", counting)
         monkeypatch.setattr(np.linalg, "solve", no_solve)
         sigma = 30.0
-        lam = krr_select_lambda(s, sigma, DEFAULT_LAMBDA_GRID)
+        lam, _ = krr_select_lambda(s, sigma, DEFAULT_LAMBDA_GRID)
         krr_fit(s.with_responses(s.responses + 1.0), lam, sigma=sigma)
         assert calls == [(15, 15)]
 
@@ -541,13 +572,13 @@ class TestKrrSelectLambda:
             y = rng.standard_normal(40)
             y = y - np.sum(w * y) / w.sum()
             s = SurveySample(rng.normal(size=40), y, w)
-            wins += krr_select_lambda(s, 1.0, grid) == grid.max()
+            wins += krr_select_lambda(s, 1.0, grid)[0] == grid.max()
         assert wins >= 40  # >= 80% of 50 replicates
 
     def test_exact_tie_breaks_toward_larger_penalty(self):
         # constant zero responses make every penalty equivalent
         s = SurveySample(np.array([0.0, 1.0, 2.0]), np.zeros(3))
-        assert krr_select_lambda(s, 1.0, [0.1, 1.0, 10.0]) == 10.0
+        assert krr_select_lambda(s, 1.0, [0.1, 1.0, 10.0])[0] == 10.0
 
 
 class TestTuningSweeps:
@@ -609,7 +640,7 @@ class TestTuningSweeps:
             s = (scalar_sample(rng, 30, weight_range=(0.2, 6.0)) if rep % 2
                  else grid_sample(rng, 25))
             sigma = float(np.median(s.distance_matrix()[s.distance_matrix() > 0]))
-            assert (krr_select_lambda(s, sigma, DEFAULT_LAMBDA_GRID)
+            assert (krr_select_lambda(s, sigma, DEFAULT_LAMBDA_GRID)[0]
                     == select_lambda_loop(s, sigma, DEFAULT_LAMBDA_GRID))
 
     def test_lambda_sweep_refits_only_degenerate_columns(self, monkeypatch):
@@ -618,22 +649,54 @@ class TestTuningSweeps:
         rng = np.random.default_rng(15)
         s = SurveySample(rng.normal(size=6), rng.normal(size=6), np.full(6, 1e9))
         grid = [1e-9, 1e-3, 1.0]
-        calls = []
-        real = regression.krr_loo
+        refits = []
+        real = regression._krr_loo_refit
 
-        def counting(sample, lam, sigma=None):
-            calls.append(lam)
-            return real(sample, lam, sigma=sigma)
+        def counting(sample, lam, sigma, indices):
+            refits.extend((lam, int(i)) for i in indices)
+            return real(sample, lam, sigma, indices)
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             expected = select_lambda_loop(s, 1.0, grid)
-            _, denom = _krr_loo_hat(s, np.asarray(grid), 1.0)
-            monkeypatch.setattr(regression, "krr_loo", counting)
-            lam = krr_select_lambda(s, 1.0, grid)
+            loo, denom = _krr_loo_hat(s, np.asarray(grid), 1.0)
+            monkeypatch.setattr(regression, "_krr_loo_refit", counting)
+            lam, _ = krr_select_lambda(s, 1.0, grid)
         assert lam == expected
-        degenerate = [g for g, col in zip(grid, denom.T) if np.any(col < 1e-10)]
-        assert degenerate and sorted(calls) == degenerate
+        degenerate = [(g, int(i)) for j, g in enumerate(grid)
+                      for i in np.flatnonzero((denom[:, j] < 1e-10)
+                                              | ~np.isfinite(loo[:, j]))]
+        assert degenerate and sorted(refits) == sorted(degenerate)
+
+    def test_lambda_sweep_returns_its_grid_column(self):
+        rng = np.random.default_rng(52)
+        cases = ((scalar_sample(rng, 30, weight_range=(0.2, 6.0)), 1.0),
+                 (grid_sample(rng, 25), 30.0),
+                 # degenerate entries, refitted in their columns
+                 (SurveySample(rng.normal(size=6), rng.normal(size=6), np.full(6, 1e9)),
+                  1.0))
+        for s, sigma in cases:
+            grid = np.sort(np.asarray([1e-9, *DEFAULT_LAMBDA_GRID]))[::-1]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                lam, loo = krr_select_lambda(s, sigma, grid)
+                every = krr_loo(s, grid, sigma=sigma)
+            assert every.shape == (s.n, grid.size)
+            j = int(np.flatnonzero(grid == lam)[0])
+            assert loo.tobytes() == every[:, j].tobytes()
+
+    def test_loo_grid_refits_match_one_penalty(self):
+        rng = np.random.default_rng(15)
+        s = SurveySample(rng.normal(size=6), rng.normal(size=6), np.full(6, 1e9))
+        grid = np.array([1.0, 1e-3, 1e-9])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            every = krr_loo(s, grid, sigma=1.0)
+            for j, lam in enumerate(grid):
+                np.testing.assert_allclose(every[:, j], krr_loo(s, lam, sigma=1.0),
+                                           rtol=0, atol=1e-10)
+                np.testing.assert_allclose(every[:, j], refit_loo(s, lam, 1.0),
+                                           rtol=0, atol=1e-8)
 
     def test_nw_loo_matches_unfused_kernel(self):
         rng = np.random.default_rng(47)

@@ -107,6 +107,16 @@ class TestMedianHeuristicSigma:
         with pytest.raises(ValueError, match="degenerate predictor set"):
             median_heuristic_sigma([2.0, 2.0, 2.0])
 
+    def test_nan_distance_rejected(self):
+        d = np.array([[0.0, 1.0, np.nan], [1.0, 0.0, 2.0], [np.nan, 2.0, 0.0]])
+        with pytest.raises(ValueError, match="distances must be nonnegative, not NaN"):
+            median_heuristic_sigma_from_matrix(d)
+
+    def test_negative_distance_rejected(self):
+        d = np.array([[0.0, 1.0, -3.0], [1.0, 0.0, 2.0], [-3.0, 2.0, 0.0]])
+        with pytest.raises(ValueError, match="distances must be nonnegative, not NaN"):
+            median_heuristic_sigma_from_matrix(d)
+
 
 class TestWeightedR2:
     def test_perfect_predictions(self):
