@@ -133,10 +133,6 @@ class SurveySample:
             check_quantile_rows(query)
         return geometry.pairwise_wasserstein(self._matrix, query)[:, 0]
 
-    def subset(self, mask: np.ndarray) -> "SurveySample":
-        idx = np.flatnonzero(mask)
-        return SurveySample(self._matrix[idx], self.responses[idx], self.weights[idx])
-
     def with_responses(self, responses) -> "SurveySample":
         """The same predictors and weights with other responses; the new
         sample shares this one's predictor matrix, cached distances and
@@ -296,6 +292,16 @@ def _kernel_spectrum(sample: SurveySample, sigma: float) -> tuple[np.ndarray, np
     return cached[1]
 
 
+def _check_nonsingular(shifted: np.ndarray) -> None:
+    """Raises when the kernel system is singular at some penalty: when, in
+    a column of `shifted` (the spectrum s_k + lam down its first axis), an
+    entry falls to n * eps * max|s + lam| or below, numpy's matrix_rank
+    tolerance."""
+    top = np.abs(shifted).max(axis=0)
+    if np.any(shifted <= shifted.shape[0] * np.finfo(float).eps * top):
+        raise ValueError("singular kernel system; increase lambda")
+
+
 def _median_sigma(sample: SurveySample) -> float:
     """The weighted median-heuristic kernel scale of the sample's predictors.
 
@@ -318,9 +324,8 @@ def krr_fit(sample: SurveySample, lam: float, sigma: float | None = None) -> Krr
     from the spectrum of _kernel_spectrum. The kernel scale defaults to the
     weighted median heuristic on the training predictors, computed once per
     sample. A warning is emitted when the condition number
-    max|s + lam| / min|s + lam| exceeds 1e12; the system is singular when
-    some s_k + lam falls to n * eps * max|s + lam| or below, numpy's
-    matrix_rank tolerance.
+    max|s + lam| / min|s + lam| exceeds 1e12; a singular system, as
+    _check_nonsingular defines it, raises.
     """
     if sigma is None:
         sigma = _median_sigma(sample)
@@ -328,13 +333,11 @@ def krr_fit(sample: SurveySample, lam: float, sigma: float | None = None) -> Krr
 
     evals, u = _kernel_spectrum(sample, sigma)
     shifted = evals + lam
-    top = np.abs(shifted).max()
     with np.errstate(divide="ignore"):
-        cond = top / np.abs(shifted).min()
+        cond = np.abs(shifted).max() / np.abs(shifted).min()
     if cond > 1e12:
         warnings.warn(f"ill-conditioned kernel system (cond ~ {cond:.2e})", stacklevel=2)
-    if np.any(shifted <= sample.n * np.finfo(float).eps * top):
-        raise ValueError("singular kernel system; increase lambda")
+    _check_nonsingular(shifted)
     r = np.sqrt(sample.weights)
     alpha = r * (u @ ((u.T @ (r * sample.responses)) / shifted))
     # the sample's matrix is read-only, so the model shares it
@@ -357,19 +360,6 @@ def krr_predict_batch(model: KrrModel, predictors) -> np.ndarray:
     return laplacian_kernel(d, model.sigma) @ model.alpha
 
 
-def _krr_loo_refit(sample: SurveySample, lam: float, sigma: float,
-                   indices) -> np.ndarray:
-    """Leave-one-out predictions at `indices`, each from an explicit refit
-    without that observation."""
-    out = []
-    for i in indices:
-        mask = np.ones(sample.n, dtype=bool)
-        mask[i] = False
-        model = krr_fit(sample.subset(mask), lam, sigma=sigma)
-        out.append(krr_predict_batch(model, sample._matrix[i:i + 1])[0])
-    return np.asarray(out, dtype=float)
-
-
 def _krr_loo_hat(sample: SurveySample, lams,
                  sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """Hat-matrix shortcut loo_i = y_i - (y_i - yhat_i) / (1 - H_ii) at one
@@ -382,14 +372,17 @@ def _krr_loo_hat(sample: SurveySample, lams,
     (Rifkin & Lippert 2007, Notes on Regularized Least Squares), without
     cancellation as H_ii nears 1. The penalties are the columns of G, so
     (U o U) G and U (G o U^T W^1/2 y) serve the whole grid in two n x n x L
-    products; one penalty is the one-column case.
+    products; one penalty is the one-column case. A penalty at which the
+    system is singular raises, as in krr_fit.
     """
     evals, u = _kernel_spectrum(sample, sigma)
     r = np.sqrt(sample.weights)
     y = sample.responses
     col = np.asarray(lams, dtype=float).reshape(1, -1)
+    shifted = evals[:, None] + col
+    _check_nonsingular(shifted)
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = col / (evals[:, None] + col)
+        g = col / shifted
         denom = (u * u) @ g
         resid = (u @ (g * (u.T @ (r * y))[:, None])) / r[:, None]
         loo = y[:, None] - resid / denom
@@ -402,24 +395,19 @@ def krr_loo(sample: SurveySample, lam: float | np.ndarray,
     """Leave-one-out ridge predictions with the kernel scale held fixed, at
     one penalty, (n,), or at each of a 1-d grid of them, (n, L).
 
-    Uses the hat-matrix shortcut, and refits explicitly every entry whose
-    shortcut denominator 1 - H_ii drops below 1e-10, where the formula is
-    no longer trustworthy, or whose value is not finite; a refit fills its
-    own column. The kernel scale defaults as in krr_fit.
+    Every entry is the hat-matrix shortcut of _krr_loo_hat, which stays
+    accurate as 1 - H_ii nears zero. Each penalty must be positive: at
+    lam = 0 the shortcut is 0 / 0. A penalty at which the kernel system is
+    singular raises as in krr_fit. The kernel scale defaults as in krr_fit.
     """
     if sample.n < 2:
         raise ValueError("need at least two observations")
     if sigma is None:
         sigma = _median_sigma(sample)
     _check_kernel(sigma, lam)
-    loo, denom = _krr_loo_hat(sample, lam, sigma)
-    # (n, 1) views for one penalty, so a refit writes through to `loo`
-    columns, denoms = loo.reshape(sample.n, -1), denom.reshape(sample.n, -1)
-    for j, lam_j in enumerate(np.reshape(lam, -1)):
-        bad = np.flatnonzero((denoms[:, j] < 1e-10) | ~np.isfinite(columns[:, j]))
-        if bad.size:
-            columns[bad, j] = _krr_loo_refit(sample, float(lam_j), sigma, bad)
-    return loo
+    if not np.all(np.asarray(lam) > 0):
+        raise ValueError("lambda must be positive for leave-one-out")
+    return _krr_loo_hat(sample, lam, sigma)[0]
 
 
 def krr_select_lambda(sample: SurveySample, sigma: float,
@@ -429,7 +417,7 @@ def krr_select_lambda(sample: SurveySample, sigma: float,
 
     One krr_loo call serves the whole grid. Ties break toward the larger
     penalty (stronger regularization). Raises ValueError when no penalty
-    gives a finite error.
+    gives a finite error, or when the kernel system is singular at one.
     """
     grid = _tuning_grid(lambda_grid, "lambda")[::-1]
     return _least_loo_error(sample, grid, krr_loo(sample, grid, sigma=sigma).T,

@@ -13,10 +13,12 @@ from actidist.geometry import _normalized_weights
 from actidist.io import InputValidationError, write_rows
 from actidist.regression import (
     GRID_KIND,
+    SurveySample,
     _kernel_spectrum,
-    _krr_loo_refit,
     gaussian_kernel,
+    krr_fit,
     krr_loo,
+    krr_predict_batch,
     laplacian_kernel,
 )
 from actidist.survey import weighted_median
@@ -51,7 +53,40 @@ def training_predictions(model) -> np.ndarray:
 
 def refit_loo(sample, lam: float, sigma: float) -> np.ndarray:
     """Leave-one-out predictions from one explicit refit per observation."""
-    return _krr_loo_refit(sample, lam, sigma, range(sample.n))
+    out = np.empty(sample.n)
+    for i in range(sample.n):
+        mask = np.arange(sample.n) != i
+        model = krr_fit(SurveySample(sample.predictors[mask], sample.responses[mask],
+                                     sample.weights[mask]), lam, sigma=sigma)
+        out[i] = krr_predict_batch(model, sample.predictors[i:i + 1])[0]
+    return out
+
+
+def mp_loo_hat(sample, lam: float, sigma: float, dps: int = 50) -> np.ndarray:
+    """Hat-matrix leave-one-out solved at `dps` decimal digits with mpmath.
+
+    Distances and kernel are formed at that precision from the predictors.
+    With S = W^1/2 K W^1/2 and B = (S + lam I)^-1, 1 - H_ii = lam B_ii and
+    y - yhat = lam W^-1/2 B W^1/2 y, so loo_i = y_i - (B W^1/2 y)_i / (r_i B_ii)
+    with r = diag(W^1/2).
+    """
+    import mpmath
+
+    n, x = sample.n, sample.predictors
+    with mpmath.workdps(dps):
+        rows = [[mpmath.mpf(float(v)) for v in np.atleast_1d(row)] for row in x]
+        r = [mpmath.sqrt(mpmath.mpf(float(w))) for w in sample.weights]
+        a = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                dist = mpmath.sqrt(mpmath.fsum((p - q) ** 2 for p, q in zip(rows[i], rows[j]))
+                                   / len(rows[i]))
+                a[i, j] = r[i] * mpmath.exp(-dist / mpmath.mpf(sigma)) * r[j]
+            a[i, i] += mpmath.mpf(lam)
+        b = mpmath.inverse(a)
+        y = [mpmath.mpf(float(v)) for v in sample.responses]
+        c = b * mpmath.matrix([r[i] * y[i] for i in range(n)])
+        return np.array([float(y[i] - c[i] / (r[i] * b[i, i])) for i in range(n)])
 
 
 def dense_loo_hat(sample, lam: float, sigma: float):

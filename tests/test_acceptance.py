@@ -128,8 +128,8 @@ def test_criterion_04_loo_fast_path_oracle_and_fallback():
     gap = float(np.max(np.abs(fast - refit)))
     assert gap <= 1e-8
 
-    # non-uniform weights driving 1 - H_ii below the 1e-10 trigger: the raw
-    # shortcut is unusable there and the default path must refit instead
+    # weights of 1e9 drive 1 - H_ii below 1e-10: the shortcut forms it as a
+    # sum of nonnegative terms, so the default path still matches the refit
     x = rng.normal(size=6)
     y = rng.normal(size=6)
     degenerate = SurveySample(x, y, np.full(6, 1e9))
@@ -142,7 +142,7 @@ def test_criterion_04_loo_fast_path_oracle_and_fallback():
     fallback_gap = float(np.max(np.abs(auto - explicit)))
     assert fallback_gap <= 1e-8
     print(f"criterion 4 PASS: fast-vs-refit gap {gap:.2e}, "
-          f"fallback gap {fallback_gap:.2e}")
+          f"degenerate-entry gap {fallback_gap:.2e}")
 
 
 def test_criterion_05_invariance_suite():

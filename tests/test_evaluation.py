@@ -27,6 +27,7 @@ from actidist.evaluation import (
 )
 from actidist.geometry import summarize
 from actidist.regression import SurveySample
+from oracles import refit_loo
 
 
 def make_outcome(predicted, actual, classified=None):
@@ -77,6 +78,8 @@ class TestCompareR2:
         assert lows >= 0.9 * reps
 
     def test_each_degenerate_entry_refitted_once_per_side(self, monkeypatch):
+        # compare_r2 refits nothing, and on each side the entries with
+        # 1 - H_ii below 1e-10 agree with the explicit refit
         from actidist import regression
 
         rng = np.random.default_rng(15)
@@ -85,27 +88,33 @@ class TestCompareR2:
         sides = {"grid": SurveySample(grids, y, w),
                  "tac": SurveySample(rng.normal(size=40), y, w)}
         lambda_grid = [1e-9, 1e-6, 1e-3]
-        degenerate = {}
-        for name, s in sides.items():
-            loo, denom = regression._krr_loo_hat(s, np.asarray(lambda_grid),
-                                                 regression._median_sigma(s))
-            degenerate[name] = sorted(
-                (lam, int(i)) for j, lam in enumerate(lambda_grid)
-                for i in np.flatnonzero((denom[:, j] < 1e-10) | ~np.isfinite(loo[:, j])))
-        refits = {"grid": [], "tac": []}
-        real = regression._krr_loo_refit
+        fits = []
+        real = regression.krr_fit
 
-        def counting(sample, lam, sigma, indices):
-            side = "grid" if sample.kind == "grid" else "tac"
-            refits[side].extend((lam, int(i)) for i in indices)
-            return real(sample, lam, sigma, indices)
+        def counting(*args, **kwargs):
+            fits.append(args)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(regression, "_krr_loo_refit", counting)
+        monkeypatch.setattr(regression, "krr_fit", counting)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             compare_r2(sides["grid"], sides["tac"], lambda_grid)
-        assert degenerate["grid"] or degenerate["tac"]
-        assert {k: sorted(v) for k, v in refits.items()} == degenerate
+        monkeypatch.undo()
+        assert fits == []
+        marked = 0
+        for s in sides.values():
+            sigma = regression._median_sigma(s)
+            _, denom = regression._krr_loo_hat(s, np.asarray(lambda_grid), sigma)
+            every = regression.krr_loo(s, np.asarray(lambda_grid), sigma=sigma)
+            for j, lam in enumerate(lambda_grid):
+                degenerate = denom[:, j] < 1e-10
+                marked += int(degenerate.sum())
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    refit = refit_loo(s, lam, sigma)
+                np.testing.assert_allclose(every[degenerate, j], refit[degenerate],
+                                           rtol=0, atol=1e-8)
+        assert marked
 
     def test_mismatched_responses_rejected(self):
         grids = [QuantileGrid(np.array([0.0, 1.0])), QuantileGrid(np.array([2.0, 3.0]))]

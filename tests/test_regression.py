@@ -9,6 +9,7 @@ from actidist import geometry, io
 from actidist.distribution import QuantileGrid
 from actidist.evaluation import DEFAULT_LAMBDA_GRID
 from actidist.regression import (
+    _kernel_spectrum,
     _krr_loo_hat,
     MODEL_FORMAT_VERSION,
     KrrModel,
@@ -31,6 +32,7 @@ from actidist.regression import (
 from oracles import (
     dense_loo_hat,
     loo_hat_matvec,
+    mp_loo_hat,
     nw_loo_unfused,
     refit_loo,
     select_bandwidth_loop,
@@ -252,7 +254,8 @@ class TestNwLoo:
         for i in range(20):
             mask[:] = True
             mask[i] = False
-            expected = nw_predict(s.subset(mask), bandwidth, s._matrix[i])
+            rest = SurveySample(s.predictors[mask], s.responses[mask], s.weights[mask])
+            expected = nw_predict(rest, bandwidth, s._matrix[i])
             assert fast[i] == pytest.approx(expected, abs=1e-12)
 
     def test_duplicate_split_leaves_other_entries(self):
@@ -493,19 +496,60 @@ class TestKrrLoo:
                 np.testing.assert_allclose(loo, dense, atol=1e-8)
                 np.testing.assert_allclose(loo, refit_loo(s, lam, sigma), atol=1e-8)
 
-    def test_auto_falls_back_when_shortcut_degenerates(self):
+    def test_shortcut_matches_refit_where_denominator_degenerates(self):
         rng = np.random.default_rng(15)
         x = rng.normal(size=6)
         y = rng.normal(size=6)
         s = SurveySample(x, y, np.full(6, 1e9))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            from actidist.regression import _krr_loo_hat
             _, denom = _krr_loo_hat(s, 1e-9, 1.0)
             assert np.any(denom < 1e-10)
             auto = krr_loo(s, 1e-9, sigma=1.0)
             refit = refit_loo(s, 1e-9, 1.0)
         np.testing.assert_allclose(auto, refit, atol=1e-8)
+
+    def test_shortcut_within_rounding_of_extended_precision(self):
+        # error as max_i |loo_i - exact_i| / max_i |exact_i|; a backward-stable
+        # solve of (S + lam I) is accurate to about u * cond(S + lam I), and
+        # the shortcut, with no refit, must stay within n times that, as the
+        # explicit refit does, also at lam = 1e-10 where 1 - H_ii < 1e-10
+        pytest.importorskip("mpmath")
+        rng = np.random.default_rng(56)
+        n = 30
+        y, w = rng.normal(size=n), rng.uniform(1.0, 20.0, size=n)
+        sides = {"grid": SurveySample(np.sort(rng.gamma(2, 30, size=(n, 20)), axis=1), y, w),
+                 "scalar": SurveySample(rng.normal(size=n), y, w)}
+        for side, s in sides.items():
+            d = s.distance_matrix()
+            sigma = float(np.median(d[d > 0]))
+            evals = _kernel_spectrum(s, sigma)[0]
+            for lam in (1e-10, 1e-6, 1.0):
+                exact = mp_loo_hat(s, lam, sigma)
+                envelope = n * np.finfo(float).eps * (evals.max() + lam) / (evals.min() + lam)
+                for loo in (krr_loo(s, lam, sigma=sigma), refit_loo(s, lam, sigma)):
+                    err = np.max(np.abs(loo - exact)) / np.max(np.abs(exact))
+                    assert err <= envelope, (side, lam, err, envelope)
+                    if side == "grid":
+                        assert err <= 1e-12, (lam, err)
+
+    def test_singular_penalty_raises(self):
+        # the smallest eigenvalue of the twins' kernel is -4.4e-16, so the
+        # system is singular at lambda = 1e-17 and the shortcut is noise
+        s = SurveySample(np.array([0.0, 0.0, 3.0, 5.0]), np.array([2.0, 2.0, -1.0, 0.5]))
+        with pytest.raises(ValueError, match="singular kernel system"):
+            krr_loo(s, 1e-17, sigma=1.0)
+        with pytest.raises(ValueError, match="singular kernel system"):
+            krr_select_lambda(s, 1.0, [1e-20, 1e-17, 0.1])
+
+    def test_zero_penalty_rejected(self):
+        # at lambda = 0 every shortcut entry is 0 / 0
+        s = scalar_sample(np.random.default_rng(55), 6)
+        for lam in (0.0, np.array([0.1, 0.0])):
+            with pytest.raises(ValueError, match="lambda must be positive"):
+                krr_loo(s, lam, sigma=1.0)
+        with pytest.raises(ValueError, match="positive"):
+            krr_select_lambda(s, 1.0, [0.0, 0.1])
 
 
 class TestKrrSelectLambda:
@@ -644,35 +688,41 @@ class TestTuningSweeps:
                     == select_lambda_loop(s, sigma, DEFAULT_LAMBDA_GRID))
 
     def test_lambda_sweep_refits_only_degenerate_columns(self, monkeypatch):
+        # no entry is refitted, and the entries with 1 - H_ii below 1e-10
+        # agree with the explicit refit
         from actidist import regression
 
         rng = np.random.default_rng(15)
         s = SurveySample(rng.normal(size=6), rng.normal(size=6), np.full(6, 1e9))
         grid = [1e-9, 1e-3, 1.0]
-        refits = []
-        real = regression._krr_loo_refit
+        fits = []
+        real = regression.krr_fit
 
-        def counting(sample, lam, sigma, indices):
-            refits.extend((lam, int(i)) for i in indices)
-            return real(sample, lam, sigma, indices)
+        def counting(*args, **kwargs):
+            fits.append(args)
+            return real(*args, **kwargs)
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             expected = select_lambda_loop(s, 1.0, grid)
-            loo, denom = _krr_loo_hat(s, np.asarray(grid), 1.0)
-            monkeypatch.setattr(regression, "_krr_loo_refit", counting)
+            _, denom = _krr_loo_hat(s, np.asarray(grid), 1.0)
+            every = krr_loo(s, np.asarray(grid), sigma=1.0)
+            monkeypatch.setattr(regression, "krr_fit", counting)
             lam, _ = krr_select_lambda(s, 1.0, grid)
-        assert lam == expected
-        degenerate = [(g, int(i)) for j, g in enumerate(grid)
-                      for i in np.flatnonzero((denom[:, j] < 1e-10)
-                                              | ~np.isfinite(loo[:, j]))]
-        assert degenerate and sorted(refits) == sorted(degenerate)
+            monkeypatch.undo()
+            assert lam == expected and fits == []
+            degenerate = denom < 1e-10
+            assert degenerate.any()
+            for j, g in enumerate(grid):
+                np.testing.assert_allclose(every[degenerate[:, j], j],
+                                           refit_loo(s, g, 1.0)[degenerate[:, j]],
+                                           rtol=0, atol=1e-8)
 
     def test_lambda_sweep_returns_its_grid_column(self):
         rng = np.random.default_rng(52)
         cases = ((scalar_sample(rng, 30, weight_range=(0.2, 6.0)), 1.0),
                  (grid_sample(rng, 25), 30.0),
-                 # degenerate entries, refitted in their columns
+                 # entries whose 1 - H_ii falls below 1e-10
                  (SurveySample(rng.normal(size=6), rng.normal(size=6), np.full(6, 1e9)),
                   1.0))
         for s, sigma in cases:
@@ -685,7 +735,7 @@ class TestTuningSweeps:
             j = int(np.flatnonzero(grid == lam)[0])
             assert loo.tobytes() == every[:, j].tobytes()
 
-    def test_loo_grid_refits_match_one_penalty(self):
+    def test_degenerate_grid_columns_match_one_penalty_and_refit(self):
         rng = np.random.default_rng(15)
         s = SurveySample(rng.normal(size=6), rng.normal(size=6), np.full(6, 1e9))
         grid = np.array([1.0, 1e-3, 1e-9])
