@@ -20,7 +20,7 @@ import numpy as np
 # each command imports the estimators it calls, so that a process loads
 # only the modules its subcommand uses
 from . import io
-from .distribution import CensorSpec, build_mixed, tac_per_day
+from .distribution import MINUTES_PER_DAY, CensorSpec, build_mixed, tac_per_day
 
 # estimator names that other code reads as attributes of this module (the
 # benchmark's tracer checks do), imported on first access
@@ -126,10 +126,7 @@ def cmd_build_dist(args) -> int:
 def _read_regression_inputs(args):
     ids, x = io.read_quantile_csv(args.input)
     meta = io.read_subjects_csv(args.subjects)
-    missing = sorted(set(ids) - set(meta))
-    if missing:
-        raise io.InputValidationError(
-            f"subjects file lacks entries for: {', '.join(missing)}")
+    io.check_entries(ids, meta, "subjects")
     weights = np.asarray([meta[sid][0] for sid in ids])
     covariates = [meta[sid][1] for sid in ids]
     return ids, x, weights, covariates
@@ -156,16 +153,13 @@ def _numeric_column(ids, covariates, name: str, role: str) -> np.ndarray:
 
 def _tac_values(args, ids, x) -> np.ndarray:
     """Daily totals from the summary file when given, else recovered from
-    the distribution as 1440 * mean quantile value."""
+    the distribution as minutes per day * mean quantile value."""
     summary_path = getattr(args, "summary", None)
     if summary_path:
         rows = io.read_summary_csv(summary_path)
-        missing = sorted(set(ids) - set(rows))
-        if missing:
-            raise io.InputValidationError(
-                f"summary file lacks entries for: {', '.join(missing)}")
+        io.check_entries(ids, rows, "summary")
         return np.asarray([rows[sid][1] for sid in ids])
-    return 1440.0 * x.mean(axis=1)
+    return MINUTES_PER_DAY * x.mean(axis=1)
 
 
 def cmd_regress(args) -> int:
@@ -267,77 +261,12 @@ def cmd_classify(args) -> int:
     return 0
 
 
-_STRATUM_KEYS = {"name", "proportion", "inactivity_range", "intensity", "age_range",
-                 "mortality_rate", "response"}
-_DESIGN_KEYS = {"stratified": {"kind", "fractions"},
-                "poisson": {"kind", "expected_n", "size_covariate"}}
-
-
-def _check_keys(section, known, where: str) -> None:
-    if not isinstance(section, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    unknown = sorted(set(section) - set(known))
-    if unknown:
-        raise ValueError(f"unknown config keys in {where}: {', '.join(unknown)}")
-
-
-def _population_spec_from_config(cfg: dict):
-    from . import datagen
-
-    pop = cfg.get("population")
-    if not isinstance(pop, dict) or "strata" not in pop:
-        raise ValueError("config must define population.strata")
-    _check_keys(pop, {"size", "minutes", "strata"}, "population")
-    strata = []
-    for k, entry in enumerate(pop["strata"]):
-        where = f"population.strata[{k}]"
-        _check_keys(entry, _STRATUM_KEYS, where)
-        _check_keys(entry["intensity"], {"kind", "params"}, f"{where}.intensity")
-        intensity = datagen.IntensityLaw(entry["intensity"]["kind"],
-                                         tuple(entry["intensity"]["params"]))
-        response = None
-        if entry.get("response"):
-            response = datagen.ResponseModel(**entry["response"])
-        strata.append(datagen.StratumSpec(
-            name=entry["name"],
-            proportion=float(entry["proportion"]),
-            inactivity_range=tuple(entry["inactivity_range"]),
-            intensity=intensity,
-            age_range=tuple(entry.get("age_range", (68, 85))),
-            mortality_rate=float(entry.get("mortality_rate", 0.0)),
-            response=response,
-        ))
-    return datagen.PopulationSpec(
-        size=int(pop["size"]),
-        strata=tuple(strata),
-        minutes=int(pop.get("minutes", 1440)),
-        seed=int(cfg["seed"]),
-    )
-
-
-def _design_from_config(cfg: dict):
-    from . import datagen
-
-    design = cfg.get("design")
-    if not isinstance(design, dict) or "kind" not in design:
-        raise ValueError("config must define design.kind")
-    if design["kind"] not in _DESIGN_KEYS:
-        raise ValueError(f"unknown design kind {design['kind']!r}")
-    _check_keys(design, _DESIGN_KEYS[design["kind"]], f"{design['kind']} design")
-    if design["kind"] == "stratified":
-        return datagen.StratifiedDesign(fractions=dict(design["fractions"]))
-    return datagen.PoissonDesign(
-        expected_n=int(design["expected_n"]),
-        size_covariate=design.get("size_covariate"),
-    )
-
-
 def cmd_simulate(args) -> int:
     from . import datagen
 
     cfg = _merged(args, "simulate")
-    spec = _population_spec_from_config(cfg)
-    design = _design_from_config(cfg)
+    spec = datagen.population_from_config(cfg["population"], cfg["seed"])
+    design = datagen.design_from_config(cfg["design"])
 
     population, truth = datagen.simulate_population(spec)
     pi = datagen.inclusion_probabilities(population, design)

@@ -221,6 +221,65 @@ class PoissonDesign:
             raise ValueError("expected sample size must be at least 1")
 
 
+# the converter that makes a JSON value a field of each annotation; a field
+# with another annotation takes the value as it is
+_FROM_JSON = {"int": int, "float": float, "tuple": tuple, "dict": dict}
+
+
+def _from_config(cls, obj, where: str, parse=None, **given):
+    """A `cls` from the JSON object `obj` at `where` in a simulate config: its
+    keys are the fields of `cls` not `given`, required where the field has no
+    default, and a value goes through parse[field] or its annotation's converter."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    fields = [f for f in dataclasses.fields(cls) if f.name not in given]
+    unknown = sorted(set(obj) - {f.name for f in fields})
+    missing = [f.name for f in fields
+               if f.name not in obj and f.default is dataclasses.MISSING]
+    for problem, keys in (("unknown", unknown), ("missing", missing)):
+        if keys:
+            raise ValueError(f"{problem} config keys in {where}: {', '.join(keys)}")
+    parse = parse or {}
+    for f in fields:
+        if f.name in obj:
+            convert = parse.get(f.name) or _FROM_JSON.get(f.type, lambda v: v)
+            given[f.name] = convert(obj[f.name])
+    return cls(**given)
+
+
+def _stratum_from_config(entry, where: str) -> StratumSpec:
+    return _from_config(StratumSpec, entry, where, parse={
+        "intensity": lambda v: _from_config(IntensityLaw, v, f"{where}.intensity"),
+        "response": lambda v: (None if v is None else
+                               _from_config(ResponseModel, v, f"{where}.response")),
+    })
+
+
+def population_from_config(population, seed: int) -> PopulationSpec:
+    """The spec of a simulate config's `population` object and top-level `seed`."""
+    if not isinstance(population, dict) or "strata" not in population:
+        raise ValueError("config must define population.strata")
+    return _from_config(PopulationSpec, population, "population", seed=int(seed), parse={
+        "strata": lambda strata: tuple(_stratum_from_config(entry, f"population.strata[{k}]")
+                                       for k, entry in enumerate(strata)),
+    })
+
+
+_DESIGNS = {"stratified": StratifiedDesign, "poisson": PoissonDesign}
+
+
+def design_from_config(design):
+    """The design of a simulate config's `design` object, whose `kind` picks
+    the class and whose other keys are its fields."""
+    if not isinstance(design, dict) or "kind" not in design:
+        raise ValueError("config must define design.kind")
+    kind = design["kind"]
+    if kind not in _DESIGNS:
+        raise ValueError(f"unknown design kind {kind!r}")
+    return _from_config(_DESIGNS[kind], {k: v for k, v in design.items() if k != "kind"},
+                        f"{kind} design")
+
+
 def _stratum_indices(population) -> dict:
     groups: dict = {}
     for i, subject in enumerate(population):

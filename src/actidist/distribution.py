@@ -185,17 +185,21 @@ def inactive_proportion(series: ActivitySeries, censor: CensorSpec = NO_CENSOR) 
     return float(np.mean(_is_inactive(series.readings, censor)))
 
 
-def censor_series(series: ActivitySeries, censor: CensorSpec) -> ActivitySeries:
-    """Clamp readings into [lower, upper]; timestamps and metadata unchanged."""
-    readings = series.readings
+def _clamped(readings: np.ndarray, censor: CensorSpec) -> np.ndarray:
+    """readings clamped into [lower, upper]; the array itself when neither is set."""
     if censor.lower is not None:
         readings = np.maximum(readings, censor.lower)
     if censor.upper is not None:
         readings = np.minimum(readings, censor.upper)
+    return readings
+
+
+def censor_series(series: ActivitySeries, censor: CensorSpec) -> ActivitySeries:
+    """Clamp readings into [lower, upper]; timestamps and metadata unchanged."""
     return ActivitySeries(
         subject_id=series.subject_id,
         timestamps=series.timestamps,
-        readings=readings,
+        readings=_clamped(series.readings, censor),
         survey_weight=series.survey_weight,
         covariates=series.covariates,
     )
@@ -246,8 +250,8 @@ def silverman_bandwidth(positive_readings: np.ndarray) -> float:
 
 
 def _active_values(series: ActivitySeries, censor: CensorSpec) -> np.ndarray:
-    censored = censor_series(series, censor)
-    return censored.readings[~_is_inactive(censored.readings, censor)]
+    readings = _clamped(series.readings, censor)
+    return readings[~_is_inactive(readings, censor)]
 
 
 def kde_active(
@@ -306,7 +310,7 @@ def build_mixed(
     """
     return MixedDistribution(
         p_inactive=inactive_proportion(series, censor),
-        quantiles=empirical_quantiles(censor_series(series, censor), m),
+        quantiles=quantiles_from_values(_clamped(series.readings, censor), m),
         atom_value=censor.atom_value,
     )
 

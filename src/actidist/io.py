@@ -68,10 +68,11 @@ def read_readings_csv(path) -> dict:
     Returns {subject_id: (timestamps, counts)} as float64 arrays in file
     order, subjects in order of first appearance, ids stripped; each array
     owns its data, so no subject keeps a parser chunk alive. numpy's C
-    parser reads the rows in chunks; when it refuses a row or a value fails
-    a check, the csv row loop reads the whole file again. That loop accepts
-    the same files as the parser and more, and reports every malformed row
-    with its line number, so a dirty file surfaces all problems in one pass.
+    parser reads the rows in chunks; when it refuses a row, a value fails
+    a check or an id is longer than csv.field_size_limit(), the csv row loop
+    reads the whole file again. That loop accepts the same files as the
+    parser and more, and reports every malformed row with its line number,
+    so a dirty file surfaces all problems in one pass.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh, \
             contextlib.suppress(csv.Error):  # the row loop reports it
@@ -105,7 +106,7 @@ def _loadtxt_chunks(fh, dtype):
 
 def _read_readings_chunks(fh):
     """The rows after the header through np.loadtxt, or None when it refuses
-    a row or a value is non-finite or a count negative."""
+    a row, a value is non-finite, a count negative or an id too long."""
     pieces: dict = {}
     try:
         for rows in _loadtxt_chunks(fh, _READINGS_ROW):
@@ -124,9 +125,13 @@ def _read_readings_chunks(fh):
 
 def _append_chunk(pieces: dict, rows) -> None:
     """Append each subject's (timestamps, counts) in this chunk, in file
-    order, as one piece to pieces[stripped id]."""
+    order, as one piece to pieces[stripped id]; raises ValueError on an id
+    longer than csv.field_size_limit(), which the row loop refuses."""
     ids = rows["subject_id"]
     starts = np.concatenate(([0], np.flatnonzero(ids[1:] != ids[:-1]) + 1))
+    limit = csv.field_size_limit()
+    if any(len(ids[i]) > limit for i in starts):
+        raise ValueError("subject_id longer than the csv field limit")
     codes: dict = {}
     run_codes = [codes.setdefault(ids[i].strip(), len(codes)) for i in starts]
     row_codes = np.repeat(run_codes, np.diff(starts, append=len(ids)))
@@ -231,14 +236,19 @@ def read_subjects_csv(path) -> dict:
     return out
 
 
+def check_entries(ids, table: dict, what: str) -> None:
+    """Raise InputValidationError naming the ids with no entry in `table`."""
+    missing = sorted(set(ids) - set(table))
+    if missing:
+        raise InputValidationError(
+            f"{what} file lacks entries for: {', '.join(missing)}")
+
+
 def load_series(readings_path, subjects_path) -> list:
     """Join readings and subject metadata into ActivitySeries objects."""
     readings = read_readings_csv(readings_path)
     subjects = read_subjects_csv(subjects_path)
-    missing = sorted(set(readings) - set(subjects))
-    if missing:
-        raise InputValidationError(
-            f"subjects file lacks entries for: {', '.join(missing)}")
+    check_entries(readings, subjects, "subjects")
     series = []
     for sid in sorted(readings):
         t, counts = readings[sid]

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from actidist import io
+from actidist import datagen, io
 from actidist.cli import main
 from actidist.datagen import (
     StratifiedDesign,
@@ -303,13 +304,15 @@ class TestBuildDist:
 
     def test_over_long_id_exits_2(self, tmp_path, capsys):
         long_id = "x" * 140000
-        readings, subjects = write_toy_inputs(
-            tmp_path, rows=["a,0,1", f"{long_id},0,2"],
-            subjects_rows=["a,1.0,70,0", f"{long_id},1.0,71,1"])
-        rc = main(["build-dist", "--input", str(readings), "--subjects",
-                   str(subjects), "--out", str(tmp_path / "out")])
-        assert rc == 2
-        assert "subjects.csv: line 3: field larger than field limit" in capsys.readouterr().err
+        # the readings file is read first: its long id is the error named
+        for rows, name in ((["a,0,1", "a,1,2"], "subjects.csv"),
+                           (["a,0,1", f"{long_id},0,2"], "readings.csv")):
+            readings, subjects = write_toy_inputs(
+                tmp_path, rows=rows, subjects_rows=["a,1.0,70,0", f"{long_id},1.0,71,1"])
+            rc = main(["build-dist", "--input", str(readings), "--subjects",
+                       str(subjects), "--out", str(tmp_path / "out")])
+            assert rc == 2
+            assert f"{name}: line 3: field larger than field limit" in capsys.readouterr().err
 
     def test_with_summary_is_an_unknown_config_key(self, tmp_path, capsys):
         readings, subjects = default_toy(tmp_path)
@@ -760,6 +763,30 @@ SIM_CONFIG = {
 }
 
 
+def _add_response(cfg):
+    stratum = cfg["population"]["strata"][0]
+    stratum["response"] = {"kind": "tac", "scale": 0.01}
+    return stratum["response"]
+
+
+def _poisson_design(cfg):
+    cfg["design"] = {"kind": "poisson", "expected_n": 20}
+    return cfg["design"]
+
+
+# every object of a simulate config: how to reach it in a copy of
+# SIM_CONFIG, where an error places it, and one key it requires
+SIM_CONFIG_OBJECTS = {
+    "population": (lambda c: c["population"], "population", "size"),
+    "stratum": (lambda c: c["population"]["strata"][1], "population.strata[1]", "name"),
+    "intensity": (lambda c: c["population"]["strata"][0]["intensity"],
+                  "population.strata[0].intensity", "kind"),
+    "response": (_add_response, "population.strata[0].response", "kind"),
+    "stratified_design": (lambda c: c["design"], "stratified design", "fractions"),
+    "poisson_design": (_poisson_design, "poisson design", "expected_n"),
+}
+
+
 def assert_writes_rows(tmp_path, population, sample_ids=()):
     """write_readings_csv writes population (and the subjects with the
     sample ids) with the bytes of the row-at-a-time oracle."""
@@ -970,6 +997,48 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("problem", ["unknown", "missing"])
+    @pytest.mark.parametrize("obj", SIM_CONFIG_OBJECTS)
+    def test_key_error_names_key_and_place(self, tmp_path, capsys, obj, problem):
+        locate, where, required = SIM_CONFIG_OBJECTS[obj]
+        cfg = json.loads(json.dumps(SIM_CONFIG))
+        section = locate(cfg)
+        if problem == "unknown":
+            key = "extra"
+            section[key] = 1
+        else:
+            key = required
+            del section[key]
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        assert f"error: {problem} config keys in {where}: {key}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_left_out_keys_take_the_spec_defaults(self, tmp_path, monkeypatch):
+        specs = []
+        simulate = datagen.simulate_population
+        monkeypatch.setattr(datagen, "simulate_population",
+                            lambda spec: specs.append(spec) or simulate(spec))
+        cfg = json.loads(json.dumps(SIM_CONFIG))
+        cfg["population"]["size"] = 4
+        del cfg["population"]["minutes"]
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+        (spec,) = specs
+        # seed is the config's top-level key, not a population key
+        given = [(spec, {*cfg["population"], "seed"})]
+        given += [(s, set(entry)) for s, entry in zip(spec.strata, cfg["population"]["strata"])]
+        defaulted = 0
+        for obj, keys in given:
+            for f in dataclasses.fields(obj):
+                if f.name not in keys:
+                    assert getattr(obj, f.name) == f.default
+                    defaulted += 1
+        assert defaulted == 7  # minutes, and each stratum's age range, mortality, response
 
     def test_ground_truth_contents(self, tmp_path):
         config = tmp_path / "sim.json"

@@ -387,9 +387,13 @@ class TestReadingsReaderPaths:
         ("a,0,1\nb,0,1\na,1,2\nb,1,3\n", True),
         ("a,0,nan\nb,inf,1\nc,0,-1\nd,x,1\ne,0\n", False),
         ("", False),
+        (f"{'x' * 131072},0,1\n", True),
+        (f"{'x' * 131073},0,1\n", False),
+        (f"a,0,1\n{'x' * 140000},1,2\n", False),
     ], ids=["quoted_ids", "strip_merges", "lone_cr", "blank_lines", "space_line",
             "tab_line", "underscore", "arabic_digit", "padded", "negative_zero",
-            "interleaved", "bad_rows", "no_rows"])
+            "interleaved", "bad_rows", "no_rows", "id_at_field_limit",
+            "id_over_field_limit", "over_long_id"])
     def test_explicit_files_agree(self, tmp_path, text, bulk):
         assert assert_paths_agree(tmp_path, HEADER + text) is bulk
 
