@@ -17,6 +17,10 @@ import numpy as np
 from .distribution import ActivitySeries, tac_per_day
 
 
+# the number of parameters of each kind of IntensityLaw
+_LAW_PARAMS = {"lognormal": 2, "gamma": 2, "lognormal_fixed_mean": 3}
+
+
 @dataclass(frozen=True)
 class IntensityLaw:
     """Positive intensity law for active minutes.
@@ -33,8 +37,11 @@ class IntensityLaw:
     params: tuple
 
     def __post_init__(self):
-        if self.kind not in ("lognormal", "gamma", "lognormal_fixed_mean"):
+        if not isinstance(self.kind, str) or self.kind not in _LAW_PARAMS:
             raise ValueError(f"unknown intensity law {self.kind!r}")
+        n = _LAW_PARAMS[self.kind]
+        if len(self.params) != n:
+            raise ValueError(f"{self.kind} takes {n} params, got {len(self.params)}")
 
 
 @dataclass(frozen=True)
@@ -64,6 +71,12 @@ class StratumSpec:
     age_range: tuple = (68, 85)
     mortality_rate: float = 0.0
     response: ResponseModel | None = None
+
+    def __post_init__(self):
+        for name in ("inactivity_range", "age_range"):
+            size = len(getattr(self, name))
+            if size != 2:
+                raise ValueError(f"{name} must be 2 values, got {size}")
 
 
 @dataclass(frozen=True)
@@ -226,25 +239,38 @@ class PoissonDesign:
 _FROM_JSON = {"int": int, "float": float, "tuple": tuple, "dict": dict}
 
 
+class _PlacedError(ValueError):
+    """A config error whose message already names where it sits."""
+
+
 def _from_config(cls, obj, where: str, parse=None, **given):
     """A `cls` from the JSON object `obj` at `where` in a simulate config: its
     keys are the fields of `cls` not `given`, required where the field has no
-    default, and a value goes through parse[field] or its annotation's converter."""
+    default, and a value goes through parse[field] or its annotation's converter.
+    A value the converter or `cls` rejects is named with its key and place."""
     if not isinstance(obj, dict):
-        raise ValueError(f"{where} must be a JSON object")
+        raise _PlacedError(f"{where} must be a JSON object")
     fields = [f for f in dataclasses.fields(cls) if f.name not in given]
     unknown = sorted(set(obj) - {f.name for f in fields})
     missing = [f.name for f in fields
                if f.name not in obj and f.default is dataclasses.MISSING]
     for problem, keys in (("unknown", unknown), ("missing", missing)):
         if keys:
-            raise ValueError(f"{problem} config keys in {where}: {', '.join(keys)}")
+            raise _PlacedError(f"{problem} config keys in {where}: {', '.join(keys)}")
     parse = parse or {}
     for f in fields:
         if f.name in obj:
             convert = parse.get(f.name) or _FROM_JSON.get(f.type, lambda v: v)
-            given[f.name] = convert(obj[f.name])
-    return cls(**given)
+            try:
+                given[f.name] = convert(obj[f.name])
+            except _PlacedError:
+                raise
+            except (TypeError, ValueError) as exc:
+                raise _PlacedError(f"{where}.{f.name}: {exc}") from exc
+    try:
+        return cls(**given)
+    except (TypeError, ValueError) as exc:
+        raise _PlacedError(f"{where}: {exc}") from exc
 
 
 def _stratum_from_config(entry, where: str) -> StratumSpec:
@@ -274,7 +300,7 @@ def design_from_config(design):
     if not isinstance(design, dict) or "kind" not in design:
         raise ValueError("config must define design.kind")
     kind = design["kind"]
-    if kind not in _DESIGNS:
+    if not isinstance(kind, str) or kind not in _DESIGNS:
         raise ValueError(f"unknown design kind {kind!r}")
     return _from_config(_DESIGNS[kind], {k: v for k, v in design.items() if k != "kind"},
                         f"{kind} design")

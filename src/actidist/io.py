@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import math
 import warnings
 from io import StringIO
@@ -28,23 +29,60 @@ def _fmt(x) -> str:
     return str(x)
 
 
-@contextlib.contextmanager
-def _csv_reader(path, reader_type=csv.reader, bad=()):
-    """A csv reader on path. When the block ends, the problems the caller
-    has collected in `bad` are raised as one InputValidationError that names
-    the file; a csv.Error (say, a field over csv.field_size_limit()) is
-    reported after them with its line."""
+def _read_rows(path, header_ok, header_error: str, parse_row, unique=True) -> dict:
+    """The csv row loop of every reader: {id: value} from parse_row(header,
+    row) -> (id, value) on each non-blank row after a header that passes
+    header_ok, or with unique=False {id: [the items of each row's value, in
+    file order]}.
+
+    parse_row raises ValueError(message) on a bad row; with unique, an id
+    seen before is bad too. Each problem is recorded with the file line the
+    row ends on, a csv.Error (say, a field over csv.field_size_limit()) after
+    them, and all are raised as one InputValidationError that names the file.
+    """
+    out: dict = {}
+    bad: list[str] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = reader_type(fh)
+        reader = csv.reader(fh)
         try:
-            yield reader
+            header = next(reader, None)
+            if not header_ok(header):
+                raise InputValidationError(f"{path}: {header_error}")
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    sid, value = parse_row(header, row)
+                    if unique and sid in out:
+                        raise ValueError(f"duplicate subject_id {sid!r}")
+                except ValueError as exc:
+                    bad.append(f"line {reader.line_num}: {exc}")
+                    continue
+                if unique:
+                    out[sid] = value
+                else:
+                    out.setdefault(sid, []).extend(value)
         except csv.Error as exc:
-            # a DictReader's own line_num moves only after a good row
-            line = getattr(reader, "reader", reader).line_num
-            problems = [*bad, f"line {line}: {exc}"]
-            raise InputValidationError(f"{path}: " + "; ".join(problems)) from exc
+            bad.append(f"line {reader.line_num}: {exc}")
     if bad:
         raise InputValidationError(f"{path}: " + "; ".join(bad))
+    return out
+
+
+def _read_table(path, header_ok, read_chunks, read_rows):
+    """A table numpy reads: read_chunks(fh, header) runs numpy's C parser on
+    the rows after a header that passes header_ok and returns None where it
+    cannot vouch for the result. Then, or after another header, the csv row
+    loop read_rows(path) reads the file again: it accepts the same files and
+    more, and reports every bad row."""
+    with open(path, "r", encoding="utf-8", newline="") as fh, \
+            contextlib.suppress(csv.Error):  # the row loop reports it
+        header = next(csv.reader(fh), None)
+        if header_ok(header):
+            table = read_chunks(fh, header)
+            if table is not None:
+                return table
+    return read_rows(path)
 
 
 def write_rows(path, header, rows) -> None:
@@ -70,17 +108,10 @@ def read_readings_csv(path) -> dict:
     owns its data, so no subject keeps a parser chunk alive. numpy's C
     parser reads the rows in chunks; when it refuses a row, a value fails
     a check or an id is longer than csv.field_size_limit(), the csv row loop
-    reads the whole file again. That loop accepts the same files as the
-    parser and more, and reports every malformed row with its line number,
-    so a dirty file surfaces all problems in one pass.
+    reads the whole file again and reports every bad row with its line.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh, \
-            contextlib.suppress(csv.Error):  # the row loop reports it
-        if _is_readings_header(next(csv.reader(fh), None)):
-            per_subject = _read_readings_chunks(fh)
-            if per_subject:
-                return per_subject
-    return _read_readings_rows(path)
+    return _read_table(path, _is_readings_header,
+                       lambda fh, header: _read_readings_chunks(fh), _read_readings_rows)
 
 
 def _is_readings_header(header) -> bool:
@@ -89,9 +120,9 @@ def _is_readings_header(header) -> bool:
 
 
 def _loadtxt_chunks(fh, dtype):
-    """The rows left in fh through np.loadtxt, one array of `dtype` per
-    chunk of at most as many bytes as _READ_CHUNK_ROWS readings take; raises
-    ValueError where the parser refuses a row."""
+    """The rows left in fh through np.loadtxt, one non-empty array of `dtype`
+    per chunk of at most as many bytes as _READ_CHUNK_ROWS readings take;
+    raises ValueError where the parser refuses a row."""
     max_rows = max(1, _READ_CHUNK_ROWS * _READINGS_ROW.itemsize // dtype.itemsize)
     while True:
         with warnings.catch_warnings():
@@ -99,93 +130,64 @@ def _loadtxt_chunks(fh, dtype):
             warnings.simplefilter("ignore", UserWarning)
             rows = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
                               comments=None, max_rows=max_rows, ndmin=1)
-        yield rows
+        if len(rows):
+            yield rows
         if len(rows) < max_rows:
             return
 
 
 def _read_readings_chunks(fh):
     """The rows after the header through np.loadtxt, or None when it refuses
-    a row, a value is non-finite, a count negative or an id too long."""
+    a row, there is none, a value is non-finite, a count negative or an id
+    too long. A chunk is cut at its runs of equal ids after its float
+    columns are copied, so the chunk and its id strings go at once and each
+    subject's arrays are joined from copies into arrays that own their data."""
     pieces: dict = {}
+    limit = csv.field_size_limit()
     try:
         for rows in _loadtxt_chunks(fh, _READINGS_ROW):
-            t, count = rows["t"], rows["count"]
+            ids, t, count = rows["subject_id"], rows["t"].copy(), rows["count"].copy()
             if not (np.isfinite(t).all() and np.isfinite(count).all()
                     and (count >= 0).all()):
                 return None
-            if len(rows):
-                _append_chunk(pieces, rows)
+            bounds = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), len(ids)]
+            for start, end in zip(bounds, bounds[1:]):
+                if len(ids[start]) > limit:
+                    return None
+                ts, counts = pieces.setdefault(ids[start].strip(), ([], []))
+                ts.append(t[start:end])
+                counts.append(count[start:end])
     except ValueError:
         return None
-    # in file order, each subject's pieces dropped as they are copied: a
-    # chunk is freed once the last subject in it is joined
-    return {sid: _joined(pieces.pop(sid)) for sid in list(pieces)}
-
-
-def _append_chunk(pieces: dict, rows) -> None:
-    """Append each subject's (timestamps, counts) in this chunk, in file
-    order, as one piece to pieces[stripped id]; raises ValueError on an id
-    longer than csv.field_size_limit(), which the row loop refuses."""
-    ids = rows["subject_id"]
-    starts = np.concatenate(([0], np.flatnonzero(ids[1:] != ids[:-1]) + 1))
-    limit = csv.field_size_limit()
-    if any(len(ids[i]) > limit for i in starts):
-        raise ValueError("subject_id longer than the csv field limit")
-    codes: dict = {}
-    run_codes = [codes.setdefault(ids[i].strip(), len(codes)) for i in starts]
-    row_codes = np.repeat(run_codes, np.diff(starts, append=len(ids)))
-    order = np.argsort(row_codes, kind="stable")
-    bounds = np.cumsum(np.bincount(row_codes))[:-1]
-    t = np.split(rows["t"][order], bounds)
-    count = np.split(rows["count"][order], bounds)
-    for sid, piece in zip(codes, zip(t, count)):
-        pieces.setdefault(sid, []).append(piece)
-
-
-def _joined(parts: list):
-    """One (timestamps, counts) from a subject's pieces, as arrays that own
-    their data (a piece is a view of its whole chunk)."""
-    return tuple(np.concatenate(column) for column in zip(*parts))
+    # in file order, each subject's pieces dropped as they are joined: a
+    # chunk's columns are freed once the last subject in them is joined
+    return {sid: tuple(map(np.concatenate, pieces.pop(sid))) for sid in list(pieces)} or None
 
 
 def _read_readings_rows(path) -> dict:
     """read_readings_csv one csv row and two float() calls at a time."""
-    per_subject: dict = {}
-    bad: list[str] = []
-    with _csv_reader(path, bad=bad) as reader:
-        if not _is_readings_header(next(reader, None)):
-            raise InputValidationError(
-                f"{path}: expected header subject_id,timestamp_min,count")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                bad.append(f"line {lineno}: expected 3 fields")
-                continue
-            sid, t, count = row
-            sid = sid.strip()
-            try:
-                t = float(t)
-                count = float(count)
-            except ValueError:
-                bad.append(f"line {lineno}: non-numeric value")
-                continue
-            if not (math.isfinite(t) and math.isfinite(count)):
-                bad.append(f"line {lineno}: non-finite value")
-                continue
-            if count < 0:
-                bad.append(f"line {lineno}: negative count")
-                continue
-            entry = per_subject.get(sid)
-            if entry is None:
-                entry = per_subject[sid] = ([], [])
-            entry[0].append(t)
-            entry[1].append(count)
+    per_subject = _read_rows(path, _is_readings_header,
+                             "expected header subject_id,timestamp_min,count",
+                             _readings_row, unique=False)
     if not per_subject:
         raise InputValidationError(f"{path}: no data rows")
-    return {sid: (np.array(t), np.array(count))
-            for sid, (t, count) in per_subject.items()}
+    return {sid: (np.array(values[0::2]), np.array(values[1::2]))
+            for sid, values in per_subject.items()}
+
+
+def _readings_row(header, row):
+    if len(row) != 3:
+        raise ValueError("expected 3 fields")
+    sid, t, count = row
+    try:
+        t, count = float(t), float(count)
+    except ValueError:
+        raise ValueError("non-numeric value") from None
+    if not (math.isfinite(t) and math.isfinite(count)):
+        raise ValueError("non-finite value")
+    if count < 0:
+        raise ValueError("negative count")
+    return sid.strip(), (t, count)
 
 
 def _parse_covariate(text: str):
@@ -200,40 +202,30 @@ def _parse_covariate(text: str):
 
 def read_subjects_csv(path) -> dict:
     """Subject metadata keyed by id: (survey_weight, covariates)."""
-    out: dict = {}
-    bad: list[str] = []
-    with _csv_reader(path, csv.DictReader, bad) as reader:
-        if reader.fieldnames is None or "subject_id" not in reader.fieldnames \
-                or "survey_weight" not in reader.fieldnames:
-            raise InputValidationError(
-                f"{path}: expected columns subject_id and survey_weight")
-        for row in reader:
-            lineno = reader.line_num
-            if None in row:
-                bad.append(f"line {lineno}: more fields than the header")
-                continue
-            sid = (row.get("subject_id") or "").strip()
-            try:
-                weight = float(row["survey_weight"])
-            except (TypeError, ValueError):
-                bad.append(f"line {lineno}: bad survey_weight")
-                continue
-            if not sid:
-                bad.append(f"line {lineno}: bad subject row")
-                continue
-            if not (math.isfinite(weight) and weight > 0):
-                bad.append(f"line {lineno}: survey_weight must be positive and finite")
-                continue
-            if sid in out:
-                bad.append(f"line {lineno}: duplicate subject_id {sid!r}")
-                continue
-            covariates = {
-                key: _parse_covariate(val)
-                for key, val in row.items()
-                if key not in ("subject_id", "survey_weight") and val not in (None, "")
-            }
-            out[sid] = (weight, covariates)
-    return out
+    needed = {"subject_id", "survey_weight"}
+    return _read_rows(path, lambda header: header is not None and needed <= set(header),
+                      "expected columns subject_id and survey_weight", _subject_row)
+
+
+def _subject_row(header, row):
+    if len(row) > len(header):
+        raise ValueError("more fields than the header")
+    fields = dict(itertools.zip_longest(header, row))
+    sid = (fields["subject_id"] or "").strip()
+    try:
+        weight = float(fields["survey_weight"])
+    except (TypeError, ValueError):
+        raise ValueError("bad survey_weight") from None
+    if not sid:
+        raise ValueError("bad subject row")
+    if not (math.isfinite(weight) and weight > 0):
+        raise ValueError("survey_weight must be positive and finite")
+    covariates = {
+        key: _parse_covariate(val)
+        for key, val in fields.items()
+        if key not in ("subject_id", "survey_weight") and val not in (None, "")
+    }
+    return sid, (weight, covariates)
 
 
 def check_entries(ids, table: dict, what: str) -> None:
@@ -269,28 +261,20 @@ def load_series(readings_path, subjects_path) -> list:
 
 def read_summary_csv(path) -> dict:
     """Read a distribution summary back as {subject_id: (p_inactive, tac)}."""
-    out: dict = {}
-    bad: list[str] = []
-    with _csv_reader(path, csv.DictReader, bad) as reader:
-        needed = {"subject_id", "p_inactive", "tac_per_day"}
-        if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
-            raise InputValidationError(f"{path}: not a summary table")
-        for row in reader:
-            lineno = reader.line_num
-            sid = row["subject_id"]
-            try:
-                p_inactive, tac = float(row["p_inactive"]), float(row["tac_per_day"])
-            except (TypeError, ValueError):
-                bad.append(f"line {lineno}: missing or non-numeric value")
-                continue
-            if not (math.isfinite(p_inactive) and math.isfinite(tac)):
-                bad.append(f"line {lineno}: non-finite value")
-                continue
-            if sid in out:
-                bad.append(f"line {lineno}: duplicate subject_id {sid!r}")
-                continue
-            out[sid] = (p_inactive, tac)
-    return out
+    needed = {"subject_id", "p_inactive", "tac_per_day"}
+    return _read_rows(path, lambda header: header is not None and needed <= set(header),
+                      "not a summary table", _summary_row)
+
+
+def _summary_row(header, row):
+    fields = dict(itertools.zip_longest(header, row))
+    try:
+        p_inactive, tac = float(fields["p_inactive"]), float(fields["tac_per_day"])
+    except (TypeError, ValueError):
+        raise ValueError("missing or non-numeric value") from None
+    if not (math.isfinite(p_inactive) and math.isfinite(tac)):
+        raise ValueError("non-finite value")
+    return fields["subject_id"], (p_inactive, tac)
 
 
 def write_quantile_csv(path, subject_ids, quantiles) -> None:
@@ -310,43 +294,35 @@ def write_quantile_csv(path, subject_ids, quantiles) -> None:
 
 def read_quantile_csv(path):
     """Read back a quantile table as (subject_ids, read-only float64 (n, m)
-    matrix); each row is checked as a QuantileGrid is, and ids are unique.
+    matrix); each row is checked as a QuantileGrid is, ids are unique, and a
+    table with no rows is rejected.
 
     numpy's C parser reads the rows in chunks, as in read_readings_csv; when
     it refuses a row, a row fails the check, an id repeats or is longer than
     csv.field_size_limit(), the csv row loop reads the file again and reports
-    the first bad row with its line number.
+    every bad row with its line.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh, \
-            contextlib.suppress(csv.Error):  # the row loop reports it
-        header = next(csv.reader(fh), None)
-        if _is_quantile_header(header):
-            table = _read_quantile_chunks(fh, len(header) - 1)
-            if table is not None:
-                return table
-    return _read_quantile_rows(path)
+    return _read_table(path, _is_quantile_header, _read_quantile_chunks, _read_quantile_rows)
 
 
 def _is_quantile_header(header) -> bool:
     return bool(header) and header[0] == "subject_id" and len(header) >= 3
 
 
-def _read_quantile_chunks(fh, m: int):
+def _read_quantile_chunks(fh, header):
     """The rows after the header through np.loadtxt as read_quantile_csv
     returns them, or None when the row loop must read the file."""
-    dtype = np.dtype([("subject_id", object), ("q", "f8", (m,))])
-    limit = csv.field_size_limit()
-    ids, blocks, seen = [], [], set()
+    dtype = np.dtype([("subject_id", object), ("q", "f8", (len(header) - 1,))])
+    ids, blocks = [], []
     try:
         for rows in _loadtxt_chunks(fh, dtype):
-            chunk_ids = rows["subject_id"].tolist()
             check_quantile_rows(rows["q"])
-            seen.update(chunk_ids)
-            ids += chunk_ids
-            if len(seen) < len(ids) or any(len(sid) > limit for sid in chunk_ids):
-                return None
+            ids += rows["subject_id"].tolist()
             blocks.append(rows["q"])
     except ValueError:
+        return None
+    limit = csv.field_size_limit()
+    if not ids or len(set(ids)) < len(ids) or any(len(sid) > limit for sid in ids):
         return None
     matrix = np.concatenate(blocks)
     matrix.setflags(write=False)
@@ -354,30 +330,21 @@ def _read_quantile_chunks(fh, m: int):
 
 
 def _read_quantile_rows(path):
-    """read_quantile_csv one csv row at a time; stops at the first bad row."""
-    with _csv_reader(path) as reader:
-        header = next(reader, None)
-        if not _is_quantile_header(header):
-            raise InputValidationError(f"{path}: not a quantile table")
-        ids, rows, seen = [], [], set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise InputValidationError(f"{path}: line {lineno}: wrong field count")
-            if row[0] in seen:
-                raise InputValidationError(
-                    f"{path}: line {lineno}: duplicate subject_id {row[0]!r}")
-            seen.add(row[0])
-            ids.append(row[0])
-            try:
-                rows.append(np.asarray(row[1:], dtype=float))
-                check_quantile_rows(rows[-1])
-            except ValueError as exc:
-                raise InputValidationError(f"{path}: line {lineno}: {exc}") from exc
-    matrix = np.array(rows, dtype=float).reshape(len(rows), len(header) - 1)
+    """read_quantile_csv one csv row at a time."""
+    table = _read_rows(path, _is_quantile_header, "not a quantile table", _quantile_row)
+    if not table:
+        raise InputValidationError(f"{path}: no data rows")
+    matrix = np.array(list(table.values()))
     matrix.setflags(write=False)
-    return ids, matrix
+    return list(table), matrix
+
+
+def _quantile_row(header, row):
+    if len(row) != len(header):
+        raise ValueError("wrong field count")
+    values = np.asarray(row[1:], dtype=float)
+    check_quantile_rows(values)
+    return row[0], values
 
 
 def write_summary_csv(path, subject_ids, mixed: list, tacs) -> None:

@@ -232,6 +232,9 @@ class TestReaders:
          "line 2: survey_weight must be positive and finite"),
         (io.read_summary_csv, "subject_id,p_inactive,tac_per_day",
          ["a,nan,1", "{long},0.5,1", "b,0.5,inf"], "line 2: non-finite value"),
+        (io.read_quantile_csv, "subject_id,t_1,t_2",
+         ["a,2,1", "{long},0,1", "b,0,inf"],
+         "line 2: quantile values must be nondecreasing"),
     ])
     def test_csv_error_keeps_earlier_lines(self, tmp_path, reader, header, rows, first):
         path = tmp_path / "t.csv"
@@ -241,6 +244,47 @@ class TestReaders:
             reader(path)
         assert str(caught.value).startswith(
             f"{path}: {first}; line 3: field larger than field limit")
+
+    def test_header_only_quantile_table_rejected(self, tmp_path):
+        path = tmp_path / "q.csv"
+        path.write_text("subject_id,t_1,t_2\n\n")
+        with pytest.raises(io.InputValidationError) as caught:
+            io.read_quantile_csv(path)
+        assert str(caught.value) == f"{path}: no data rows"
+
+    def test_every_bad_quantile_row_reported(self, tmp_path):
+        path = tmp_path / "q.csv"
+        path.write_text("subject_id,t_1,t_2\na,2,1\nb,0\nc,0,1\nc,1,2\nd,0,x\n")
+        with pytest.raises(io.InputValidationError) as caught:
+            io.read_quantile_csv(path)
+        assert str(caught.value) == (
+            f"{path}: line 2: quantile values must be nondecreasing; "
+            "line 3: wrong field count; line 5: duplicate subject_id 'c'; "
+            "line 6: could not convert string to float: 'x'")
+
+    # a quoted id over lines 2-3 and a blank line 5 before the bad row on line 6
+    @pytest.mark.parametrize("readers, header, good, bad, message", [
+        ((io.read_readings_csv, io._read_readings_rows), "subject_id,timestamp_min,count",
+         "0,1", "b,1,-1", "negative count"),
+        ((io.read_readings_csv, io._read_readings_rows), "subject_id,timestamp_min,count",
+         "0,1", "b,1,x", "non-numeric value"),
+        ((io.read_quantile_csv, io._read_quantile_rows), "subject_id,t_1,t_2",
+         "0,1", "c,2,1", "quantile values must be nondecreasing"),
+        ((io.read_quantile_csv, io._read_quantile_rows), "subject_id,t_1,t_2",
+         "0,1", "c,0,x", "could not convert string to float: 'x'"),
+        ((io.read_subjects_csv,), "subject_id,survey_weight",
+         "1.0", "c,-1", "survey_weight must be positive and finite"),
+        ((io.read_summary_csv,), "subject_id,p_inactive,tac_per_day",
+         "0.5,1", "c,nan,1", "non-finite value"),
+    ], ids=["readings_checked", "readings_unparsed", "quantile_checked",
+            "quantile_unparsed", "subjects", "summary"])
+    def test_bad_row_reports_file_line(self, tmp_path, readers, header, good, bad, message):
+        path = tmp_path / "t.csv"
+        path.write_text(f'{header}\n"two\nlines",{good}\nb,{good}\n\n{bad}\n')
+        for reader in readers:
+            with pytest.raises(io.InputValidationError) as caught:
+                reader(path)
+            assert str(caught.value) == f"{path}: line 6: {message}"
 
     def test_distance_matrix_emitter(self, tmp_path):
         from actidist.geometry import pairwise_wasserstein
@@ -1015,6 +1059,26 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
         assert f"error: {problem} config keys in {where}: {key}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: c["population"].update(size="abc"),
+         "population.size: invalid literal for int() with base 10: 'abc'"),
+        (lambda c: c["population"]["strata"][0]["intensity"].update(params=[2.0]),
+         "population.strata[0].intensity: gamma takes 2 params, got 1"),
+        (lambda c: c["design"].update(kind=["stratified"]),
+         "unknown design kind ['stratified']"),
+        (lambda c: c["population"]["strata"][1].update(inactivity_range=[0.1, 0.2, 0.3]),
+         "population.strata[1]: inactivity_range must be 2 values, got 3"),
+    ], ids=["size_type", "params_length", "design_kind_type", "range_length"])
+    def test_bad_value_names_key_and_place(self, tmp_path, capsys, edit, message):
+        cfg = json.loads(json.dumps(SIM_CONFIG))
+        edit(cfg)
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
         assert not out.exists()
 
     def test_left_out_keys_take_the_spec_defaults(self, tmp_path, monkeypatch):

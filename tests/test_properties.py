@@ -517,7 +517,7 @@ def quantiles_by_both_paths(directory, text, chunks):
             with mock.patch.object(io, "_READ_CHUNK_ROWS", chunk), \
                     open(path, "r", encoding="utf-8", newline="") as fh:
                 next(csv.reader(fh))
-                bulk.append(io._read_quantile_chunks(fh, len(header) - 1))
+                bulk.append(io._read_quantile_chunks(fh, header))
     results = []
     for reader in (io._read_quantile_rows, io.read_quantile_csv):
         try:
@@ -621,7 +621,7 @@ class TestQuantileReaderPaths:
         ("a,0,1,2\n", False),
         ("a,0\n", False),
         ("a,0,1\nb,0,1\na,1,2\n", False),
-        ("", True),
+        ("", False),
         (f"{'x' * 131072},0,1\n", True),
         (f"{'x' * 131073},0,1\n", False),
         (f"a,0,1\n{'x' * 140000},1,2\n", False),
