@@ -9,7 +9,6 @@ failure, 2 validation failure.
 from __future__ import annotations
 
 import argparse
-import importlib
 import itertools
 import json
 import sys
@@ -22,24 +21,13 @@ import numpy as np
 from . import io
 from .distribution import MINUTES_PER_DAY, CensorSpec, build_mixed, tac_per_day
 
-# estimator names that other code reads as attributes of this module (the
-# benchmark's tracer checks do), imported on first access
-_MODULE_OF = {
-    "datagen": "datagen",
-    "DEFAULT_LAMBDA_GRID": "evaluation", "assign_risk_groups": "evaluation",
-    "classify_mortality": "evaluation", "compare_r2": "evaluation",
-    "group_profiles": "evaluation", "stratify_age": "evaluation",
-    "SurveySample": "regression", "krr_fit": "regression",
-    "krr_predict_batch": "regression", "load_model": "regression",
-    "save_model": "regression",
-}
-
 
 def __getattr__(name: str):
-    if name not in _MODULE_OF:
+    # the names other code reads off this module (the benchmark's tracer
+    # checks do) are the package's exports, imported on first access
+    if name not in sys.modules[__package__].__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f".{_MODULE_OF[name]}", __package__)
-    return module if name == _MODULE_OF[name] else getattr(module, name)
+    return getattr(sys.modules[__package__], name)
 
 
 DEFAULTS = {
@@ -54,6 +42,12 @@ DEFAULTS = {
     "simulate": {"seed": 0, "sample_seed": 1, "population": None, "design": None},
     "predict": {},
 }
+
+# each option's io.FROM_JSON kind; None takes it as it is (datagen checks population, design)
+_KINDS = {"m": "int", "censor_lower": "float", "censor_upper": "float", "responses": "names",
+          "lambda_grid": "floats", "save_models": "bool", "response": None, "threshold": "float",
+          "stratify_age": "bool", "seed": "int", "sample_seed": "int", "population": None,
+          "design": None}
 
 
 class _RunOutputs:
@@ -89,7 +83,9 @@ class _RunOutputs:
 
 
 def _merged(args, command: str) -> dict:
-    """flag > config file > default, per option; unknown config keys are rejected."""
+    """flag > config file > default, per option; io.FROM_JSON converts each
+    value by its kind, but keeps None where the default is None. An unknown
+    config key, or a value that fails to convert, names the config file."""
     merged = dict(DEFAULTS[command])
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -99,23 +95,23 @@ def _merged(args, command: str) -> dict:
             raise ValueError(f"{args.config}: unknown {command} config keys: "
                              f"{', '.join(unknown)}")
         merged.update(config)
-    for key in merged:
+    for key, default in DEFAULTS[command].items():
         flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
+        value = merged[key] if flag is None else flag
+        convert = io.FROM_JSON[_KINDS[key]] if _KINDS[key] else lambda v: v
+        try:
+            merged[key] = None if value is None and default is None else convert(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{args.config}: {key}: {exc}") from exc
     return merged
-
-
-def _censor(cfg: dict) -> CensorSpec:
-    return CensorSpec(lower=cfg.get("censor_lower"), upper=cfg.get("censor_upper"))
 
 
 def cmd_build_dist(args) -> int:
     cfg = _merged(args, "build-dist")
-    censor = _censor(cfg)
+    censor = CensorSpec(lower=cfg["censor_lower"], upper=cfg["censor_upper"])
     subjects = io.load_series(args.input, args.subjects)
     with _RunOutputs(Path(args.out)) as out:
-        mixed = [build_mixed(s, censor=censor, m=int(cfg["m"])) for s in subjects]
+        mixed = [build_mixed(s, censor=censor, m=cfg["m"]) for s in subjects]
         ids = [s.subject_id for s in subjects]
         io.write_quantile_csv(out.path("quantiles.csv"), ids, [mx.quantiles for mx in mixed])
         tacs = [tac_per_day(s) for s in subjects]
@@ -167,15 +163,11 @@ def cmd_regress(args) -> int:
     from .regression import SurveySample, krr_fit, save_models
 
     cfg = _merged(args, "regress")
-    responses = cfg["responses"]
-    if isinstance(responses, str):
-        responses = [r.strip() for r in responses.split(",") if r.strip()]
-    if not responses:
+    if not cfg["responses"]:
         raise ValueError("no response columns requested")
 
     ids, x, weights, covariates = _read_regression_inputs(args)
     tac = _tac_values(args, ids, x)
-    lambda_grid = np.asarray(cfg["lambda_grid"], dtype=float)
 
     # one sample per predictor kind: every response reuses its distances
     # and kernel spectrum
@@ -184,11 +176,11 @@ def cmd_regress(args) -> int:
 
     with _RunOutputs(Path(args.out)) as out:
         report_rows, models = [], []
-        for name in responses:
+        for name in cfg["responses"]:
             y = _numeric_column(ids, covariates, name, "response")
             dist_sample = dist_base.with_responses(y)
             result = compare_r2(dist_sample, tac_base.with_responses(y),
-                                lambda_grid=lambda_grid)
+                                lambda_grid=cfg["lambda_grid"])
             report_rows.append([
                 name,
                 result.distribution.r2, result.tac.r2,
@@ -230,7 +222,7 @@ def cmd_classify(args) -> int:
     if cfg["stratify_age"]:
         strata = stratify_age(_numeric_column(ids, covariates, "age", "covariate").tolist())
 
-    outcome = classify_mortality(sample, threshold=float(cfg["threshold"]))
+    outcome = classify_mortality(sample, threshold=cfg["threshold"])
     risk = assign_risk_groups(outcome)
     labels = list(risk) if strata is None else [f"{r}/{s}" for r, s in zip(risk, strata)]
 
@@ -270,7 +262,7 @@ def cmd_simulate(args) -> int:
 
     population, truth = datagen.simulate_population(spec)
     pi = datagen.inclusion_probabilities(population, design)
-    sample = datagen.draw_sample(population, design, seed=int(cfg["sample_seed"]))
+    sample = datagen.draw_sample(population, design, seed=cfg["sample_seed"])
 
     with _RunOutputs(Path(args.out)) as out:
         # one pass formats each population subject once for both files

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import io
 from .distribution import ActivitySeries, tac_per_day
 
 
@@ -234,11 +235,6 @@ class PoissonDesign:
             raise ValueError("expected sample size must be at least 1")
 
 
-# the converter that makes a JSON value a field of each annotation; a field
-# with another annotation takes the value as it is
-_FROM_JSON = {"int": int, "float": float, "tuple": tuple, "dict": dict}
-
-
 class _PlacedError(ValueError):
     """A config error whose message already names where it sits."""
 
@@ -246,8 +242,9 @@ class _PlacedError(ValueError):
 def _from_config(cls, obj, where: str, parse=None, **given):
     """A `cls` from the JSON object `obj` at `where` in a simulate config: its
     keys are the fields of `cls` not `given`, required where the field has no
-    default, and a value goes through parse[field] or its annotation's converter.
-    A value the converter or `cls` rejects is named with its key and place."""
+    default, and a value goes through parse[field] or the io.FROM_JSON
+    converter of its annotation. A value the converter or `cls` rejects is
+    named with its key and place."""
     if not isinstance(obj, dict):
         raise _PlacedError(f"{where} must be a JSON object")
     fields = [f for f in dataclasses.fields(cls) if f.name not in given]
@@ -260,7 +257,7 @@ def _from_config(cls, obj, where: str, parse=None, **given):
     parse = parse or {}
     for f in fields:
         if f.name in obj:
-            convert = parse.get(f.name) or _FROM_JSON.get(f.type, lambda v: v)
+            convert = parse.get(f.name) or io.FROM_JSON.get(f.type, lambda v: v)
             try:
                 given[f.name] = convert(obj[f.name])
             except _PlacedError:
@@ -285,7 +282,7 @@ def population_from_config(population, seed: int) -> PopulationSpec:
     """The spec of a simulate config's `population` object and top-level `seed`."""
     if not isinstance(population, dict) or "strata" not in population:
         raise ValueError("config must define population.strata")
-    return _from_config(PopulationSpec, population, "population", seed=int(seed), parse={
+    return _from_config(PopulationSpec, population, "population", seed=seed, parse={
         "strata": lambda strata: tuple(_stratum_from_config(entry, f"population.strata[{k}]")
                                        for k, entry in enumerate(strata)),
     })

@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import itertools
+import json
 import math
 import warnings
 from io import StringIO
@@ -21,6 +22,40 @@ from .distribution import ActivitySeries, check_quantile_rows
 
 class InputValidationError(ValueError):
     """Malformed input rows; the message carries the offending line numbers."""
+
+
+def _json_value(types: tuple, expected: str, convert=lambda v: v):
+    """A converter that passes a JSON value of one of the Python `types` to
+    `convert` and raises TypeError naming what it `expected` for any other;
+    a boolean is not an int unless bool is listed, though int() reads it."""
+    def from_json(value):
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            raise TypeError(f"expected {expected}, got {json.dumps(value)}")
+        return convert(value)
+    return from_json
+
+
+def _whole(value):
+    """int(value), but a float only when it is whole: 500.0 is 500, 2.9 fails."""
+    if isinstance(value, float) and not value.is_integer():
+        raise TypeError(f"expected an integer, got {json.dumps(value)}")
+    return int(value)
+
+
+# the converter that makes a JSON config value one of each kind: a datagen
+# spec field by its annotation, or a CLI option. int() or float() still reads
+# a numeric string, but a fractional float is no int, a boolean no number and
+# a string no array.
+FROM_JSON = {
+    "int": _json_value((int, float, str), "an integer", _whole),
+    "float": _json_value((int, float, str), "a number", float),
+    "bool": _json_value((bool,), "true or false"),
+    "tuple": _json_value((list,), "an array", tuple),
+    "dict": _json_value((dict,), "an object"),
+    "floats": _json_value((list,), "an array", lambda v: np.asarray(v, dtype=float)),
+    "names": _json_value((list, str), "an array or a comma-separated string", lambda v: (
+        [name.strip() for name in v.split(",") if name.strip()] if isinstance(v, str) else v)),
+}
 
 
 def _fmt(x) -> str:
@@ -139,28 +174,38 @@ def _loadtxt_chunks(fh, dtype):
 def _read_readings_chunks(fh):
     """The rows after the header through np.loadtxt, or None when it refuses
     a row, there is none, a value is non-finite, a count negative or an id
-    too long. A chunk is cut at its runs of equal ids after its float
-    columns are copied, so the chunk and its id strings go at once and each
-    subject's arrays are joined from copies into arrays that own their data."""
+    too long. Each subject's rows in a chunk are copied out of it as one
+    piece, so the chunk and its id strings go at once and each subject's
+    arrays are joined from copies into arrays that own their data."""
     pieces: dict = {}
     limit = csv.field_size_limit()
     try:
         for rows in _loadtxt_chunks(fh, _READINGS_ROW):
-            ids, t, count = rows["subject_id"], rows["t"].copy(), rows["count"].copy()
+            ids, t, count = rows["subject_id"], rows["t"], rows["count"]
             if not (np.isfinite(t).all() and np.isfinite(count).all()
                     and (count >= 0).all()):
                 return None
-            bounds = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), len(ids)]
-            for start, end in zip(bounds, bounds[1:]):
-                if len(ids[start]) > limit:
-                    return None
-                ts, counts = pieces.setdefault(ids[start].strip(), ([], []))
-                ts.append(t[start:end])
-                counts.append(count[start:end])
+            starts = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist()]
+            run_ids = ids[starts].tolist()
+            if any(len(sid) > limit for sid in run_ids):
+                return None
+            # the rows grouped by stripped id, numbered per run in order of
+            # first appearance, by a stable argsort that is near-linear on a
+            # sorted, file-order chunk: one piece per subject and chunk, also
+            # where the id changes every row, as in a time-major file
+            codes: dict = {}
+            run_codes = [codes.setdefault(sid.strip(), len(codes)) for sid in run_ids]
+            subject = np.repeat(run_codes, np.diff([*starts, len(ids)]))
+            order = np.argsort(subject, kind="stable")
+            ends = np.cumsum(np.bincount(subject)).tolist()
+            for sid, start, end in zip(codes, [0, *ends[:-1]], ends):
+                ts, counts = pieces.setdefault(sid, ([], []))
+                ts.append(t[order[start:end]])
+                counts.append(count[order[start:end]])
     except ValueError:
         return None
-    # in file order, each subject's pieces dropped as they are joined: a
-    # chunk's columns are freed once the last subject in them is joined
+    # in file order, each subject's pieces dropped as they are joined, so
+    # the pieces and the joined arrays overlap by one subject at most
     return {sid: tuple(map(np.concatenate, pieces.pop(sid))) for sid in list(pieces)} or None
 
 

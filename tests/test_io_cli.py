@@ -1,3 +1,4 @@
+import argparse
 import ast
 import dataclasses
 import itertools
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from actidist import datagen, io
+from actidist import cli, datagen, io
 from actidist.cli import main
 from actidist.datagen import (
     StratifiedDesign,
@@ -973,6 +974,45 @@ class TestReadingsReaderMemory:
         assert peak <= nbytes + 8 * chunk_bytes
 
 
+class TestTimeMajorReadings:
+    """A readings file sorted by (timestamp, id), whose id changes every row,
+    read in chunks of 1024 rows."""
+
+    @pytest.fixture
+    def files(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(io, "_READ_CHUNK_ROWS", 1024)
+        rng = np.random.default_rng(1)
+        subjects = [ActivitySeries(f"s{k:02d}", np.arange(1000.0), rng.random(1000))
+                    for k in range(24)]
+        file_order = tmp_path / "file_order.csv"
+        io.write_readings_csv(file_order, subjects)
+        with open(file_order, "r", encoding="utf-8", newline="") as fh:
+            header, *rows = fh.readlines()
+        rows.sort(key=lambda row: (float(row.split(",")[1]), row))
+        time_major = tmp_path / "time_major.csv"
+        time_major.write_text(header + "".join(rows), encoding="utf-8", newline="")
+        return file_order, time_major
+
+    @staticmethod
+    def read_with_peak(path):
+        io.read_readings_csv(path)  # loads what the parser loads once per process
+        tracemalloc.start()
+        try:
+            read = io.read_readings_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return read, peak
+
+    def test_same_arrays_at_the_file_order_peak(self, files):
+        (expected, file_order_peak), (read, peak) = map(self.read_with_peak, files)
+        assert list(read) == list(expected)
+        for sid, (t, count) in expected.items():
+            assert read[sid][0].tobytes() == t.tobytes()
+            assert read[sid][1].tobytes() == count.tobytes()
+        assert peak <= 1.5 * file_order_peak
+
+
 class TestSimulate:
     def test_byte_identical_reruns(self, tmp_path):
         config = tmp_path / "sim.json"
@@ -1070,7 +1110,12 @@ class TestSimulate:
          "unknown design kind ['stratified']"),
         (lambda c: c["population"]["strata"][1].update(inactivity_range=[0.1, 0.2, 0.3]),
          "population.strata[1]: inactivity_range must be 2 values, got 3"),
-    ], ids=["size_type", "params_length", "design_kind_type", "range_length"])
+        (lambda c: c["population"].update(size=30.7),
+         "population.size: expected an integer, got 30.7"),
+        (lambda c: c["population"]["strata"][0].update(age_range="ab"),
+         'population.strata[0].age_range: expected an array, got "ab"'),
+    ], ids=["size_type", "params_length", "design_kind_type", "range_length",
+            "size_float", "age_range_string"])
     def test_bad_value_names_key_and_place(self, tmp_path, capsys, edit, message):
         cfg = json.loads(json.dumps(SIM_CONFIG))
         edit(cfg)
@@ -1079,6 +1124,25 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
         assert f"error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", 1.9, "expected an integer, got 1.9"),
+        ("sample_seed", True, "expected an integer, got true"),
+        ("seed", "abc", "invalid literal for int() with base 10: 'abc'"),
+        ("sample_seed", [1], "expected an integer, got [1]"),
+    ], ids=["seed_float", "sample_seed_bool", "seed_text", "sample_seed_array"])
+    def test_bad_seed_exits_before_simulating(self, tmp_path, capsys, monkeypatch,
+                                              key, value, message):
+        def never(spec):
+            raise AssertionError("simulate_population called")
+
+        monkeypatch.setattr(datagen, "simulate_population", never)
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({**SIM_CONFIG, key: value}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        assert f"error: {config}: {key}: {message}\n" in capsys.readouterr().err
         assert not out.exists()
 
     def test_left_out_keys_take_the_spec_defaults(self, tmp_path, monkeypatch):
@@ -1220,6 +1284,101 @@ class TestCliMisc:
                    "--out", str(out)])
         assert rc == 1
         assert not top.exists() and tmp_path.is_dir()
+
+
+# the parent tree's --print-config output, byte for byte
+PRINTED_DEFAULTS = """{
+  "build-dist": {
+    "m": 500,
+    "censor_lower": null,
+    "censor_upper": null
+  },
+  "regress": {
+    "responses": [
+      "response"
+    ],
+    "lambda_grid": [
+      0.0001,
+      0.00031622776601683794,
+      0.001,
+      0.0031622776601683794,
+      0.01,
+      0.03162277660168379,
+      0.1,
+      0.31622776601683794,
+      1.0,
+      3.1622776601683795,
+      10.0,
+      31.622776601683793,
+      100.0
+    ],
+    "save_models": false
+  },
+  "classify": {
+    "response": "mortality",
+    "threshold": 0.5,
+    "stratify_age": false
+  },
+  "simulate": {
+    "seed": 0,
+    "sample_seed": 1,
+    "population": null,
+    "design": null
+  },
+  "predict": {}
+}
+"""
+
+
+class TestOptionTable:
+    """The parser's flags, the DEFAULTS table and the config values' types."""
+
+    def test_print_config_bytes(self, capsysbinary):
+        assert main(["--print-config"]) == 0
+        assert capsysbinary.readouterr().out == PRINTED_DEFAULTS.encode()
+
+    def test_flags_and_defaults_agree(self):
+        parser = cli._build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == set(cli.DEFAULTS) == set(cli._COMMANDS)
+        files = {"input", "subjects", "summary", "model", "out", "config"}
+        for command, subparser in sub.choices.items():
+            dests = {a.dest for a in subparser._actions} - {"help"}
+            keys = set(cli.DEFAULTS[command])
+            assert dests - files <= keys, command
+            assert keys - {"lambda_grid", "population", "design"} <= dests, command
+        # every option has a kind, so none skips the conversion in _merged
+        assert set(cli._KINDS) == {key for options in cli.DEFAULTS.values() for key in options}
+
+    @pytest.mark.parametrize("command, key, value, message", [
+        ("build-dist", "m", 2.9, "expected an integer, got 2.9"),
+        ("regress", "save_models", "no", 'expected true or false, got "no"'),
+        ("classify", "stratify_age", "false", 'expected true or false, got "false"'),
+    ], ids=["m_float", "save_models_string", "stratify_age_string"])
+    def test_wrong_type_names_key_and_file(self, request, tmp_path, capsys,
+                                           command, key, value, message):
+        if command == "build-dist":
+            inputs = default_toy(tmp_path)
+        else:
+            _, *inputs = request.getfixturevalue(f"{command}_cohort")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        rc = main([command, "--input", str(inputs[0]), "--subjects", str(inputs[1]),
+                   "--out", str(out), "--config", str(config)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {config}: {key}: {message}\n"
+        assert not out.exists()
+
+    def test_whole_float_is_an_integer(self, tmp_path):
+        readings, subjects = default_toy(tmp_path)
+        config = tmp_path / "cfg.json"
+        for m, name in ((500.0, "float"), (500, "int")):
+            config.write_text(json.dumps({"m": m}))
+            assert main(["build-dist", "--input", str(readings), "--subjects", str(subjects),
+                         "--out", str(tmp_path / name), "--config", str(config)]) == 0
+        for name in ("quantiles.csv", "summary.csv"):
+            assert (tmp_path / "float" / name).read_bytes() == (tmp_path / "int" / name).read_bytes()
 
 
 # actidist.__all__ as it was when the package imported every module eagerly,

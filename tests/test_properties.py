@@ -390,10 +390,13 @@ class TestReadingsReaderPaths:
         (f"{'x' * 131072},0,1\n", True),
         (f"{'x' * 131073},0,1\n", False),
         (f"a,0,1\n{'x' * 140000},1,2\n", False),
+        ("a,0,1\n a,1,2\nb,0,3\na,2,4\n", True),
+        (f"a,0,1\n{'x' * 140000},1,2\na,2,3\n", False),
     ], ids=["quoted_ids", "strip_merges", "lone_cr", "blank_lines", "space_line",
             "tab_line", "underscore", "arabic_digit", "padded", "negative_zero",
             "interleaved", "bad_rows", "no_rows", "id_at_field_limit",
-            "id_over_field_limit", "over_long_id"])
+            "id_over_field_limit", "over_long_id", "interleaved_strip_merges",
+            "interleaved_over_long_id"])
     def test_explicit_files_agree(self, tmp_path, text, bulk):
         assert assert_paths_agree(tmp_path, HEADER + text) is bulk
 
