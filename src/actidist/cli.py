@@ -19,7 +19,8 @@ import numpy as np
 # each command imports the estimators it calls, so that a process loads
 # only the modules its subcommand uses
 from . import io
-from .distribution import MINUTES_PER_DAY, CensorSpec, build_mixed, tac_per_day
+from .distribution import (DEFAULT_GRID_SIZE, MINUTES_PER_DAY, CensorSpec, build_mixed,
+                           tac_per_day)
 
 
 def __getattr__(name: str):
@@ -31,7 +32,7 @@ def __getattr__(name: str):
 
 
 DEFAULTS = {
-    "build-dist": {"m": 500, "censor_lower": None, "censor_upper": None},
+    "build-dist": {"m": DEFAULT_GRID_SIZE, "censor_lower": None, "censor_upper": None},
     # evaluation.DEFAULT_LAMBDA_GRID, written out so that importing the CLI
     # does not import evaluation; a test keeps the two equal
     "regress": {"responses": ["response"],
@@ -45,9 +46,9 @@ DEFAULTS = {
 
 # each option's io.FROM_JSON kind; None takes it as it is (datagen checks population, design)
 _KINDS = {"m": "int", "censor_lower": "float", "censor_upper": "float", "responses": "names",
-          "lambda_grid": "floats", "save_models": "bool", "response": None, "threshold": "float",
-          "stratify_age": "bool", "seed": "int", "sample_seed": "int", "population": None,
-          "design": None}
+          "lambda_grid": "floats", "save_models": "bool", "response": "name",
+          "threshold": "float", "stratify_age": "bool", "seed": "int", "sample_seed": "int",
+          "population": None, "design": None}
 
 
 class _RunOutputs:

@@ -50,16 +50,15 @@ class ResponseModel:
     """Per-stratum rule mapping a generated subject to a scalar response.
 
     kinds: "tac" (scale * daily total + noise), "spread" (scale * the
-    subject's intensity spread parameter + noise), "noise", "constant".
+    subject's intensity spread parameter + noise).
     """
 
     kind: str
     scale: float = 1.0
     noise_sd: float = 0.0
-    value: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("tac", "spread", "noise", "constant"):
+        if self.kind not in ("tac", "spread"):
             raise ValueError(f"unknown response model {self.kind!r}")
 
 
@@ -74,10 +73,15 @@ class StratumSpec:
     response: ResponseModel | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError(f"stratum name must be a non-empty string, got {self.name!r}")
         for name in ("inactivity_range", "age_range"):
             size = len(getattr(self, name))
             if size != 2:
                 raise ValueError(f"{name} must be 2 values, got {size}")
+        lo, hi = self.inactivity_range
+        if not 0 <= lo <= hi <= 1:
+            raise ValueError("inactivity_range must satisfy 0 <= lo <= hi <= 1")
 
 
 @dataclass(frozen=True)
@@ -96,9 +100,10 @@ class PopulationSpec:
         props = [s.proportion for s in self.strata]
         if not props or abs(sum(props) - 1.0) > 1e-9 or any(p < 0 for p in props):
             raise ValueError("stratum proportions must be nonnegative and sum to 1")
-        lo_hi = [s.inactivity_range for s in self.strata]
-        if any(not (0 <= lo <= hi <= 1) for lo, hi in lo_hi):
-            raise ValueError("inactivity ranges must satisfy 0 <= lo <= hi <= 1")
+        names = [s.name for s in self.strata]
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise ValueError(f"stratum names repeat: {', '.join(repeated)}")
 
 
 def _allocate(size: int, proportions) -> list[int]:
@@ -143,13 +148,8 @@ def _draw_subject(rng, stratum: StratumSpec, minutes: int):
 def _evaluate_response(rng, model: ResponseModel, series: ActivitySeries,
                        spread: float) -> float:
     noise = model.noise_sd * rng.standard_normal() if model.noise_sd > 0 else 0.0
-    if model.kind == "tac":
-        return model.scale * tac_per_day(series) + noise
-    if model.kind == "spread":
-        return model.scale * spread + noise
-    if model.kind == "noise":
-        return float(rng.standard_normal() * (model.noise_sd or 1.0))
-    return model.value
+    value = tac_per_day(series) if model.kind == "tac" else spread
+    return model.scale * value + noise
 
 
 def simulate_population(spec: PopulationSpec):
@@ -379,33 +379,28 @@ def draw_sample(population, design, seed: int):
 
 # Preset populations used by the verification suite and the demo scripts.
 
-def spread_response_spec(size: int, seed: int, minutes: int = 1440,
-                         mean_level: float = 80.0,
-                         spread_range=(0.3, 1.5),
-                         inactivity: float = 0.55) -> PopulationSpec:
+def spread_response_spec(size: int, seed: int, minutes: int = 1440) -> PopulationSpec:
     """Cohort whose response is the intensity spread while every subject
     shares the same mean intensity, so the daily total carries essentially
     no signal about the response."""
     stratum = StratumSpec(
         name="all",
         proportion=1.0,
-        inactivity_range=(inactivity, inactivity),
-        intensity=IntensityLaw("lognormal_fixed_mean",
-                               (mean_level, spread_range[0], spread_range[1])),
+        inactivity_range=(0.55, 0.55),
+        intensity=IntensityLaw("lognormal_fixed_mean", (80.0, 0.3, 1.5)),
         response=ResponseModel("spread", scale=1.0),
     )
     return PopulationSpec(size=size, strata=(stratum,), minutes=minutes, seed=seed)
 
 
-def tac_response_spec(size: int, seed: int, minutes: int = 1440,
-                      scale: float = 0.01) -> PopulationSpec:
+def tac_response_spec(size: int, seed: int, minutes: int = 1440) -> PopulationSpec:
     """Cohort whose response is exactly proportional to the daily total."""
     stratum = StratumSpec(
         name="all",
         proportion=1.0,
         inactivity_range=(0.2, 0.8),
         intensity=IntensityLaw("lognormal", (4.0, 0.8)),
-        response=ResponseModel("tac", scale=scale),
+        response=ResponseModel("tac", scale=0.01),
     )
     return PopulationSpec(size=size, strata=(stratum,), minutes=minutes, seed=seed)
 

@@ -219,11 +219,11 @@ def assign_risk_groups(outcome: ClassificationOutcome) -> list[str]:
     return labels
 
 
-def stratify_age(ages, breaks=AGE_STRATA) -> list[str]:
+def stratify_age(ages) -> list[str]:
     """Closed-interval age stratum label ("68-75", ...) per subject.
 
-    Ages must be whole years inside one of the intervals; anything else is
-    outside the target population.
+    Ages must be whole years inside one of the AGE_STRATA intervals;
+    anything else is outside the target population.
     """
     labels = []
     for age in ages:
@@ -231,7 +231,7 @@ def stratify_age(ages, breaks=AGE_STRATA) -> list[str]:
         if age_f != int(age_f):
             raise ValueError(f"subject outside target population: age {age!r}")
         age_i = int(age_f)
-        for lo, hi in breaks:
+        for lo, hi in AGE_STRATA:
             if lo <= age_i <= hi:
                 labels.append(f"{lo}-{hi}")
                 break

@@ -42,19 +42,24 @@ def _whole(value):
     return int(value)
 
 
+_number = _json_value((int, float, str), "a number", float)
+_name = _json_value((str,), "a string")
+
 # the converter that makes a JSON config value one of each kind: a datagen
 # spec field by its annotation, or a CLI option. int() or float() still reads
-# a numeric string, but a fractional float is no int, a boolean no number and
-# a string no array.
+# a numeric string, but a fractional float is no int, a boolean no number, a
+# string no array, and an array of numbers or names holds no other value.
 FROM_JSON = {
     "int": _json_value((int, float, str), "an integer", _whole),
-    "float": _json_value((int, float, str), "a number", float),
+    "float": _number,
     "bool": _json_value((bool,), "true or false"),
     "tuple": _json_value((list,), "an array", tuple),
     "dict": _json_value((dict,), "an object"),
-    "floats": _json_value((list,), "an array", lambda v: np.asarray(v, dtype=float)),
+    "floats": _json_value((list,), "an array", lambda v: np.array([_number(x) for x in v])),
+    "name": _name,
     "names": _json_value((list, str), "an array or a comma-separated string", lambda v: (
-        [name.strip() for name in v.split(",") if name.strip()] if isinstance(v, str) else v)),
+        [name.strip() for name in v.split(",") if name.strip()] if isinstance(v, str)
+        else [_name(name) for name in v])),
 }
 
 

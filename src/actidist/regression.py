@@ -190,20 +190,19 @@ def nw_loo(sample: SurveySample, bandwidth: float) -> np.ndarray:
     np.fill_diagonal(k, 0.0)
     totals = k.sum(axis=1)
     y = sample.responses
-    ok = totals > 0
-    if ok.all():
-        out = (k @ y) / totals
-    else:
-        out = np.full(sample.n, np.nan)
-        out[ok] = (k[ok] @ y) / totals[ok]
+    out = np.divide(k @ y, totals, out=np.full(sample.n, np.nan), where=totals > 0)
     np.clip(out, y.min(), y.max(), out=out)
     return out
 
 
 def _tuning_grid(values, name: str) -> np.ndarray:
-    """A bandwidth or penalty grid as a sorted float array; rejects an empty
-    grid and any entry that is not positive and finite."""
-    grid = np.sort(np.asarray(values, dtype=float))
+    """A bandwidth or penalty grid as a sorted float array; rejects a grid
+    that is not 1-d or is empty, and any entry that is not positive and
+    finite."""
+    grid = np.asarray(values, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError(f"{name} grid must be 1-d")
+    grid = np.sort(grid)
     if grid.size == 0:
         raise ValueError(f"empty {name} grid")
     if not np.all(np.isfinite(grid) & (grid > 0)):

@@ -1114,8 +1114,21 @@ class TestSimulate:
          "population.size: expected an integer, got 30.7"),
         (lambda c: c["population"]["strata"][0].update(age_range="ab"),
          'population.strata[0].age_range: expected an array, got "ab"'),
+        (lambda c: c["population"]["strata"][1].update(name="a"),
+         "population: stratum names repeat: a"),
+        (lambda c: c["population"]["strata"][0].update(name=1),
+         "population.strata[0]: stratum name must be a non-empty string, got 1"),
+        (lambda c: c["population"]["strata"][1].update(name=""),
+         "population.strata[1]: stratum name must be a non-empty string, got ''"),
+        (lambda c: c["population"]["strata"][1].update(inactivity_range=[0.6, 0.4]),
+         "population.strata[1]: inactivity_range must satisfy 0 <= lo <= hi <= 1"),
+        (lambda c: _add_response(c).update(kind="noise"),
+         "population.strata[0].response: unknown response model 'noise'"),
+        (lambda c: _add_response(c).update(kind="constant", value=1),
+         "unknown config keys in population.strata[0].response: value"),
     ], ids=["size_type", "params_length", "design_kind_type", "range_length",
-            "size_float", "age_range_string"])
+            "size_float", "age_range_string", "repeated_name", "number_name", "empty_name",
+            "inactivity_order", "noise_response", "constant_response"])
     def test_bad_value_names_key_and_place(self, tmp_path, capsys, edit, message):
         cfg = json.loads(json.dumps(SIM_CONFIG))
         edit(cfg)
@@ -1354,7 +1367,12 @@ class TestOptionTable:
         ("build-dist", "m", 2.9, "expected an integer, got 2.9"),
         ("regress", "save_models", "no", 'expected true or false, got "no"'),
         ("classify", "stratify_age", "false", 'expected true or false, got "false"'),
-    ], ids=["m_float", "save_models_string", "stratify_age_string"])
+        ("regress", "lambda_grid", [[0.1, 1.0]], "expected a number, got [0.1, 1.0]"),
+        ("regress", "lambda_grid", [True, 1], "expected a number, got true"),
+        ("regress", "responses", [["a"]], 'expected a string, got ["a"]'),
+        ("classify", "response", ["a"], 'expected a string, got ["a"]'),
+    ], ids=["m_float", "save_models_string", "stratify_age_string", "lambda_grid_nested",
+            "lambda_grid_bool", "responses_nested", "response_array"])
     def test_wrong_type_names_key_and_file(self, request, tmp_path, capsys,
                                            command, key, value, message):
         if command == "build-dist":

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -752,12 +753,30 @@ class TestTuningSweeps:
         rng = np.random.default_rng(47)
         cases = ((scalar_sample(rng, 30, weight_range=(0.2, 6.0)), 0.3),
                  (grid_sample(rng, 25), 10.0),
-                 # an empty neighborhood: the rows with mass are copied out
+                 # an empty neighborhood: its entry is NaN
                  (SurveySample(np.array([0.0, 100.0, 100.3]), np.array([1.0, 2.0, 3.0])),
                   0.5))
         for s, h in cases:
             got, expected = nw_loo(s, h), nw_loo_unfused(s, h)
             assert got.tobytes() == expected.tobytes()
+
+    def test_nw_loo_empty_neighborhood_copies_no_rows(self):
+        # the last point sits so far from the rest at h = 0.5 that its kernel
+        # mass underflows to zero; moved next to them, every row has mass
+        def peak(last):
+            s = SurveySample(np.append(np.linspace(0.0, 1.0, 399), last), np.arange(400.0))
+            s.distance_matrix()
+            tracemalloc.start()
+            try:
+                loo = nw_loo(s, 0.5)
+                return loo, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        (loo_empty, peak_empty), (loo_full, peak_full) = peak(1000.0), peak(1.01)
+        assert np.isnan(loo_empty[-1]) and np.all(np.isfinite(loo_empty[:-1]))
+        assert np.all(np.isfinite(loo_full))
+        assert peak_empty <= 1.2 * peak_full
 
     def test_bandwidth_sweep_matches_loop_and_returns_its_loo(self):
         rng = np.random.default_rng(48)
@@ -783,6 +802,13 @@ class TestTuningSweeps:
         with pytest.raises(ValueError,
                            match="bandwidth grid entries must be positive and finite"):
             nw_select_bandwidth(s, grid)
+
+    def test_grid_not_1d_rejected(self):
+        s = scalar_sample(np.random.default_rng(51), 8)
+        with pytest.raises(ValueError, match="lambda grid must be 1-d"):
+            krr_select_lambda(s, 1.0, [[0.1, 1.0]])
+        with pytest.raises(ValueError, match="bandwidth grid must be 1-d"):
+            nw_select_bandwidth(s, 0.5)
 
 
 class TestClassicalReduction:
