@@ -10,6 +10,8 @@ deterministic regardless of evaluation order.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +20,20 @@ from . import io
 from .distribution import ActivitySeries, tac_per_day
 
 
-# the number of parameters of each kind of IntensityLaw
-_LAW_PARAMS = {"lognormal": 2, "gamma": 2, "lognormal_fixed_mean": 3}
+# each kind of IntensityLaw: its number of parameters and the rule they obey,
+# as a check and in words
+_LAW_PARAMS = {
+    "lognormal": (2, lambda mu, s: s >= 0, "sigma >= 0"),
+    "gamma": (2, lambda shape, scale: shape > 0 and scale > 0, "shape > 0 and scale > 0"),
+    "lognormal_fixed_mean": (3, lambda level, lo, hi: level > 0 and 0 <= lo <= hi,
+                             "mean_level > 0 and 0 <= s_lo <= s_hi"),
+}
+
+
+def _real(value) -> bool:
+    """A finite real number; a boolean is none."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -40,9 +54,11 @@ class IntensityLaw:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in _LAW_PARAMS:
             raise ValueError(f"unknown intensity law {self.kind!r}")
-        n = _LAW_PARAMS[self.kind]
+        n, obeys, rule = _LAW_PARAMS[self.kind]
         if len(self.params) != n:
             raise ValueError(f"{self.kind} takes {n} params, got {len(self.params)}")
+        if not (all(map(_real, self.params)) and obeys(*self.params)):
+            raise ValueError(f"{self.kind} params must be finite numbers with {rule}")
 
 
 @dataclass(frozen=True)
@@ -80,8 +96,13 @@ class StratumSpec:
             if size != 2:
                 raise ValueError(f"{name} must be 2 values, got {size}")
         lo, hi = self.inactivity_range
-        if not 0 <= lo <= hi <= 1:
+        if not (all(map(_real, (lo, hi))) and 0 <= lo <= hi <= 1):
             raise ValueError("inactivity_range must satisfy 0 <= lo <= hi <= 1")
+        lo, hi = self.age_range
+        if not (all(_real(v) and float(v).is_integer() for v in (lo, hi)) and lo <= hi):
+            raise ValueError(f"age_range must be whole numbers lo <= hi, got {[lo, hi]!r}")
+        if not (_real(self.mortality_rate) and 0 <= self.mortality_rate <= 1):
+            raise ValueError("mortality_rate must lie in [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,8 @@ from .survey import check_weights, median_heuristic_sigma_from_matrix
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
-GRID_KIND = "grid"
-SCALAR_KIND = "scalar"
+# a predictor's kind by the number of axes of its matrix
+_KINDS = {2: "grid", 1: "scalar"}
 
 MODEL_FORMAT_VERSION = 1
 
@@ -46,6 +46,17 @@ def _check_kernel(sigma: float, lam=0.0) -> None:
         raise ValueError("sigma must be positive and finite")
     if not np.all(np.isfinite(lam) & (np.asarray(lam) >= 0)):
         raise ValueError("lambda must be nonnegative and finite")
+
+
+def _predictor_matrix(values) -> np.ndarray:
+    """`values` as a float64 predictor matrix, not copied when it is one: (n, m)
+    grids whose rows pass check_quantile_rows, or (n,) finite scalars; n, m >= 1."""
+    matrix = np.asarray(values, dtype=float)
+    if matrix.ndim == 2 and matrix.size:
+        check_quantile_rows(matrix)
+    elif not (matrix.ndim == 1 and matrix.size and np.all(np.isfinite(matrix))):
+        raise ValueError("predictors must be quantile grids or finite scalars")
+    return matrix
 
 
 def laplacian_kernel(dist, sigma: float):
@@ -76,16 +87,9 @@ class SurveySample:
         self.weights.setflags(write=False)
         self.responses = self._checked(responses)
 
-        matrix = np.array(predictors, dtype=float)
-        if matrix.shape[:1] != (n,):
+        matrix = _predictor_matrix(np.array(predictors, dtype=float))
+        if len(matrix) != n:
             raise ValueError("predictors and responses must have equal length")
-        if matrix.ndim == 2 and matrix.shape[1] > 0:
-            check_quantile_rows(matrix)
-            self.kind = GRID_KIND
-        elif matrix.ndim == 1 and np.all(np.isfinite(matrix)):
-            self.kind = SCALAR_KIND
-        else:
-            raise ValueError("predictors must be quantile grids or finite scalars")
         matrix.setflags(write=False)
         self._matrix = matrix
         # distances and kernel spectra depend only on predictors and weights,
@@ -109,6 +113,10 @@ class SurveySample:
         """The read-only predictor matrix: (n, m) grids or (n,) scalars."""
         return self._matrix
 
+    @property
+    def kind(self) -> str:
+        return _KINDS[self._matrix.ndim]
+
     def is_binary(self) -> bool:
         return bool(np.all(np.isin(self.responses, (0.0, 1.0))))
 
@@ -128,10 +136,7 @@ class SurveySample:
     def distances_to(self, x) -> np.ndarray:
         """Distances from every training predictor to a query point: a grid
         (QuantileGrid or 1-d array) or a scalar."""
-        query = np.asarray(x, dtype=float).reshape(1, -1)
-        if self.kind == GRID_KIND:
-            check_quantile_rows(query)
-        return geometry.pairwise_wasserstein(self._matrix, query)[:, 0]
+        return geometry.pairwise_wasserstein(self._matrix, _predictor_matrix([x]))[:, 0]
 
     def with_responses(self, responses) -> "SurveySample":
         """The same predictors and weights with other responses; the new
@@ -266,13 +271,29 @@ def distance_quantile_grid(sample: SurveySample) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KrrModel:
-    """Fitted kernel ridge regressor; immutable and safe to share."""
+    """Fitted kernel ridge regressor; immutable and safe to share. It checks
+    itself as SurveySample checks its predictors, and that alpha holds one
+    finite value per training row, sigma > 0 and lam >= 0, both finite."""
 
-    kind: str
     training_matrix: np.ndarray
     alpha: np.ndarray
     sigma: float
     lam: float
+
+    def __post_init__(self):
+        matrix = _predictor_matrix(self.training_matrix)
+        alpha = np.asarray(self.alpha, dtype=float)
+        if alpha.shape != matrix.shape[:1] or not np.all(np.isfinite(alpha)):
+            raise ValueError("alpha must hold one finite value per training row")
+        sigma, lam = float(self.sigma), float(self.lam)
+        _check_kernel(sigma, lam)
+        for name, value in (("training_matrix", matrix), ("alpha", alpha),
+                            ("sigma", sigma), ("lam", lam)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def kind(self) -> str:
+        return _KINDS[self.training_matrix.ndim]
 
 
 def _kernel_spectrum(sample: SurveySample, sigma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -340,8 +361,7 @@ def krr_fit(sample: SurveySample, lam: float, sigma: float | None = None) -> Krr
     r = np.sqrt(sample.weights)
     alpha = r * (u @ ((u.T @ (r * sample.responses)) / shifted))
     # the sample's matrix is read-only, so the model shares it
-    return KrrModel(kind=sample.kind, training_matrix=sample._matrix, alpha=alpha,
-                    sigma=float(sigma), lam=float(lam))
+    return KrrModel(training_matrix=sample._matrix, alpha=alpha, sigma=sigma, lam=lam)
 
 
 def krr_predict(model: KrrModel, x) -> float:
@@ -352,10 +372,7 @@ def krr_predict(model: KrrModel, x) -> float:
 def krr_predict_batch(model: KrrModel, predictors) -> np.ndarray:
     """Predictions at several query points: grids (a (k, m) matrix or a list
     of QuantileGrid, checked as QuantileGrid is) or scalars (a 1-d array)."""
-    query = np.asarray(predictors, dtype=float)
-    if model.kind == GRID_KIND:
-        check_quantile_rows(query)
-    d = geometry.pairwise_wasserstein(query, model.training_matrix)
+    d = geometry.pairwise_wasserstein(_predictor_matrix(predictors), model.training_matrix)
     return laplacian_kernel(d, model.sigma) @ model.alpha
 
 
@@ -459,41 +476,27 @@ def load_model(path) -> KrrModel:
     """Read back a model written by save_model.
 
     Rejects, with a ValueError that names the file, a payload save_model
-    would not write: another format version or kernel, an unknown kind, a
-    training matrix that is not finite (or, for grids, not rows that pass
-    check_quantile_rows), an alpha that is not one finite value per training
-    row, a sigma that is not positive and finite, or a lambda that is
-    negative or not finite.
+    would not write: another format version or kernel, a kind other than
+    that of its training matrix, or a model that KrrModel rejects.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return _model_from_payload(json.load(fh))
+            payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError("not a model object")
+        version = payload.get("format_version")
+        if version != MODEL_FORMAT_VERSION:
+            raise ValueError(f"unsupported model format version {version!r}")
+        if payload.get("kernel_name") != "laplacian":
+            raise ValueError(f"unsupported kernel {payload.get('kernel_name')!r}")
+        kind = payload.get("kind")
+        if kind not in _KINDS.values():
+            raise ValueError(f"unknown model kind {kind!r}")
+        model = KrrModel(training_matrix=payload.get("training_matrix"),
+                         alpha=payload.get("alpha"), sigma=payload.get("sigma"),
+                         lam=payload.get("lambda"))
+        if model.kind != kind:
+            raise ValueError(f"training_matrix is not a {kind} model's predictor matrix")
+        return model
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
-
-
-def _model_from_payload(payload) -> KrrModel:
-    if not isinstance(payload, dict):
-        raise ValueError("not a model object")
-    version = payload.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {version!r}")
-    if payload.get("kernel_name") != "laplacian":
-        raise ValueError(f"unsupported kernel {payload.get('kernel_name')!r}")
-    kind = payload.get("kind")
-    if kind not in (GRID_KIND, SCALAR_KIND):
-        raise ValueError(f"unknown model kind {kind!r}")
-    training = np.asarray(payload.get("training_matrix"), dtype=float)
-    if training.ndim != (2 if kind == GRID_KIND else 1) or training.size == 0:
-        raise ValueError(f"training_matrix is not a {kind} model's predictor matrix")
-    if kind == GRID_KIND:
-        check_quantile_rows(training)
-    elif not np.all(np.isfinite(training)):
-        raise ValueError("training predictors must be finite")
-    alpha = np.asarray(payload.get("alpha"), dtype=float)
-    if alpha.shape != training.shape[:1] or not np.all(np.isfinite(alpha)):
-        raise ValueError("alpha must hold one finite value per training row")
-    sigma, lam = float(payload.get("sigma")), float(payload.get("lambda"))
-    _check_kernel(sigma, lam)
-    return KrrModel(kind=kind, training_matrix=training, alpha=alpha,
-                    sigma=sigma, lam=lam)

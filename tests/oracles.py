@@ -12,7 +12,6 @@ import numpy as np
 from actidist.geometry import _normalized_weights
 from actidist.io import InputValidationError, write_rows
 from actidist.regression import (
-    GRID_KIND,
     SurveySample,
     _kernel_spectrum,
     gaussian_kernel,
@@ -35,9 +34,10 @@ def frechet_objective(grids, candidate, weights=None) -> float:
     return float(w @ sq_dist)
 
 
-def broadcast_distances(a: np.ndarray, b: np.ndarray, kind: str = GRID_KIND) -> np.ndarray:
-    """Pairwise distances through the (n, k, m) broadcast of all differences."""
-    if kind == GRID_KIND:
+def broadcast_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise distances through the (n, k, m) broadcast of all differences:
+    between the rows of (n, m) and (k, m) grids, or (n,) and (k,) scalars."""
+    if a.ndim == 2:
         m = a.shape[1]
         sq = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2) / m
         return np.sqrt(sq)
@@ -47,7 +47,7 @@ def broadcast_distances(a: np.ndarray, b: np.ndarray, kind: str = GRID_KIND) -> 
 def training_predictions(model) -> np.ndarray:
     """A fitted model's predictions at its own training predictors."""
     x = model.training_matrix
-    k = laplacian_kernel(broadcast_distances(x, x, model.kind), model.sigma)
+    k = laplacian_kernel(broadcast_distances(x, x), model.sigma)
     return k @ model.alpha
 
 
@@ -94,7 +94,7 @@ def dense_loo_hat(sample, lam: float, sigma: float):
 
     Returns (loo, 1 - H_ii) with H = K (WK + lam I)^-1 W.
     """
-    d = broadcast_distances(sample._matrix, sample._matrix, sample.kind)
+    d = broadcast_distances(sample._matrix, sample._matrix)
     k = laplacian_kernel(d, sigma)
     w = sample.weights
     a = w[:, None] * k + lam * np.eye(sample.n)

@@ -82,6 +82,23 @@ class TestSimulatePopulation:
         with pytest.raises(ValueError, match="sum to 1"):
             PopulationSpec(size=10, strata=(stratum,), minutes=10, seed=0)
 
+    def test_numpy_numbers_and_whole_floats_accepted(self):
+        stratum = StratumSpec("a", 1.0, (0.1, 0.2),
+                              IntensityLaw("gamma", (np.float64(2.0), np.int64(3))),
+                              age_range=(np.int64(70), 71.0), mortality_rate=np.float64(1.0))
+        spec = PopulationSpec(size=20, strata=(stratum,), minutes=10, seed=0)
+        ages = {s.covariates["age"] for s in simulate_population(spec)[0]}
+        assert ages == {70, 71}
+
+    @pytest.mark.parametrize("field, value", [("inactivity_range", (True, True)),
+                                              ("age_range", (68, True)),
+                                              ("mortality_rate", True)])
+    def test_booleans_rejected(self, field, value):
+        fields = {"name": "a", "proportion": 1.0, "inactivity_range": (0.1, 0.2),
+                  "intensity": IntensityLaw("gamma", (2.0, 3.0)), field: value}
+        with pytest.raises(ValueError, match=field):
+            StratumSpec(**fields)
+
 
 LAWS = [
     IntensityLaw("lognormal", (3.0, 0.8)),

@@ -1126,9 +1126,35 @@ class TestSimulate:
          "population.strata[0].response: unknown response model 'noise'"),
         (lambda c: _add_response(c).update(kind="constant", value=1),
          "unknown config keys in population.strata[0].response: value"),
+        (lambda c: c["population"]["strata"][0]["intensity"].update(params=["a", 1]),
+         "population.strata[0].intensity: gamma params must be finite numbers with shape > 0 "
+         "and scale > 0"),
+        (lambda c: c["population"]["strata"][0]["intensity"].update(params=[-2.0, 1]),
+         "population.strata[0].intensity: gamma params must be finite numbers with shape > 0 "
+         "and scale > 0"),
+        (lambda c: c["population"]["strata"][1]["intensity"].update(params=[3.0, -1]),
+         "population.strata[1].intensity: lognormal params must be finite numbers with "
+         "sigma >= 0"),
+        (lambda c: c["population"]["strata"][1]["intensity"].update(params=[True, 0.5]),
+         "population.strata[1].intensity: lognormal params must be finite numbers with "
+         "sigma >= 0"),
+        (lambda c: c["population"]["strata"][0]["intensity"].update(
+            kind="lognormal_fixed_mean", params=[80.0, 1.5, 0.3]),
+         "population.strata[0].intensity: lognormal_fixed_mean params must be finite "
+         "numbers with mean_level > 0 and 0 <= s_lo <= s_hi"),
+        (lambda c: c["population"]["strata"][0].update(age_range=[85, 68]),
+         "population.strata[0]: age_range must be whole numbers lo <= hi, got [85, 68]"),
+        (lambda c: c["population"]["strata"][0].update(age_range=[68.5, 85]),
+         "population.strata[0]: age_range must be whole numbers lo <= hi, got [68.5, 85]"),
+        (lambda c: c["population"]["strata"][1].update(mortality_rate=2),
+         "population.strata[1]: mortality_rate must lie in [0, 1]"),
+        (lambda c: c["population"]["strata"][0].update(inactivity_range=[True, True]),
+         "population.strata[0]: inactivity_range must satisfy 0 <= lo <= hi <= 1"),
     ], ids=["size_type", "params_length", "design_kind_type", "range_length",
             "size_float", "age_range_string", "repeated_name", "number_name", "empty_name",
-            "inactivity_order", "noise_response", "constant_response"])
+            "inactivity_order", "noise_response", "constant_response", "params_text",
+            "gamma_shape", "lognormal_sigma", "params_bool", "fixed_mean_spread",
+            "age_order", "age_fraction", "mortality_above_1", "inactivity_bool"])
     def test_bad_value_names_key_and_place(self, tmp_path, capsys, edit, message):
         cfg = json.loads(json.dumps(SIM_CONFIG))
         edit(cfg)

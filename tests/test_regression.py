@@ -144,6 +144,17 @@ class TestSurveySample:
             with pytest.raises(ValueError, match=str(grid_error.value)):
                 call()
 
+    @pytest.mark.parametrize("query", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scalar_query_rejected(self, query):
+        sample = scalar_sample(np.random.default_rng(35), 5)
+        model = krr_fit(sample, lam=0.3, sigma=1.0)
+        for call in (lambda: nw_predict(sample, 1.0, query),
+                     lambda: krr_predict(model, query),
+                     lambda: krr_predict_batch(model, [0.0, query])):
+            with pytest.raises(ValueError, match="predictors must be quantile grids or "
+                                                 "finite scalars"):
+                call()
+
     def test_with_responses_shares_the_predictors(self, monkeypatch):
         s = grid_sample(np.random.default_rng(34), 6)
         calls = []
@@ -435,7 +446,7 @@ class TestKrrPredict:
         assert abs(krr_predict(model, 1e6)) < 1e-12
 
     def test_zero_alpha(self):
-        model = KrrModel(kind="scalar", training_matrix=np.array([0.0, 1.0]),
+        model = KrrModel(training_matrix=np.array([0.0, 1.0]),
                          alpha=np.zeros(2), sigma=1.0, lam=1.0)
         assert krr_predict(model, 0.3) == 0.0
 
@@ -956,40 +967,63 @@ def corrupt(payload, key, value):
     return out
 
 
+# the kind check of load_model: a payload's kind must be its training matrix's
+KIND_MISMATCH = "not a grid model's predictor matrix"
+
+# a bad value of one key of a grid model's payload, and the message that
+# rejects it with the file's name
+LOAD_MODEL_CASES = [
+    ("alpha", [1.0, float("nan"), 0.0, 1.0], "alpha must hold one finite value"),
+    ("alpha", [1.0, 2.0, 3.0], "alpha must hold one finite value"),
+    ("alpha", [[1.0], [2.0], [3.0], [4.0]], "alpha must hold one finite value"),
+    ("alpha", ["a", "b", "c", "d"], "could not convert string to float"),
+    ("training_matrix", [[0.0, 1.0, float("nan")]] * 4, "must be finite"),
+    ("training_matrix", [[3.0, 2.0, 1.0]] * 4, "must be nondecreasing"),
+    ("training_matrix", [[-1.0, 2.0, 3.0]] * 4, "must be nonnegative"),
+    ("training_matrix", [0.0, 1.0, 2.0, 3.0], KIND_MISMATCH),
+    ("training_matrix", [[0.0, 1.0], [0.0]], "inhomogeneous"),
+    ("training_matrix", None, "predictors must be quantile grids or finite scalars"),
+    ("kind", "banana", "unknown model kind 'banana'"),
+    ("sigma", 0.0, "sigma must be positive and finite"),
+    ("sigma", -1.0, "sigma must be positive and finite"),
+    ("sigma", float("inf"), "sigma must be positive and finite"),
+    ("sigma", float("nan"), "sigma must be positive and finite"),
+    ("sigma", "abc", "could not convert string to float"),
+    ("sigma", None, "must be a string or a real number"),
+    ("lambda", -0.5, "lambda must be nonnegative and finite"),
+    ("lambda", float("inf"), "lambda must be nonnegative and finite"),
+    ("lambda", [0.5], "must be a string or a real number"),
+    ("format_version", 2, "unsupported model format version 2"),
+]
+
+# the KrrModel field of each payload key that holds one
+MODEL_FIELDS = {"training_matrix": "training_matrix", "alpha": "alpha",
+                "sigma": "sigma", "lambda": "lam"}
+
+# the cases that KrrModel rejects by itself: it has no kind or version
+MODEL_VALUE_CASES = [case for case in LOAD_MODEL_CASES
+                     if case[0] in MODEL_FIELDS and case[2] != KIND_MISMATCH]
+
+
 class TestLoadModelChecks:
     @pytest.fixture
     def grid_payload(self):
         rng = np.random.default_rng(33)
         return model_payload(krr_fit(grid_sample(rng, 4, m=3), lam=0.2, sigma=20.0))
 
-    @pytest.mark.parametrize("key, value, message", [
-        ("alpha", [1.0, float("nan"), 0.0, 1.0], "alpha must hold one finite value"),
-        ("alpha", [1.0, 2.0, 3.0], "alpha must hold one finite value"),
-        ("alpha", [[1.0], [2.0], [3.0], [4.0]], "alpha must hold one finite value"),
-        ("alpha", ["a", "b", "c", "d"], "could not convert string to float"),
-        ("training_matrix", [[0.0, 1.0, float("nan")]] * 4, "must be finite"),
-        ("training_matrix", [[3.0, 2.0, 1.0]] * 4, "must be nondecreasing"),
-        ("training_matrix", [[-1.0, 2.0, 3.0]] * 4, "must be nonnegative"),
-        ("training_matrix", [0.0, 1.0, 2.0, 3.0], "not a grid model's predictor matrix"),
-        ("training_matrix", [[0.0, 1.0], [0.0]], "inhomogeneous"),
-        ("training_matrix", None, "not a grid model's predictor matrix"),
-        ("kind", "banana", "unknown model kind 'banana'"),
-        ("sigma", 0.0, "sigma must be positive and finite"),
-        ("sigma", -1.0, "sigma must be positive and finite"),
-        ("sigma", float("inf"), "sigma must be positive and finite"),
-        ("sigma", float("nan"), "sigma must be positive and finite"),
-        ("sigma", "abc", "could not convert string to float"),
-        ("sigma", None, "must be a string or a real number"),
-        ("lambda", -0.5, "lambda must be nonnegative and finite"),
-        ("lambda", float("inf"), "lambda must be nonnegative and finite"),
-        ("lambda", [0.5], "must be a string or a real number"),
-        ("format_version", 2, "unsupported model format version 2"),
-    ])
+    @pytest.mark.parametrize("key, value, message", LOAD_MODEL_CASES)
     def test_rejected_with_file_name(self, tmp_path, grid_payload, key, value, message):
         path = tmp_path / "model.json"
         write_payload(path, corrupt(grid_payload, key, value))
         with pytest.raises(ValueError, match=rf"model\.json: .*{message}"):
             load_model(path)
+
+    @pytest.mark.parametrize("key, value, message", MODEL_VALUE_CASES)
+    def test_constructor_rejects_the_same(self, grid_payload, key, value, message):
+        payload = corrupt(grid_payload, key, value)
+        # float(None) raises TypeError, which load_model reports as a ValueError
+        with pytest.raises((TypeError, ValueError), match=message):
+            KrrModel(**{field: payload[key] for key, field in MODEL_FIELDS.items()})
 
     def test_scalar_model_needs_finite_predictors(self, tmp_path):
         payload = model_payload(krr_fit(scalar_sample(np.random.default_rng(34), 3),
@@ -998,8 +1032,18 @@ class TestLoadModelChecks:
         write_payload(path, payload)
         assert load_model(path).kind == "scalar"
         write_payload(path, corrupt(payload, "training_matrix", [0.0, float("inf"), 1.0]))
-        with pytest.raises(ValueError, match="training predictors must be finite"):
+        with pytest.raises(ValueError, match="predictors must be quantile grids or finite scalars"):
             load_model(path)
+
+    def test_one_d_matrix_makes_no_grid_model(self):
+        fields = {"training_matrix": np.array([0.0, 1.0]), "alpha": np.array([1.0, 2.0]),
+                  "sigma": 1.0, "lam": 0.1}
+        with pytest.raises(TypeError, match="kind"):
+            KrrModel(kind="grid", **fields)
+        model = KrrModel(**fields)
+        assert model.kind == "scalar"
+        with pytest.raises(AttributeError):
+            model.kind = "grid"
 
     @pytest.mark.parametrize("text", ["[1, 2]", "{", "{}"])
     def test_not_a_model(self, tmp_path, text):
