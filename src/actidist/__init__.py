@@ -17,8 +17,6 @@ _EXPORTS = {
         "NO_CENSOR",
         "QuantileGrid",
         "build_mixed",
-        "censor_series",
-        "empirical_quantiles",
         "inactive_proportion",
         "kde_active",
         "quantiles_from_values",

@@ -36,6 +36,11 @@ def _real(value) -> bool:
             and math.isfinite(value))
 
 
+def _whole(value) -> bool:
+    """A finite real number with no fractional part; a boolean is none."""
+    return _real(value) and float(value).is_integer()
+
+
 @dataclass(frozen=True)
 class IntensityLaw:
     """Positive intensity law for active minutes.
@@ -99,7 +104,7 @@ class StratumSpec:
         if not (all(map(_real, (lo, hi))) and 0 <= lo <= hi <= 1):
             raise ValueError("inactivity_range must satisfy 0 <= lo <= hi <= 1")
         lo, hi = self.age_range
-        if not (all(_real(v) and float(v).is_integer() for v in (lo, hi)) and lo <= hi):
+        if not (all(map(_whole, (lo, hi))) and lo <= hi):
             raise ValueError(f"age_range must be whole numbers lo <= hi, got {[lo, hi]!r}")
         if not (_real(self.mortality_rate) and 0 <= self.mortality_rate <= 1):
             raise ValueError("mortality_rate must lie in [0, 1]")
@@ -114,13 +119,16 @@ class PopulationSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "strata", tuple(self.strata))
-        if self.size < 1:
-            raise ValueError("population size must be at least 1")
-        if self.minutes < 2:
-            raise ValueError("need at least 2 minutes per subject")
+        for name, least in (("size", 1), ("minutes", 2), ("seed", 0)):
+            value = getattr(self, name)
+            if not (_whole(value) and value >= least):
+                raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
+            # numpy takes only an int as a slice bound, a length or a seed
+            object.__setattr__(self, name, int(value))
         props = [s.proportion for s in self.strata]
-        if not props or abs(sum(props) - 1.0) > 1e-9 or any(p < 0 for p in props):
-            raise ValueError("stratum proportions must be nonnegative and sum to 1")
+        if not (props and all(_real(p) and p >= 0 for p in props)
+                and abs(sum(props) - 1.0) <= 1e-9):
+            raise ValueError("stratum proportions must be nonnegative numbers that sum to 1")
         names = [s.name for s in self.strata]
         repeated = sorted({name for name in names if names.count(name) > 1})
         if repeated:
@@ -252,8 +260,9 @@ class PoissonDesign:
     size_covariate: str | None = None
 
     def __post_init__(self):
-        if self.expected_n < 1:
-            raise ValueError("expected sample size must be at least 1")
+        if not (_whole(self.expected_n) and self.expected_n >= 1):
+            raise ValueError(f"expected_n must be a whole number >= 1, "
+                             f"got {self.expected_n!r}")
 
 
 class _PlacedError(ValueError):

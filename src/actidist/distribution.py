@@ -93,10 +93,29 @@ def check_quantile_rows(values: np.ndarray) -> None:
     cohort matrix, is finite, nondecreasing and nonnegative."""
     if not np.all(np.isfinite(values)):
         raise ValueError("quantile values must be finite")
-    if np.any(np.diff(values, axis=-1) < 0):
+    if np.any(values[..., 1:] < values[..., :-1]):
         raise ValueError("quantile values must be nondecreasing")
     if np.any(values[..., 0] < 0):
         raise ValueError("quantile values must be nonnegative")
+
+
+def _cohort_matrix(values, scalars: bool = True) -> np.ndarray:
+    """The one conversion of a cohort to its float64 matrix, not copied when
+    it is one: (n, m) quantile grids whose rows pass check_quantile_rows or,
+    with `scalars`, (n,) finite scalars; n, m >= 1. Ragged rows mismatch."""
+    try:
+        matrix = np.asarray(values, dtype=float)
+    except ValueError as exc:  # a value that is no number keeps numpy's message
+        if len({np.shape(row) for row in values}) < 2:
+            raise
+        raise ValueError("grid mismatch") from exc
+    if matrix.ndim == 2 and matrix.size:
+        check_quantile_rows(matrix)
+    elif not scalars:
+        raise ValueError("a cohort is an (n, m) matrix or a list of QuantileGrid")
+    elif not (matrix.ndim == 1 and matrix.size and np.all(np.isfinite(matrix))):
+        raise ValueError("predictors must be quantile grids or finite scalars")
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -194,17 +213,6 @@ def _clamped(readings: np.ndarray, censor: CensorSpec) -> np.ndarray:
     return readings
 
 
-def censor_series(series: ActivitySeries, censor: CensorSpec) -> ActivitySeries:
-    """Clamp readings into [lower, upper]; timestamps and metadata unchanged."""
-    return ActivitySeries(
-        subject_id=series.subject_id,
-        timestamps=series.timestamps,
-        readings=_clamped(series.readings, censor),
-        survey_weight=series.survey_weight,
-        covariates=series.covariates,
-    )
-
-
 def quantiles_from_values(values: np.ndarray, m: int) -> QuantileGrid:
     """Empirical quantile function of a sample on the midpoint grid.
 
@@ -224,11 +232,6 @@ def quantiles_from_values(values: np.ndarray, m: int) -> QuantileGrid:
     k = np.arange(1, m + 1, dtype=np.int64)
     ranks = (n * (2 * k - 1) + 2 * m - 1) // (2 * m)  # ceil(n * (2k-1) / (2m))
     return QuantileGrid(values=ordered[ranks - 1])
-
-
-def empirical_quantiles(series: ActivitySeries, m: int = DEFAULT_GRID_SIZE) -> QuantileGrid:
-    """Empirical quantile grid of a subject's readings."""
-    return quantiles_from_values(series.readings, m)
 
 
 def silverman_bandwidth(positive_readings: np.ndarray) -> float:

@@ -12,6 +12,7 @@ from .distribution import (
     CensorSpec,
     DEFAULT_GRID_SIZE,
     NO_CENSOR,
+    _cohort_matrix,
     build_mixed,
     tac_per_day,
 )
@@ -244,7 +245,7 @@ def group_profiles(grids, weights, group_labels) -> dict:
     """Weighted Frechet summary (mean, variance, sd curve) per group of the
     rows of `grids`, an (n, m) matrix or a list of QuantileGrid, keyed by
     the sorted distinct labels."""
-    x = np.asarray(grids, dtype=float)
+    x = _cohort_matrix(grids, scalars=False)
     labels = list(group_labels)
     if len(labels) != len(x):
         raise ValueError("labels must match grids")

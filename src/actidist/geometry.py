@@ -3,7 +3,8 @@
 For one-dimensional distributions the 2-Wasserstein distance is the L2
 distance between quantile functions, so on a common midpoint grid every
 operation reduces to plain vectorized arithmetic. A cohort is passed as an
-(n, m) matrix or as a list of QuantileGrid.
+(n, m) matrix or as a list of QuantileGrid, and every function converts and
+checks it by distribution._cohort_matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import QuantileGrid
+from .distribution import QuantileGrid, _cohort_matrix
 from .survey import check_weights
 
 
@@ -25,20 +26,6 @@ class FrechetSummary:
     variance: float
     pointwise_sd: np.ndarray
     total_weight: float = 1.0
-
-
-def _cohort(x, scalars: bool = False) -> np.ndarray:
-    """Grids (a QuantileGrid list or an (n, m) matrix) as an (n, m) float
-    matrix, no copy of a float matrix; with `scalars`, a 1-d array as (n, 1)."""
-    try:
-        rows = np.asarray(x, dtype=float)
-    except ValueError as exc:  # numpy refuses rows of unequal length
-        raise ValueError("grid mismatch") from exc
-    if rows.ndim == 0 or len(rows) == 0:
-        raise ValueError("empty grid list")
-    if rows.ndim != 2 and not (scalars and rows.ndim == 1):
-        raise ValueError("a cohort is an (n, m) matrix or a list of QuantileGrid")
-    return rows.reshape(len(rows), -1)
 
 
 def _normalized_weights(weights, n: int) -> np.ndarray:
@@ -64,8 +51,9 @@ def pairwise_wasserstein(x, y=None) -> np.ndarray:
     cancels, are recomputed directly, which keeps duplicates at exactly 0.
     A square result is exactly symmetric with a zero diagonal.
     """
-    a = _cohort(x, scalars=True)
-    b = a if y is None else _cohort(y, scalars=True)
+    a = _cohort_matrix(x)
+    b = a if y is None else _cohort_matrix(y)
+    a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
     m = a.shape[1]
     if b.shape[1] != m:
         raise ValueError("grid mismatch")
@@ -98,7 +86,7 @@ def frechet_mean(grids, weights=None) -> QuantileGrid:
     A convex combination of nondecreasing functions is nondecreasing, so the
     result is always a valid quantile grid.
     """
-    values = _cohort(grids)
+    values = _cohort_matrix(grids, scalars=False)
     w = _normalized_weights(weights, values.shape[0])
     return QuantileGrid(values=w @ values)
 
@@ -106,7 +94,7 @@ def frechet_mean(grids, weights=None) -> QuantileGrid:
 def _sq_deviation_curve(grids, mean: QuantileGrid, weights) -> np.ndarray:
     """Per-grid-point mean squared deviation from `mean`: with normalized
     weights, or with the 1/(n-1) divisor for an unweighted cohort."""
-    values = _cohort(grids)
+    values = _cohort_matrix(grids, scalars=False)
     n = values.shape[0]
     if mean.m != values.shape[1]:
         raise ValueError("grid mismatch")
@@ -141,7 +129,7 @@ def summarize(grids, weights=None) -> FrechetSummary:
     divisor; that case only arises for degenerate groups, which callers
     already warn about.
     """
-    values = _cohort(grids)
+    values = _cohort_matrix(grids, scalars=False)
     mean = frechet_mean(values, weights)
     if weights is None and len(values) < 2:
         curve = np.zeros(mean.m)

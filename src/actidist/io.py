@@ -17,7 +17,7 @@ from io import StringIO
 
 import numpy as np
 
-from .distribution import ActivitySeries, check_quantile_rows
+from .distribution import ActivitySeries, _cohort_matrix, check_quantile_rows
 
 
 class InputValidationError(ValueError):
@@ -67,6 +67,14 @@ def _fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     return str(x)
+
+
+def _subject_id(field) -> str:
+    """Every reader's subject id: the field stripped, and not empty."""
+    sid = (field or "").strip()
+    if not sid:
+        raise ValueError("empty subject_id")
+    return sid
 
 
 def _read_rows(path, header_ok, header_error: str, parse_row, unique=True) -> dict:
@@ -146,9 +154,9 @@ def read_readings_csv(path) -> dict:
     Returns {subject_id: (timestamps, counts)} as float64 arrays in file
     order, subjects in order of first appearance, ids stripped; each array
     owns its data, so no subject keeps a parser chunk alive. numpy's C
-    parser reads the rows in chunks; when it refuses a row, a value fails
-    a check or an id is longer than csv.field_size_limit(), the csv row loop
-    reads the whole file again and reports every bad row with its line.
+    parser reads the rows in chunks; when it refuses a row, a value fails a
+    check or an id is empty or longer than csv.field_size_limit(), the csv
+    row loop reads the whole file again and reports every bad row with its line.
     """
     return _read_table(path, _is_readings_header,
                        lambda fh, header: _read_readings_chunks(fh), _read_readings_rows)
@@ -192,7 +200,7 @@ def _read_readings_chunks(fh):
                 return None
             starts = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist()]
             run_ids = ids[starts].tolist()
-            if any(len(sid) > limit for sid in run_ids):
+            if any(len(sid) > limit or not sid.strip() for sid in run_ids):
                 return None
             # the rows grouped by stripped id, numbered per run in order of
             # first appearance, by a stable argsort that is near-linear on a
@@ -237,7 +245,7 @@ def _readings_row(header, row):
         raise ValueError("non-finite value")
     if count < 0:
         raise ValueError("negative count")
-    return sid.strip(), (t, count)
+    return _subject_id(sid), (t, count)
 
 
 def _parse_covariate(text: str):
@@ -261,13 +269,11 @@ def _subject_row(header, row):
     if len(row) > len(header):
         raise ValueError("more fields than the header")
     fields = dict(itertools.zip_longest(header, row))
-    sid = (fields["subject_id"] or "").strip()
+    sid = _subject_id(fields["subject_id"])
     try:
         weight = float(fields["survey_weight"])
     except (TypeError, ValueError):
         raise ValueError("bad survey_weight") from None
-    if not sid:
-        raise ValueError("bad subject row")
     if not (math.isfinite(weight) and weight > 0):
         raise ValueError("survey_weight must be positive and finite")
     covariates = {
@@ -324,17 +330,17 @@ def _summary_row(header, row):
         raise ValueError("missing or non-numeric value") from None
     if not (math.isfinite(p_inactive) and math.isfinite(tac)):
         raise ValueError("non-finite value")
-    return fields["subject_id"], (p_inactive, tac)
+    return _subject_id(fields["subject_id"]), (p_inactive, tac)
 
 
 def write_quantile_csv(path, subject_ids, quantiles) -> None:
-    """Quantile-grid table: one row per subject, columns t_1..t_m, from an
-    (n, m) matrix or a list of QuantileGrid.
+    """Quantile-grid table: one row per subject, columns t_1..t_m, from a
+    cohort that _cohort_matrix accepts: an (n, m) matrix or QuantileGrid list.
 
     Writes the bytes that write_rows would, one formatted line per subject:
     the table as Python floats would take 4x the matrix.
     """
-    matrix = np.asarray(quantiles, dtype=float)
+    matrix = _cohort_matrix(quantiles, scalars=False)
     header = ["subject_id"] + [f"t_{k}" for k in range(1, matrix.shape[1] + 1)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(header)
@@ -344,13 +350,13 @@ def write_quantile_csv(path, subject_ids, quantiles) -> None:
 
 def read_quantile_csv(path):
     """Read back a quantile table as (subject_ids, read-only float64 (n, m)
-    matrix); each row is checked as a QuantileGrid is, ids are unique, and a
-    table with no rows is rejected.
+    matrix); each row is checked as a QuantileGrid is, ids are stripped,
+    non-empty and unique, and a table with no rows is rejected.
 
     numpy's C parser reads the rows in chunks, as in read_readings_csv; when
-    it refuses a row, a row fails the check, an id repeats or is longer than
-    csv.field_size_limit(), the csv row loop reads the file again and reports
-    every bad row with its line.
+    it refuses a row, a row fails the check, an id is empty, repeats or is
+    longer than csv.field_size_limit(), the csv row loop reads the file again
+    and reports every bad row with its line.
     """
     return _read_table(path, _is_quantile_header, _read_quantile_chunks, _read_quantile_rows)
 
@@ -372,11 +378,13 @@ def _read_quantile_chunks(fh, header):
     except ValueError:
         return None
     limit = csv.field_size_limit()
-    if not ids or len(set(ids)) < len(ids) or any(len(sid) > limit for sid in ids):
+    stripped = [sid.strip() for sid in ids]
+    if (not ids or not all(stripped) or len(set(stripped)) < len(ids)
+            or any(len(sid) > limit for sid in ids)):
         return None
     matrix = np.concatenate(blocks)
     matrix.setflags(write=False)
-    return ids, matrix
+    return stripped, matrix
 
 
 def _read_quantile_rows(path):
@@ -392,9 +400,10 @@ def _read_quantile_rows(path):
 def _quantile_row(header, row):
     if len(row) != len(header):
         raise ValueError("wrong field count")
+    sid = _subject_id(row[0])
     values = np.asarray(row[1:], dtype=float)
     check_quantile_rows(values)
-    return row[0], values
+    return sid, values
 
 
 def write_summary_csv(path, subject_ids, mixed: list, tacs) -> None:

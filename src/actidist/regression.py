@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .distribution import check_quantile_rows
+from .distribution import _cohort_matrix
 from .survey import check_weights, median_heuristic_sigma_from_matrix
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -46,17 +46,6 @@ def _check_kernel(sigma: float, lam=0.0) -> None:
         raise ValueError("sigma must be positive and finite")
     if not np.all(np.isfinite(lam) & (np.asarray(lam) >= 0)):
         raise ValueError("lambda must be nonnegative and finite")
-
-
-def _predictor_matrix(values) -> np.ndarray:
-    """`values` as a float64 predictor matrix, not copied when it is one: (n, m)
-    grids whose rows pass check_quantile_rows, or (n,) finite scalars; n, m >= 1."""
-    matrix = np.asarray(values, dtype=float)
-    if matrix.ndim == 2 and matrix.size:
-        check_quantile_rows(matrix)
-    elif not (matrix.ndim == 1 and matrix.size and np.all(np.isfinite(matrix))):
-        raise ValueError("predictors must be quantile grids or finite scalars")
-    return matrix
 
 
 def laplacian_kernel(dist, sigma: float):
@@ -87,7 +76,8 @@ class SurveySample:
         self.weights.setflags(write=False)
         self.responses = self._checked(responses)
 
-        matrix = _predictor_matrix(np.array(predictors, dtype=float))
+        # the sample's own copy, which it makes read-only
+        matrix = _cohort_matrix(predictors).copy()
         if len(matrix) != n:
             raise ValueError("predictors and responses must have equal length")
         matrix.setflags(write=False)
@@ -136,7 +126,7 @@ class SurveySample:
     def distances_to(self, x) -> np.ndarray:
         """Distances from every training predictor to a query point: a grid
         (QuantileGrid or 1-d array) or a scalar."""
-        return geometry.pairwise_wasserstein(self._matrix, _predictor_matrix([x]))[:, 0]
+        return geometry.pairwise_wasserstein(self._matrix, [x])[:, 0]
 
     def with_responses(self, responses) -> "SurveySample":
         """The same predictors and weights with other responses; the new
@@ -281,7 +271,7 @@ class KrrModel:
     lam: float
 
     def __post_init__(self):
-        matrix = _predictor_matrix(self.training_matrix)
+        matrix = _cohort_matrix(self.training_matrix)
         alpha = np.asarray(self.alpha, dtype=float)
         if alpha.shape != matrix.shape[:1] or not np.all(np.isfinite(alpha)):
             raise ValueError("alpha must hold one finite value per training row")
@@ -372,7 +362,7 @@ def krr_predict(model: KrrModel, x) -> float:
 def krr_predict_batch(model: KrrModel, predictors) -> np.ndarray:
     """Predictions at several query points: grids (a (k, m) matrix or a list
     of QuantileGrid, checked as QuantileGrid is) or scalars (a 1-d array)."""
-    d = geometry.pairwise_wasserstein(_predictor_matrix(predictors), model.training_matrix)
+    d = geometry.pairwise_wasserstein(predictors, model.training_matrix)
     return laplacian_kernel(d, model.sigma) @ model.alpha
 
 

@@ -9,6 +9,14 @@ from pathlib import Path
 
 import numpy as np
 
+from actidist.distribution import (
+    DEFAULT_GRID_SIZE,
+    ActivitySeries,
+    CensorSpec,
+    QuantileGrid,
+    _clamped,
+    quantiles_from_values,
+)
 from actidist.geometry import _normalized_weights
 from actidist.io import InputValidationError, write_rows
 from actidist.regression import (
@@ -21,6 +29,22 @@ from actidist.regression import (
     laplacian_kernel,
 )
 from actidist.survey import weighted_median
+
+
+def censor_series(series: ActivitySeries, censor: CensorSpec) -> ActivitySeries:
+    """Clamp readings into [lower, upper]; timestamps and metadata unchanged."""
+    return ActivitySeries(
+        subject_id=series.subject_id,
+        timestamps=series.timestamps,
+        readings=_clamped(series.readings, censor),
+        survey_weight=series.survey_weight,
+        covariates=series.covariates,
+    )
+
+
+def empirical_quantiles(series: ActivitySeries, m: int = DEFAULT_GRID_SIZE) -> QuantileGrid:
+    """Empirical quantile grid of a subject's readings."""
+    return quantiles_from_values(series.readings, m)
 
 
 def frechet_objective(grids, candidate, weights=None) -> float:

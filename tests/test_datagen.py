@@ -99,6 +99,28 @@ class TestSimulatePopulation:
         with pytest.raises(ValueError, match=field):
             StratumSpec(**fields)
 
+    def test_boolean_proportion_rejected(self):
+        stratum = StratumSpec("a", True, (0.1, 0.2), IntensityLaw("gamma", (1.0, 1.0)))
+        with pytest.raises(ValueError, match="proportions must be nonnegative numbers"):
+            PopulationSpec(size=10, strata=(stratum,), minutes=10, seed=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("size", True), ("minutes", True), ("seed", True), ("size", 2.5),
+        ("minutes", 3.5), ("seed", 1.5), ("seed", -1)])
+    def test_counts_and_seed_are_whole_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a whole number"):
+            single_stratum_spec(**{field: value})
+
+    def test_whole_floats_and_numpy_counts_become_ints(self):
+        spec = single_stratum_spec(size=4.0, minutes=np.int64(3), seed=np.int64(2))
+        assert [type(v) for v in (spec.size, spec.minutes, spec.seed)] == [int] * 3
+        assert len(simulate_population(spec)[0]) == 4
+
+    @pytest.mark.parametrize("value", [True, 2.5])
+    def test_poisson_expected_n_is_a_whole_number(self, value):
+        with pytest.raises(ValueError, match="expected_n must be a whole number"):
+            PoissonDesign(expected_n=value)
+
 
 LAWS = [
     IntensityLaw("lognormal", (3.0, 0.8)),

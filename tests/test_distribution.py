@@ -6,14 +6,13 @@ from actidist.distribution import (
     CensorSpec,
     NO_CENSOR,
     build_mixed,
-    censor_series,
-    empirical_quantiles,
     inactive_proportion,
     kde_active,
     quantiles_from_values,
     silverman_bandwidth,
     tac_per_day,
 )
+from oracles import censor_series, empirical_quantiles
 
 
 def series(readings, **kwargs):

@@ -1,7 +1,12 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
-from actidist.distribution import QuantileGrid, quantiles_from_values
+from actidist import io
+from actidist.distribution import QuantileGrid, check_quantile_rows, quantiles_from_values
+from actidist.evaluation import group_profiles
 from actidist.geometry import (
     frechet_mean,
     frechet_variance,
@@ -10,6 +15,7 @@ from actidist.geometry import (
     summarize,
     wasserstein2,
 )
+from actidist.regression import SurveySample, krr_fit, krr_predict_batch
 from oracles import broadcast_distances, frechet_objective
 
 
@@ -215,8 +221,49 @@ class TestSummarize:
         assert summary.total_weight == pytest.approx(w.sum())
 
 
+# a row of each kind that check_quantile_rows rejects, added to two good rows
+BAD_ROWS = {"nan": [0.0, np.nan, 2.0], "inf": [0.0, 1.0, np.inf],
+            "decreasing": [0.0, 2.0, 1.0], "negative": [-1.0, 0.0, 1.0]}
+GOOD_ROWS = np.array([[0.0, 1.0, 2.0], [1.0, 1.5, 4.0]])
+
+# every public function that takes a cohort, called on cohort x in directory d
+COHORT_TAKERS = {
+    "pairwise_wasserstein": lambda x, d: pairwise_wasserstein(x),
+    "pairwise_wasserstein_y": lambda x, d: pairwise_wasserstein(GOOD_ROWS, x),
+    "frechet_mean": lambda x, d: frechet_mean(x),
+    "frechet_variance": lambda x, d: frechet_variance(x, QuantileGrid(GOOD_ROWS[0])),
+    "pointwise_sd_curve": lambda x, d: pointwise_sd_curve(x, QuantileGrid(GOOD_ROWS[0])),
+    "summarize": lambda x, d: summarize(x),
+    "group_profiles": lambda x, d: group_profiles(x, None, ["g"] * len(x)),
+    "write_quantile_csv": lambda x, d: io.write_quantile_csv(d / "q.csv", "abc", x),
+    "SurveySample": lambda x, d: SurveySample(x, np.zeros(len(x))),
+    "krr_predict_batch": lambda x, d: krr_predict_batch(
+        krr_fit(SurveySample(GOOD_ROWS, [0.0, 1.0]), lam=0.5, sigma=1.0), x),
+}
+
+
 class TestCohortForms:
     """A cohort may be a list of QuantileGrid or the (n, m) matrix of its rows."""
+
+    @pytest.mark.parametrize("bad", BAD_ROWS)
+    @pytest.mark.parametrize("taker", COHORT_TAKERS)
+    def test_every_cohort_taker_rejects_a_bad_row(self, tmp_path, taker, bad):
+        with pytest.raises(ValueError) as expected:
+            check_quantile_rows(np.array(BAD_ROWS[bad]))
+        cohort = np.vstack([GOOD_ROWS, BAD_ROWS[bad]])
+        for form in (cohort, list(cohort)):
+            with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+                COHORT_TAKERS[taker](form, tmp_path)
+        assert not (tmp_path / "q.csv").exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scalars_rejected_before_any_warning(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: pairwise_wasserstein([1.0, value]),
+                         lambda: pairwise_wasserstein([0.5, 2.0], [1.0, value])):
+                with pytest.raises(ValueError, match="finite scalars"):
+                    call()
 
     def test_list_and_matrix_agree(self):
         rng = np.random.default_rng(10)

@@ -225,6 +225,23 @@ class TestReaders:
                            match=r"t\.csv: line 3: field larger than field limit"):
             reader(path)
 
+    @pytest.mark.parametrize("reader, header, tail", [
+        (io.read_subjects_csv, "subject_id,survey_weight", "1.0"),
+        (io.read_summary_csv, "subject_id,p_inactive,tac_per_day", "0.5,1.0"),
+        (io.read_quantile_csv, "subject_id,t_1,t_2", "0,1"),
+        (io.read_readings_csv, "subject_id,timestamp_min,count", "0,1"),
+    ])
+    def test_ids_stripped_and_empty_id_reports_line(self, tmp_path, reader, header, tail):
+        path = tmp_path / "t.csv"
+        path.write_text(f'{header}\n a\t,{tail}\n"b ",{tail}\n')
+        table = reader(path)
+        assert list(table[0] if isinstance(table, tuple) else table) == ["a", "b"]
+        for empty in ("", " ", '" \t"'):
+            path.write_text(f"{header}\na,{tail}\n{empty},{tail}\n")
+            with pytest.raises(io.InputValidationError,
+                               match=r"t\.csv: line 3: empty subject_id"):
+                reader(path)
+
     @pytest.mark.parametrize("reader, header, rows, first", [
         (io.read_readings_csv, "subject_id,timestamp_min,count",
          ["a,0,-1", "{long},0,1", "a,1,nan"], "line 2: negative count"),
@@ -777,6 +794,15 @@ class TestJoinChecks:
         assert rc == 2
         assert "error: subjects file lacks entries for: c" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_padded_ids_join(self, tmp_path):
+        qpath, spath = write_toy_cohort(tmp_path, "mortality", ["0", "1", "1"])
+        qpath.write_text("subject_id,t_1,t_2,t_3\n a ,0,1,2\nb ,1,2,4\n c,0,3,5\n")
+        out = tmp_path / "out"
+        assert main(["classify", "--input", str(qpath), "--subjects", str(spath),
+                     "--out", str(out)]) == 0
+        rows = (out / "predictions.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["a", "b", "c"]
 
     def test_id_missing_from_summary(self, tmp_path, capsys):
         qpath, spath = write_toy_cohort(tmp_path, "response", ["0.5", "1.5", "2.0"])
@@ -1426,15 +1452,16 @@ class TestOptionTable:
 
 
 # actidist.__all__ as it was when the package imported every module eagerly,
-# less the removed NwConfig
+# less the removed NwConfig, and censor_series and empirical_quantiles, which
+# only tests called and which live in tests/oracles.py
 EXPORTED = [
     "ActivitySeries", "CensorSpec", "ClassificationOutcome", "DensityCurve",
     "FrechetSummary", "IntensityLaw", "KrrModel", "MixedDistribution", "NO_CENSOR",
     "PoissonDesign", "PopulationSpec", "QuantileGrid", "R2Comparison",
     "RISK_GROUP_A", "RISK_GROUP_B", "ResponseModel", "StratifiedDesign", "StratumSpec",
-    "SurveySample", "UNASSIGNED", "assign_risk_groups", "build_mixed", "censor_series",
+    "SurveySample", "UNASSIGNED", "assign_risk_groups", "build_mixed",
     "classify_mortality", "compare_r2", "datagen", "distance_quantile_grid",
-    "distribution", "draw_sample", "empirical_quantiles", "evaluation", "frechet_mean",
+    "distribution", "draw_sample", "evaluation", "frechet_mean",
     "frechet_variance", "gaussian_kernel", "geometry", "group_profiles", "ht_mean",
     "inactive_proportion", "inclusion_probabilities", "kde_active", "krr_fit", "krr_loo",
     "krr_predict", "krr_predict_batch", "krr_select_lambda", "laplacian_kernel",

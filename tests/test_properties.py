@@ -15,7 +15,6 @@ from actidist.distribution import (
     ActivitySeries,
     CensorSpec,
     build_mixed,
-    censor_series,
     inactive_proportion,
     quantiles_from_values,
 )
@@ -33,7 +32,12 @@ from actidist.regression import (
     nw_predict,
 )
 from actidist.survey import ht_mean, weighted_r2
-from oracles import median_heuristic_sigma, write_quantile_rows, write_readings_rows
+from oracles import (
+    censor_series,
+    median_heuristic_sigma,
+    write_quantile_rows,
+    write_readings_rows,
+)
 
 finite = st.floats(-50.0, 50.0, allow_nan=False)
 positive = st.floats(0.1, 20.0, allow_nan=False)
@@ -392,11 +396,13 @@ class TestReadingsReaderPaths:
         (f"a,0,1\n{'x' * 140000},1,2\n", False),
         ("a,0,1\n a,1,2\nb,0,3\na,2,4\n", True),
         (f"a,0,1\n{'x' * 140000},1,2\na,2,3\n", False),
+        ("a,0,1\n,1,2\n", False),
+        ('a,0,1\n" \t",1,2\n', False),
     ], ids=["quoted_ids", "strip_merges", "lone_cr", "blank_lines", "space_line",
             "tab_line", "underscore", "arabic_digit", "padded", "negative_zero",
             "interleaved", "bad_rows", "no_rows", "id_at_field_limit",
             "id_over_field_limit", "over_long_id", "interleaved_strip_merges",
-            "interleaved_over_long_id"])
+            "interleaved_over_long_id", "empty_id", "blank_id"])
     def test_explicit_files_agree(self, tmp_path, text, bulk):
         assert assert_paths_agree(tmp_path, HEADER + text) is bulk
 
@@ -608,8 +614,8 @@ class TestQuantileReaderPaths:
 
     @pytest.mark.parametrize("text, bulk", [
         ('"a,b",0,1\n"say ""hi""",1,2\n"two\nlines",1,2\n', True),
-        (" a ,0,1\na,1,2\n", True),
-        ('naïve,0,1\n日本,1,2\n"",2,3\n', True),
+        (" a ,0,1\nb,1,2\n", True),
+        ('naïve,0,1\n日本,1,2\n', True),
         ("a,0,1\rb,1,2\r", True),
         ("a,0,1\r\n\r\n\nb,0,1\n\n", True),
         ("a,0,1\n  \nb,0,1\n", False),
@@ -628,11 +634,15 @@ class TestQuantileReaderPaths:
         (f"{'x' * 131072},0,1\n", True),
         (f"{'x' * 131073},0,1\n", False),
         (f"a,0,1\n{'x' * 140000},1,2\n", False),
+        (" a ,0,1\na,1,2\n", False),
+        ('a,0,1\n"",2,3\n', False),
+        ("a,0,1\n \t,2,3\n", False),
     ], ids=["quoted_ids", "padded_ids", "non_ascii", "lone_cr", "blank_lines",
             "space_line", "underscore", "arabic_digit", "padded_values",
             "negative_zero", "nan", "inf", "decreasing", "negative", "long_row",
             "short_row", "duplicate_id", "no_rows", "id_at_field_limit",
-            "id_over_field_limit", "over_long_id"])
+            "id_over_field_limit", "over_long_id", "padded_duplicate_id",
+            "empty_id", "blank_id"])
     def test_explicit_files_agree(self, tmp_path, text, bulk):
         assert assert_quantile_paths_agree(tmp_path, Q_HEADER + text) is bulk
 

@@ -158,7 +158,7 @@ class TestSurveySample:
     def test_with_responses_shares_the_predictors(self, monkeypatch):
         s = grid_sample(np.random.default_rng(34), 6)
         calls = []
-        monkeypatch.setattr("actidist.regression.check_quantile_rows",
+        monkeypatch.setattr("actidist.distribution.check_quantile_rows",
                             lambda values: calls.append(values))
         y = np.arange(6.0)
         t = s.with_responses(y)
@@ -981,7 +981,7 @@ LOAD_MODEL_CASES = [
     ("training_matrix", [[3.0, 2.0, 1.0]] * 4, "must be nondecreasing"),
     ("training_matrix", [[-1.0, 2.0, 3.0]] * 4, "must be nonnegative"),
     ("training_matrix", [0.0, 1.0, 2.0, 3.0], KIND_MISMATCH),
-    ("training_matrix", [[0.0, 1.0], [0.0]], "inhomogeneous"),
+    ("training_matrix", [[0.0, 1.0], [0.0]], "grid mismatch"),
     ("training_matrix", None, "predictors must be quantile grids or finite scalars"),
     ("kind", "banana", "unknown model kind 'banana'"),
     ("sigma", 0.0, "sigma must be positive and finite"),
