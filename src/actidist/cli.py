@@ -111,11 +111,14 @@ def cmd_build_dist(args) -> int:
     cfg = _merged(args, "build-dist")
     censor = CensorSpec(lower=cfg["censor_lower"], upper=cfg["censor_upper"])
     subjects = io.load_series(args.input, args.subjects)
+    try:
+        tacs = [tac_per_day(s) for s in subjects]
+    except ValueError as exc:  # a single reading, for which it names the subject
+        raise io.InputValidationError(f"{args.input}: {exc}") from None
     with _RunOutputs(Path(args.out)) as out:
         mixed = [build_mixed(s, censor=censor, m=cfg["m"]) for s in subjects]
         ids = [s.subject_id for s in subjects]
         io.write_quantile_csv(out.path("quantiles.csv"), ids, [mx.quantiles for mx in mixed])
-        tacs = [tac_per_day(s) for s in subjects]
         io.write_summary_csv(out.path("summary.csv"), ids, mixed, tacs)
     return 0
 
@@ -232,12 +235,8 @@ def cmd_classify(args) -> int:
             out.path("predictions.csv"),
             ["subject_id", "probability", "predicted_label", "actual_label",
              "survey_weight", "risk_group"],
-            (
-                [sid, p, int(pred), int(act), w, grp]
-                for sid, p, pred, act, w, grp in zip(
-                    ids, outcome.probabilities, outcome.predicted,
-                    outcome.actual, outcome.weights, risk)
-            ),
+            zip(ids, outcome.probabilities.tolist(), outcome.predicted.tolist(),
+                outcome.actual.tolist(), outcome.weights.tolist(), risk),
         )
         io.write_rows(
             out.path("confusion.csv"),
@@ -284,7 +283,7 @@ def cmd_predict(args) -> int:
     preds = krr_predict_batch(model, x)
     with _RunOutputs(Path(args.out)) as out:
         io.write_rows(out.path("predictions.csv"), ["subject_id", "prediction"],
-                       zip(ids, preds))
+                       zip(ids, preds.tolist()))
     return 0
 
 

@@ -111,8 +111,9 @@ def _cohort_matrix(values, scalars: bool = True) -> np.ndarray:
         raise ValueError("grid mismatch") from exc
     if matrix.ndim == 2 and matrix.size:
         check_quantile_rows(matrix)
-    elif not scalars:
-        raise ValueError("a cohort is an (n, m) matrix or a list of QuantileGrid")
+    elif not scalars or isinstance(values, QuantileGrid):  # numpy reads one grid as m scalars
+        raise ValueError("a cohort is an (n, m) matrix or a list of QuantileGrid; "
+                         "pass one grid as [grid]")
     elif not (matrix.ndim == 1 and matrix.size and np.all(np.isfinite(matrix))):
         raise ValueError("predictors must be quantile grids or finite scalars")
     return matrix
@@ -326,7 +327,7 @@ def tac_per_day(series: ActivitySeries) -> float:
     two-day recording at one-minute resolution counts as 2.0 days.
     """
     if series.n_obs < 2:
-        raise ValueError("span undefined")
+        raise ValueError(f"subject {series.subject_id!r}: span undefined for a single reading")
     t = series.timestamps
     interval = t[1] - t[0]
     span_days = (t[-1] - t[0] + interval) / MINUTES_PER_DAY

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import itertools
 import json
 import math
@@ -61,12 +62,6 @@ FROM_JSON = {
         [name.strip() for name in v.split(",") if name.strip()] if isinstance(v, str)
         else [_name(name) for name in v])),
 }
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
 
 
 def _subject_id(field) -> str:
@@ -134,11 +129,21 @@ def _read_table(path, header_ok, read_chunks, read_rows):
 
 
 def write_rows(path, header, rows) -> None:
+    """The one CSV row writer: header and rows, each one fh.write of its cells
+    joined by "," and ended by "\\r\\n". A float, numpy's too, is repr(float(v)),
+    any other value str(v) quoted as csv.writer quotes it (_csv_field, once per
+    text), and a row of one empty field '""', as csv.writer writes it."""
+    quote = functools.cache(_csv_field)
+
+    def cell(v) -> str:
+        return repr(float(v)) if isinstance(v, (float, np.floating)) else quote(str(v))
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        for row in itertools.chain([header], rows):
+            # Python floats and text, the common cells, take no call to cell
+            cells = [repr(v) if type(v) is float else quote(v) if type(v) is str else cell(v)
+                     for v in row]
+            fh.write((",".join(cells) or ('""' if cells else "")) + "\r\n")
 
 
 # readings per np.loadtxt call: bounds the reader's memory beyond the 16 B a
@@ -293,7 +298,7 @@ def check_entries(ids, table: dict, what: str) -> None:
 
 
 def load_series(readings_path, subjects_path) -> list:
-    """Join readings and subject metadata into ActivitySeries objects."""
+    """Join readings and subject metadata into ActivitySeries; a bad series names its file."""
     readings = read_readings_csv(readings_path)
     subjects = read_subjects_csv(subjects_path)
     check_entries(readings, subjects, "subjects")
@@ -305,13 +310,10 @@ def load_series(readings_path, subjects_path) -> list:
             order = np.argsort(t, kind="stable")
             t, counts = t[order], counts[order]
         weight, covariates = subjects[sid]
-        series.append(ActivitySeries(
-            subject_id=sid,
-            timestamps=t,
-            readings=counts,
-            survey_weight=weight,
-            covariates=covariates,
-        ))
+        try:
+            series.append(ActivitySeries(sid, t, counts, weight, covariates))
+        except ValueError as exc:
+            raise InputValidationError(f"{readings_path}: subject {sid!r}: {exc}") from None
     return series
 
 
@@ -333,19 +335,24 @@ def _summary_row(header, row):
     return _subject_id(fields["subject_id"]), (p_inactive, tac)
 
 
+def _checked_ids(subject_ids, columns: dict) -> list:
+    """The ids as a list; ValueError names the lengths if a {what: column} differs."""
+    ids = list(subject_ids)
+    if any(len(values) != len(ids) for values in columns.values()):
+        counts = " and ".join(f"{len(values)} {what}" for what, values in columns.items())
+        raise ValueError(f"{len(ids)} subject ids but {counts}")
+    return ids
+
+
 def write_quantile_csv(path, subject_ids, quantiles) -> None:
     """Quantile-grid table: one row per subject, columns t_1..t_m, from a
-    cohort that _cohort_matrix accepts: an (n, m) matrix or QuantileGrid list.
-
-    Writes the bytes that write_rows would, one formatted line per subject:
-    the table as Python floats would take 4x the matrix.
-    """
+    cohort that _cohort_matrix accepts: an (n, m) matrix or QuantileGrid
+    list. Each row becomes Python floats only as it is written: the whole
+    table as Python floats would take 4x the matrix."""
     matrix = _cohort_matrix(quantiles, scalars=False)
+    ids = _checked_ids(subject_ids, {"quantile rows": matrix})
     header = ["subject_id"] + [f"t_{k}" for k in range(1, matrix.shape[1] + 1)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        for sid, row in zip(subject_ids, matrix):
-            fh.write(_csv_field(sid) + "," + ",".join(map(repr, row.tolist())) + "\r\n")
+    write_rows(path, header, ([sid, *row.tolist()] for sid, row in zip(ids, matrix)))
 
 
 def read_quantile_csv(path):
@@ -408,33 +415,25 @@ def _quantile_row(header, row):
 
 def write_summary_csv(path, subject_ids, mixed: list, tacs) -> None:
     """Per-subject distribution summary (p_inactive, tac_per_day)."""
-    rows = (
-        [sid, mix.p_inactive, tac]
-        for sid, mix, tac in zip(subject_ids, mixed, tacs)
-    )
+    ids = _checked_ids(subject_ids, {"distributions": mixed, "tac values": tacs})
+    rows = ([sid, mix.p_inactive, tac] for sid, mix, tac in zip(ids, mixed, tacs))
     write_rows(path, ["subject_id", "p_inactive", "tac_per_day"], rows)
 
 
 def write_distance_matrix_csv(path, subject_ids, matrix: np.ndarray) -> None:
     """Square subject-by-subject distance matrix."""
-    header = ["subject_id"] + list(subject_ids)
-    rows = ([sid, *matrix[i]] for i, sid in enumerate(subject_ids))
-    write_rows(path, header, rows)
+    ids = _checked_ids(subject_ids, {"matrix rows": matrix})
+    rows = ([sid, *row.tolist()] for sid, row in zip(ids, matrix))
+    write_rows(path, ["subject_id", *ids], rows)
 
 
 def write_frechet_summary_csv(path, summaries: dict) -> None:
-    """Per-group Frechet curves: (group, t, mean, sd) rows.
-
-    Writes the bytes that write_rows would, one formatted line per row: the
-    group label is quoted once per group and every value is repr-formatted.
-    """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(["group", "t", "mean", "sd"])
-        for group, summary in summaries.items():
-            head = _csv_field(group) + ","
-            columns = (summary.mean.levels, summary.mean.values, summary.pointwise_sd)
-            for t, mu, sd in zip(*(map(repr, c.tolist()) for c in columns)):
-                fh.write(f"{head}{t},{mu},{sd}\r\n")
+    """Per-group Frechet curves: (group, t, mean, sd) rows."""
+    rows = itertools.chain.from_iterable(
+        zip(itertools.repeat(group), s.mean.levels.tolist(), s.mean.values.tolist(),
+            s.pointwise_sd.tolist())
+        for group, s in summaries.items())
+    write_rows(path, ["group", "t", "mean", "sd"], rows)
 
 
 def write_subjects_csv(path, subjects) -> None:
@@ -452,11 +451,11 @@ def write_subjects_csv(path, subjects) -> None:
     write_rows(path, header, rows)
 
 
-def _csv_field(value) -> str:
-    """`value` as csv.writer writes it inside a row, quoted if it needs it."""
+def _csv_field(text: str) -> str:
+    """`text` as csv.writer writes it inside a row, quoted if it needs it."""
     buf = StringIO()
     # two fields, because csv.writer quotes a row that is one empty field
-    csv.writer(buf).writerow([_fmt(value), ""])
+    csv.writer(buf).writerow([text, ""])
     return buf.getvalue()[:-len(",\r\n")]
 
 
@@ -468,11 +467,11 @@ _WRITE_CHUNK_ROWS = 1 << 12
 def write_readings_csv(path, subjects, sample_path=None, sample_ids=()) -> None:
     """Long-format readings for a list of ActivitySeries.
 
-    Writes the bytes that write_rows would, _WRITE_CHUNK_ROWS rows of a
-    subject at a time, with no Python step per row: the "t," strings of a
-    timestamp grid are formatted once and kept while consecutive subjects
-    share the grid, and only the readings that are not +0.0 go through repr
-    (see _row_slices).
+    The one table that write_rows does not write, though it has its bytes:
+    _WRITE_CHUNK_ROWS rows of a subject at a time, with no Python step per
+    row: the "t," strings of a timestamp grid are formatted once and kept
+    while consecutive subjects share the grid, and only the readings that
+    are not +0.0 go through repr (see _row_slices).
 
     With sample_path, each subject whose id is in `sample_ids` is written to
     that file too, in the same pass and from the same slices. An id that no
@@ -489,7 +488,7 @@ def write_readings_csv(path, subjects, sample_path=None, sample_ids=()) -> None:
         files = [stack.enter_context(open(p, "w", encoding="utf-8", newline=""))
                  for p in (path, sample_path) if p is not None]
         for fh in files:
-            csv.writer(fh).writerow(["subject_id", "timestamp_min", "count"])
+            fh.write("subject_id,timestamp_min,count\r\n")
         for s in subjects:
             # bytes, not values: 0.0 == -0.0, but they print differently
             if s.timestamps.tobytes() != grid:

@@ -18,7 +18,7 @@ from actidist.distribution import (
     quantiles_from_values,
 )
 from actidist.geometry import _normalized_weights
-from actidist.io import InputValidationError, write_rows
+from actidist.io import InputValidationError
 from actidist.regression import (
     SurveySample,
     _kernel_spectrum,
@@ -193,6 +193,22 @@ def unique_distance_quantiles(sample) -> np.ndarray:
     return np.unique(np.quantile(pos[pos > 0], np.linspace(0.05, 0.95, 10)))
 
 
+def _fmt(x) -> str:
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return str(x)
+
+
+def write_csv_rows(path, header, rows) -> None:
+    """A table through csv.writer, one row and one value at a time: the byte
+    reference for every table writer of the library."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+
+
 def write_frechet_rows(path, summaries: dict) -> None:
     """Frechet profile table written one csv row, and one value, at a time."""
     def rows():
@@ -200,7 +216,7 @@ def write_frechet_rows(path, summaries: dict) -> None:
             levels = summary.mean.levels
             for t, mu, sd in zip(levels, summary.mean.values, summary.pointwise_sd):
                 yield [group, t, mu, sd]
-    write_rows(path, ["group", "t", "mean", "sd"], rows())
+    write_csv_rows(path, ["group", "t", "mean", "sd"], rows())
 
 
 def read_subject_readings_csv(path, subject_id=None) -> dict:
@@ -237,7 +253,7 @@ def write_readings_rows(path, subjects) -> None:
         for s in subjects:
             for t, c in zip(s.timestamps, s.readings):
                 yield [s.subject_id, t, c]
-    write_rows(path, ["subject_id", "timestamp_min", "count"], rows())
+    write_csv_rows(path, ["subject_id", "timestamp_min", "count"], rows())
 
 
 def median_heuristic_sigma(predictors, weights=None, distance=None) -> float:
@@ -278,7 +294,7 @@ def write_quantile_rows(path, subject_ids, quantiles) -> None:
     matrix = np.asarray(quantiles, dtype=float)
     header = ["subject_id"] + [f"t_{k}" for k in range(1, matrix.shape[1] + 1)]
     rows = ([sid, *row.tolist()] for sid, row in zip(subject_ids, matrix))
-    write_rows(path, header, rows)
+    write_csv_rows(path, header, rows)
 
 
 def draw_subject_where(rng, stratum, minutes: int):

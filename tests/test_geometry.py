@@ -15,7 +15,7 @@ from actidist.geometry import (
     summarize,
     wasserstein2,
 )
-from actidist.regression import SurveySample, krr_fit, krr_predict_batch
+from actidist.regression import KrrModel, SurveySample, krr_fit, krr_predict_batch
 from oracles import broadcast_distances, frechet_objective
 
 
@@ -226,7 +226,8 @@ BAD_ROWS = {"nan": [0.0, np.nan, 2.0], "inf": [0.0, 1.0, np.inf],
             "decreasing": [0.0, 2.0, 1.0], "negative": [-1.0, 0.0, 1.0]}
 GOOD_ROWS = np.array([[0.0, 1.0, 2.0], [1.0, 1.5, 4.0]])
 
-# every public function that takes a cohort, called on cohort x in directory d
+# every public function that takes a cohort, called on cohort x in directory d;
+# x has three rows, or is one grid of three values
 COHORT_TAKERS = {
     "pairwise_wasserstein": lambda x, d: pairwise_wasserstein(x),
     "pairwise_wasserstein_y": lambda x, d: pairwise_wasserstein(GOOD_ROWS, x),
@@ -234,9 +235,10 @@ COHORT_TAKERS = {
     "frechet_variance": lambda x, d: frechet_variance(x, QuantileGrid(GOOD_ROWS[0])),
     "pointwise_sd_curve": lambda x, d: pointwise_sd_curve(x, QuantileGrid(GOOD_ROWS[0])),
     "summarize": lambda x, d: summarize(x),
-    "group_profiles": lambda x, d: group_profiles(x, None, ["g"] * len(x)),
+    "group_profiles": lambda x, d: group_profiles(x, None, ["g"] * 3),
     "write_quantile_csv": lambda x, d: io.write_quantile_csv(d / "q.csv", "abc", x),
-    "SurveySample": lambda x, d: SurveySample(x, np.zeros(len(x))),
+    "SurveySample": lambda x, d: SurveySample(x, np.zeros(3)),
+    "KrrModel": lambda x, d: KrrModel(x, np.zeros(3), sigma=1.0, lam=0.5),
     "krr_predict_batch": lambda x, d: krr_predict_batch(
         krr_fit(SurveySample(GOOD_ROWS, [0.0, 1.0]), lam=0.5, sigma=1.0), x),
 }
@@ -254,6 +256,13 @@ class TestCohortForms:
         for form in (cohort, list(cohort)):
             with pytest.raises(ValueError, match=re.escape(str(expected.value))):
                 COHORT_TAKERS[taker](form, tmp_path)
+        assert not (tmp_path / "q.csv").exists()
+
+    @pytest.mark.parametrize("taker", COHORT_TAKERS)
+    def test_every_cohort_taker_rejects_a_bare_grid(self, tmp_path, taker):
+        # as an array, the grid would be three scalar predictors
+        with pytest.raises(ValueError, match=re.escape("pass one grid as [grid]")):
+            COHORT_TAKERS[taker](QuantileGrid(GOOD_ROWS[0]), tmp_path)
         assert not (tmp_path / "q.csv").exists()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -301,6 +310,7 @@ class TestCohortForms:
                      lambda: summarize(g)):
             with pytest.raises(ValueError, match="an \\(n, m\\) matrix"):
                 call()
+        np.testing.assert_array_equal(pairwise_wasserstein([g]), [[0.0]])
 
     def test_matrix_widths_must_match(self):
         with pytest.raises(ValueError, match="grid mismatch"):

@@ -21,7 +21,7 @@ from actidist.datagen import (
     spread_response_spec,
     two_cluster_spec,
 )
-from actidist.distribution import ActivitySeries, QuantileGrid
+from actidist.distribution import ActivitySeries, QuantileGrid, build_mixed
 from actidist.regression import (
     SurveySample,
     krr_fit,
@@ -29,7 +29,12 @@ from actidist.regression import (
     load_model,
     save_model,
 )
-from oracles import read_subject_readings_csv, write_frechet_rows, write_readings_rows
+from oracles import (
+    read_subject_readings_csv,
+    write_csv_rows,
+    write_frechet_rows,
+    write_readings_rows,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -314,7 +319,7 @@ class TestReaders:
         assert lines[0] == "subject_id,a,b"
         assert lines[1].split(",") == ["a", "0.0", "3.0"]
 
-    def test_frechet_summary_writer_matches_write_rows(self, tmp_path):
+    def test_frechet_summary_writer_matches_csv_writer(self, tmp_path):
         from actidist.geometry import FrechetSummary, summarize
 
         grids = [QuantileGrid(np.linspace(0.0, 3.0, 5)), QuantileGrid(np.full(5, 4.0))]
@@ -330,6 +335,24 @@ class TestReaders:
         assert b'"comma, and ""quote""",0.1,' in path.read_bytes()
         assert b"plain/68-75,0.1,-0.0,-0.0\r\n" in path.read_bytes()
 
+    @pytest.mark.parametrize("write, n_ids, message", [
+        (lambda path, ids: io.write_quantile_csv(path, ids, np.zeros((2, 3))), 1,
+         "1 subject ids but 2 quantile rows"),
+        (lambda path, ids: io.write_quantile_csv(path, ids, np.zeros((2, 3))), 3,
+         "3 subject ids but 2 quantile rows"),
+        (lambda path, ids: io.write_summary_csv(
+            path, ids, [build_mixed(ActivitySeries("x", [0.0, 1.0], [0.0, 2.0]))] * 2, [1.0]),
+         3, "3 subject ids but 2 distributions and 1 tac values"),
+        (lambda path, ids: io.write_distance_matrix_csv(path, ids, np.zeros((2, 2))), 1,
+         "1 subject ids but 2 matrix rows"),
+    ], ids=["quantile_short", "quantile_long", "summary", "distance_matrix"])
+    def test_ids_and_rows_of_other_lengths_write_nothing(self, tmp_path, write, n_ids,
+                                                         message):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            write(path, [f"s{i}" for i in range(n_ids)])
+        assert not path.exists()
+
     def test_frechet_summary_emitter(self, tmp_path):
         from actidist.geometry import summarize
 
@@ -340,6 +363,44 @@ class TestReaders:
         assert lines[0] == "group,t,mean,sd"
         assert len(lines) == 4
         assert lines[1].split(",")[2] == "2.0"
+
+
+# cells that csv.writer quotes, a repeated quoted id, the float reprs that
+# differ most, numpy scalars, and the other kinds of value a table holds
+MIXED_ROWS = [
+    ["a,b", 'say "hi"', "cr\rhere", "two\nlines", " lead", "", "naïve 日本", "a,b"],
+    [-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e22, 0.1, 1e-05],
+    [np.float32(0.1), np.float64(-0.0), np.float64(np.nan), np.int64(-7), True, False,
+     None, 3],
+    ["", ""],
+    [],
+    ["a,b"],
+]
+
+
+class TestRowWriter:
+    """io.write_rows, the writer of every table but the readings, against the
+    csv.writer reference."""
+
+    def test_mixed_cells_match_csv_writer(self, tmp_path):
+        header = ["subject_id", "t,1", 'q"', ""]
+        io.write_rows(tmp_path / "rows.csv", header, MIXED_ROWS)
+        write_csv_rows(tmp_path / "csv.csv", header, MIXED_ROWS)
+        data = (tmp_path / "rows.csv").read_bytes()
+        assert data == (tmp_path / "csv.csv").read_bytes()
+        assert data.decode("utf-8").split("\r\n")[:2] == [
+            'subject_id,"t,1","q""",',
+            '"a,b","say ""hi""","cr\rhere","two\nlines", lead,,naïve 日本,"a,b"']
+        assert b"\r\n-0.0,nan,inf,-inf,5e-324,1e+22,0.1,1e-05\r\n" in data
+        assert b"\r\n0.10000000149011612,-0.0,nan,-7,True,False,None,3\r\n" in data
+
+    def test_a_row_of_one_empty_field_is_quoted(self, tmp_path):
+        # unquoted, the row would be a blank line, which readers skip
+        io.write_rows(tmp_path / "rows.csv", ["h"], [[""], ["x"], [None]])
+        write_csv_rows(tmp_path / "csv.csv", ["h"], [[""], ["x"], [None]])
+        data = (tmp_path / "rows.csv").read_bytes()
+        assert data == b'h\r\n""\r\nx\r\nNone\r\n'
+        assert data == (tmp_path / "csv.csv").read_bytes()
 
 
 class TestBuildDist:
@@ -385,6 +446,22 @@ class TestBuildDist:
         assert rc == 2
         assert "unknown build-dist config keys: with_summary" in capsys.readouterr().err
         assert not list((tmp_path / "out").glob("*"))
+
+    @pytest.mark.parametrize("rows, message", [
+        (["a,0,1", "a,1,2", "b,0,1", "b,0,3"],
+         "subject 'b': timestamps must be strictly increasing"),
+        (["a,0,1", "a,1,2", "b,5,1"], "subject 'b': span undefined for a single reading"),
+    ], ids=["repeated_timestamp", "one_reading"])
+    def test_bad_series_names_file_and_subject(self, tmp_path, capsys, rows, message):
+        readings, subjects = write_toy_inputs(
+            tmp_path, rows=rows, subjects_rows=["a,1.0,70,0", "b,1.0,80,1"])
+        for out in (tmp_path / "new" / "out", tmp_path):
+            rc = main(["build-dist", "--input", str(readings), "--subjects",
+                       str(subjects), "--out", str(out)])
+            assert rc == 2
+            assert capsys.readouterr().err == f"error: {readings}: {message}\n"
+        assert not (tmp_path / "new").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["readings.csv", "subjects.csv"]
 
     def test_unreadable_input_exits_1(self, tmp_path):
         rc = main(["build-dist", "--input", str(tmp_path / "nope.csv"),

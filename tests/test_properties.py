@@ -35,6 +35,7 @@ from actidist.survey import ht_mean, weighted_r2
 from oracles import (
     censor_series,
     median_heuristic_sigma,
+    write_csv_rows,
     write_quantile_rows,
     write_readings_rows,
 )
@@ -667,3 +668,21 @@ class TestQuantileWriter:
         io.write_quantile_csv(fuzz_dir / "block.csv", ids, x)
         write_quantile_rows(fuzz_dir / "rows.csv", ids, x)
         assert (fuzz_dir / "block.csv").read_bytes() == (fuzz_dir / "rows.csv").read_bytes()
+
+
+# every kind of value a table holds: text that csv.writer quotes or not, any
+# float, numpy's too, integers, booleans and None
+table_cells = st.one_of(
+    subject_ids, st.floats(), st.integers(), st.booleans(), st.none(),
+    st.floats(width=32).map(np.float32), st.integers(-2**63, 2**63 - 1).map(np.int64))
+
+
+class TestRowWriter:
+    @fuzz
+    @given(st.lists(subject_ids, max_size=4),
+           st.lists(st.lists(table_cells, max_size=5), max_size=5))
+    @example([""], [[""], [], ["", ""], [-0.0, np.float64("nan")]])
+    def test_matches_csv_writer(self, fuzz_dir, header, rows):
+        io.write_rows(fuzz_dir / "rows.csv", header, rows)
+        write_csv_rows(fuzz_dir / "csv.csv", header, rows)
+        assert (fuzz_dir / "rows.csv").read_bytes() == (fuzz_dir / "csv.csv").read_bytes()
