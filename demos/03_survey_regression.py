@@ -32,9 +32,9 @@ tac_sample = survey_sample_from_subjects(subjects, "tac", "response")
 
 result = compare_r2(dist_sample, tac_sample)
 print("\nleave-one-out survey R-square")
-print(f"  quantile representation : {result.r2_distribution:6.3f} "
+print(f"  quantile representation : {result.distribution.r2:6.3f} "
       f"(lambda {result.distribution.lam:g}, sigma {result.distribution.sigma:.1f})")
-print(f"  daily-total baseline    : {result.r2_tac:6.3f} "
+print(f"  daily-total baseline    : {result.tac.r2:6.3f} "
       f"(lambda {result.tac.lam:g}, sigma {result.tac.sigma:.1f})")
 
 # Fit the final distributional model and score a held-out subject.

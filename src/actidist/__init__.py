@@ -42,7 +42,6 @@ _EXPORTS = {
         "KrrModel",
         "SurveySample",
         "distance_quantile_grid",
-        "gaussian_kernel",
         "krr_fit",
         "krr_loo",
         "krr_predict",

@@ -134,21 +134,14 @@ def _read_regression_inputs(args):
 
 def _numeric_column(ids, covariates, name: str, role: str) -> np.ndarray:
     """Covariate `name` as floats; names the subjects whose value is missing,
-    text or non-finite."""
-    values, bad = [], []
-    for sid, cov in zip(ids, covariates):
-        try:
-            value = float(cov.get(name, np.nan))
-        except ValueError:
-            value = np.nan
-        if not np.isfinite(value):
-            bad.append(sid)
-        values.append(value)
+    text or non-finite, all of which io keeps as text (nan and inf included)."""
+    values = [cov.get(name) for cov in covariates]
+    bad = [sid for sid, value in zip(ids, values) if not isinstance(value, (int, float))]
     if bad:
         raise io.InputValidationError(
             f"missing, non-numeric or non-finite {role} column {name!r} for: "
             f"{', '.join(bad[:5])}")
-    return np.asarray(values)
+    return np.asarray(values, dtype=float)
 
 
 def _tac_values(args, ids, x) -> np.ndarray:
@@ -296,10 +289,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="print built-in defaults for every subcommand and exit")
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, needs_subjects=True):
+    def common(p):
         p.add_argument("--input", required=True, help="input CSV")
-        if needs_subjects:
-            p.add_argument("--subjects", required=True, help="subject metadata CSV")
+        p.add_argument("--subjects", required=True, help="subject metadata CSV")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", help="JSON config file; flags override it")
 

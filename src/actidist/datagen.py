@@ -81,6 +81,10 @@ class ResponseModel:
     def __post_init__(self):
         if self.kind not in ("tac", "spread"):
             raise ValueError(f"unknown response model {self.kind!r}")
+        if not _real(self.scale):
+            raise ValueError(f"scale must be a finite number, got {self.scale!r}")
+        if not (_real(self.noise_sd) and self.noise_sd >= 0):
+            raise ValueError(f"noise_sd must be a finite number >= 0, got {self.noise_sd!r}")
 
 
 @dataclass(frozen=True)
@@ -244,8 +248,9 @@ class StratifiedDesign:
         if not self.fractions:
             raise ValueError("fractions must name at least one stratum")
         for name, f in self.fractions.items():
-            if not 0 < f <= 1:
-                raise ValueError(f"fraction for stratum {name!r} must be in (0, 1]")
+            if not (_real(f) and 0 < f <= 1):
+                raise ValueError(f"fraction for stratum {name!r} must be a number in (0, 1], "
+                                 f"got {f!r}")
 
 
 @dataclass(frozen=True)
@@ -263,6 +268,10 @@ class PoissonDesign:
         if not (_whole(self.expected_n) and self.expected_n >= 1):
             raise ValueError(f"expected_n must be a whole number >= 1, "
                              f"got {self.expected_n!r}")
+        if not (self.size_covariate is None
+                or (isinstance(self.size_covariate, str) and self.size_covariate)):
+            raise ValueError(f"size_covariate must be None or a non-empty string, "
+                             f"got {self.size_covariate!r}")
 
 
 class _PlacedError(ValueError):
@@ -359,13 +368,16 @@ def inclusion_probabilities(population, design) -> np.ndarray:
             pi[idx] = _stratum_take(design, name, len(idx)) / len(idx)
         return pi
     if isinstance(design, PoissonDesign):
-        if design.size_covariate is None:
+        name = design.size_covariate
+        if name is None:
             size = np.ones(n)
         else:
-            size = np.asarray(
-                [float(s.covariates[design.size_covariate]) for s in population])
-            if np.any(size <= 0):
-                raise ValueError("size covariate must be positive")
+            values = [s.covariates.get(name) for s in population]
+            for s, value in zip(population, values):
+                if not (_real(value) and value > 0):
+                    raise ValueError(f"size covariate {name!r} must be a positive number, "
+                                     f"got {value!r} for subject {s.subject_id}")
+            size = np.asarray(values, dtype=float)
         pi = design.expected_n * size / size.sum()
         if np.any(pi > 1):
             raise ValueError("expected sample size too large for size measure")

@@ -72,12 +72,12 @@ class CensorSpec:
     upper: float | None = None
 
     def __post_init__(self):
-        if self.lower is not None and self.lower < 0:
-            raise ValueError("invalid censor bounds")
-        if self.upper is not None and self.upper <= 0:
-            raise ValueError("invalid censor bounds")
-        if self.lower is not None and self.upper is not None and self.lower >= self.upper:
-            raise ValueError("invalid censor bounds")
+        lower, upper = self.lower, self.upper
+        # every comparison with NaN is false
+        if not ((lower is None or 0 <= lower < np.inf)
+                and (upper is None or 0 < upper < np.inf)
+                and (lower is None or upper is None or lower < upper)):
+            raise ValueError(f"invalid censor bounds: lower {lower!r}, upper {upper!r}")
 
     @property
     def atom_value(self) -> float:

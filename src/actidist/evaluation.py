@@ -73,14 +73,6 @@ class R2Comparison:
     distribution: FitReport
     tac: FitReport
 
-    @property
-    def r2_distribution(self) -> float:
-        return self.distribution.r2
-
-    @property
-    def r2_tac(self) -> float:
-        return self.tac.r2
-
 
 def _fit_report(sample: SurveySample, lambda_grid) -> FitReport:
     sigma = _median_sigma(sample)
@@ -207,17 +199,9 @@ def assign_risk_groups(outcome: ClassificationOutcome) -> list[str]:
     correctly classified. Everyone else (including the unclassified) is
     unassigned.
     """
-    labels = []
-    for ok, pred, act in zip(outcome.classified, outcome.predicted, outcome.actual):
-        if not ok:
-            labels.append(UNASSIGNED)
-        elif pred == 1 and act == 0:
-            labels.append(RISK_GROUP_A)
-        elif pred == 0 and act == 0:
-            labels.append(RISK_GROUP_B)
-        else:
-            labels.append(UNASSIGNED)
-    return labels
+    survived = outcome.classified & (outcome.actual == 0)
+    return np.where(survived, np.where(outcome.predicted == 1, RISK_GROUP_A, RISK_GROUP_B),
+                    UNASSIGNED).tolist()
 
 
 def stratify_age(ages) -> list[str]:

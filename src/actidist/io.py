@@ -336,7 +336,8 @@ def _summary_row(header, row):
 
 
 def _checked_ids(subject_ids, columns: dict) -> list:
-    """The ids as a list; ValueError names the lengths if a {what: column} differs."""
+    """`subject_ids` (ids or subjects) as a list; ValueError names the lengths
+    if a {what: column} differs."""
     ids = list(subject_ids)
     if any(len(values) != len(ids) for values in columns.values()):
         counts = " and ".join(f"{len(values)} {what}" for what, values in columns.items())
@@ -523,6 +524,8 @@ def _row_slices(s, times: np.ndarray):
 
 def write_ground_truth_csv(path, true_means: dict, subjects, pi: np.ndarray) -> None:
     """Long-format ground truth: population means plus per-subject stratum and pi."""
+    subjects = _checked_ids(subjects, {"pi values": pi})
+
     def rows():
         for name in sorted(true_means):
             yield ["population_mean", name, true_means[name]]

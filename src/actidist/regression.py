@@ -23,20 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .distribution import _cohort_matrix
+from .distribution import _SQRT_2PI, _cohort_matrix
 from .survey import check_weights, median_heuristic_sigma_from_matrix
-
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 # a predictor's kind by the number of axes of its matrix
 _KINDS = {2: "grid", 1: "scalar"}
 
 MODEL_FORMAT_VERSION = 1
-
-
-def gaussian_kernel(u: np.ndarray) -> np.ndarray:
-    """Standard Gaussian density; the smoother's local kernel."""
-    return np.exp(-0.5 * np.asarray(u) ** 2) / _SQRT_2PI
 
 
 def _check_kernel(sigma: float, lam=0.0) -> None:
@@ -123,11 +116,6 @@ class SurveySample:
             self._cache["distances"] = d
         return d
 
-    def distances_to(self, x) -> np.ndarray:
-        """Distances from every training predictor to a query point: a grid
-        (QuantileGrid or 1-d array) or a scalar."""
-        return geometry.pairwise_wasserstein(self._matrix, [x])[:, 0]
-
     def with_responses(self, responses) -> "SurveySample":
         """The same predictors and weights with other responses; the new
         sample shares this one's predictor matrix, cached distances and
@@ -141,8 +129,8 @@ def _nw_weights(dist, bandwidth: float, weights: np.ndarray) -> np.ndarray:
     """Smoother weights kernel(d / h) * w, before normalization; the distance
     follows the predictors: Wasserstein for grids, absolute for scalars.
 
-    The operations of gaussian_kernel(d / h) * w, in its order, each in place
-    on one new array the size of `dist`.
+    The operations of the Gaussian density exp(-(d / h)^2 / 2) / sqrt(2 pi)
+    times w, in that order, each in place on one new array the size of `dist`.
     """
     if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
@@ -163,7 +151,8 @@ def nw_predict(sample: SurveySample, bandwidth: float, x) -> float:
     the observed response range so the bound also holds under floating
     point; binary responses therefore yield a probability in [0, 1].
     """
-    k = _nw_weights(sample.distances_to(x), bandwidth, sample.weights)
+    d = geometry.pairwise_wasserstein(sample.predictors, [x])[:, 0]
+    k = _nw_weights(d, bandwidth, sample.weights)
     total = k.sum()
     if not total > 0:
         raise ValueError("empty neighborhood")

@@ -22,7 +22,6 @@ from actidist.io import InputValidationError
 from actidist.regression import (
     SurveySample,
     _kernel_spectrum,
-    gaussian_kernel,
     krr_fit,
     krr_loo,
     krr_predict_batch,
@@ -155,6 +154,12 @@ def select_lambda_loop(sample, sigma: float, lambda_grid) -> float:
         if err < best_err:
             best_lam, best_err = float(lam), err
     return best_lam
+
+
+def gaussian_kernel(u: np.ndarray) -> np.ndarray:
+    """Standard Gaussian density: the kernel that regression._nw_weights
+    applies in place."""
+    return np.exp(-0.5 * np.asarray(u) ** 2) / np.sqrt(2.0 * np.pi)
 
 
 def nw_loo_unfused(sample, bandwidth: float) -> np.ndarray:

@@ -299,7 +299,7 @@ def test_criterion_07_representation_beats_tac():
         dist = survey_sample_from_subjects(subjects, "quantiles", "response", m=200)
         tac = survey_sample_from_subjects(subjects, "tac", "response")
         result = compare_r2(dist, tac)
-        gaps.append(result.r2_distribution - result.r2_tac)
+        gaps.append(result.distribution.r2 - result.tac.r2)
         if gaps[-1] >= 0.3:
             wins += 1
     assert wins >= 18  # >= 90% of 20 replicates
@@ -310,10 +310,10 @@ def test_criterion_07_representation_beats_tac():
     dist = survey_sample_from_subjects(subjects, "quantiles", "response", m=200)
     tac = survey_sample_from_subjects(subjects, "tac", "response")
     tac_result = compare_r2(dist, tac)
-    assert tac_result.r2_tac >= 0.95
+    assert tac_result.tac.r2 >= 0.95
     print(f"criterion 7 PASS: spread-gap wins {wins}/20 "
           f"(median gap {np.median(gaps):.2f}), proportional-response "
-          f"r2_tac {tac_result.r2_tac:.3f}")
+          f"r2_tac {tac_result.tac.r2:.3f}")
 
 
 def test_criterion_08_classification_sanity():

@@ -50,7 +50,7 @@ class TestCompareR2:
         dist = survey_sample_from_subjects(subjects, "quantiles", "response", m=120)
         tac = survey_sample_from_subjects(subjects, "tac", "response")
         result = compare_r2(dist, tac)
-        assert result.r2_distribution > result.r2_tac
+        assert result.distribution.r2 > result.tac.r2
 
     def test_tac_signal_is_captured_by_tac(self):
         pop, _ = simulate_population(tac_response_spec(100, seed=3, minutes=400))
@@ -58,7 +58,7 @@ class TestCompareR2:
         dist = survey_sample_from_subjects(subjects, "quantiles", "response", m=120)
         tac = survey_sample_from_subjects(subjects, "tac", "response")
         result = compare_r2(dist, tac)
-        assert result.r2_tac >= 0.95
+        assert result.tac.r2 >= 0.95
 
     def test_noise_response_scores_low(self):
         lows = 0
@@ -73,7 +73,7 @@ class TestCompareR2:
             y = y - np.sum(w * y) / w.sum()
             result = compare_r2(SurveySample(grids, y, w),
                                 SurveySample(tac_vals, y, w))
-            if result.r2_distribution <= 0.1 and result.r2_tac <= 0.1:
+            if result.distribution.r2 <= 0.1 and result.tac.r2 <= 0.1:
                 lows += 1
         assert lows >= 0.9 * reps
 

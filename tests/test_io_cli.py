@@ -345,7 +345,10 @@ class TestReaders:
          3, "3 subject ids but 2 distributions and 1 tac values"),
         (lambda path, ids: io.write_distance_matrix_csv(path, ids, np.zeros((2, 2))), 1,
          "1 subject ids but 2 matrix rows"),
-    ], ids=["quantile_short", "quantile_long", "summary", "distance_matrix"])
+        (lambda path, ids: io.write_ground_truth_csv(
+            path, {"age": 70.0}, [ActivitySeries(i, [0.0, 1.0], [0.0, 2.0]) for i in ids],
+            np.array([0.5])), 2, "2 subject ids but 1 pi values"),
+    ], ids=["quantile_short", "quantile_long", "summary", "distance_matrix", "ground_truth"])
     def test_ids_and_rows_of_other_lengths_write_nothing(self, tmp_path, write, n_ids,
                                                          message):
         path = tmp_path / "t.csv"
@@ -462,6 +465,21 @@ class TestBuildDist:
             assert capsys.readouterr().err == f"error: {readings}: {message}\n"
         assert not (tmp_path / "new").exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["readings.csv", "subjects.csv"]
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--censor-lower", "nan", "lower nan, upper None"),
+        ("--censor-lower", "inf", "lower inf, upper None"),
+        ("--censor-upper", "nan", "lower None, upper nan"),
+        ("--censor-upper", "inf", "lower None, upper inf"),
+    ], ids=["lower_nan", "lower_inf", "upper_nan", "upper_inf"])
+    def test_non_finite_censor_bound_exits_2(self, tmp_path, capsys, flag, value, message):
+        readings, subjects = default_toy(tmp_path)
+        out = tmp_path / "out"
+        rc = main(["build-dist", "--input", str(readings), "--subjects", str(subjects),
+                   "--out", str(out), flag, value])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: invalid censor bounds: {message}\n"
+        assert not out.exists()
 
     def test_unreadable_input_exits_1(self, tmp_path):
         rc = main(["build-dist", "--input", str(tmp_path / "nope.csv"),
@@ -1253,11 +1271,34 @@ class TestSimulate:
          "population.strata[1]: mortality_rate must lie in [0, 1]"),
         (lambda c: c["population"]["strata"][0].update(inactivity_range=[True, True]),
          "population.strata[0]: inactivity_range must satisfy 0 <= lo <= hi <= 1"),
+        (lambda c: _add_response(c).update(scale="nan"),
+         "population.strata[0].response: scale must be a finite number, got nan"),
+        (lambda c: _add_response(c).update(noise_sd=-1),
+         "population.strata[0].response: noise_sd must be a finite number >= 0, got -1.0"),
+        (lambda c: _add_response(c).update(noise_sd="nan"),
+         "population.strata[0].response: noise_sd must be a finite number >= 0, got nan"),
+        (lambda c: c["design"]["fractions"].update(a=True),
+         "stratified design: fraction for stratum 'a' must be a number in (0, 1], got True"),
+        (lambda c: c["design"]["fractions"].update(a="0.5"),
+         "stratified design: fraction for stratum 'a' must be a number in (0, 1], got '0.5'"),
+        (lambda c: _poisson_design(c).update(size_covariate=3),
+         "poisson design: size_covariate must be None or a non-empty string, got 3"),
+        (lambda c: _poisson_design(c).update(size_covariate=""),
+         "poisson design: size_covariate must be None or a non-empty string, got ''"),
+        (lambda c: _poisson_design(c).update(size_covariate="nope"),
+         "size covariate 'nope' must be a positive number, got None for subject S00000"),
+        (lambda c: _poisson_design(c).update(size_covariate="stratum"),
+         "size covariate 'stratum' must be a positive number, got 'a' for subject S00000"),
+        (lambda c: _poisson_design(c).update(size_covariate="mortality"),
+         "size covariate 'mortality' must be a positive number, got 0 for subject S00000"),
     ], ids=["size_type", "params_length", "design_kind_type", "range_length",
             "size_float", "age_range_string", "repeated_name", "number_name", "empty_name",
             "inactivity_order", "noise_response", "constant_response", "params_text",
             "gamma_shape", "lognormal_sigma", "params_bool", "fixed_mean_spread",
-            "age_order", "age_fraction", "mortality_above_1", "inactivity_bool"])
+            "age_order", "age_fraction", "mortality_above_1", "inactivity_bool",
+            "response_scale_nan", "noise_sd_negative", "noise_sd_nan", "fraction_bool",
+            "fraction_text", "size_covariate_number", "size_covariate_empty",
+            "size_covariate_missing", "size_covariate_text", "size_covariate_zero"])
     def test_bad_value_names_key_and_place(self, tmp_path, capsys, edit, message):
         cfg = json.loads(json.dumps(SIM_CONFIG))
         edit(cfg)
@@ -1529,8 +1570,8 @@ class TestOptionTable:
 
 
 # actidist.__all__ as it was when the package imported every module eagerly,
-# less the removed NwConfig, and censor_series and empirical_quantiles, which
-# only tests called and which live in tests/oracles.py
+# less the removed NwConfig, and censor_series, empirical_quantiles and
+# gaussian_kernel, which only tests called and which live in tests/oracles.py
 EXPORTED = [
     "ActivitySeries", "CensorSpec", "ClassificationOutcome", "DensityCurve",
     "FrechetSummary", "IntensityLaw", "KrrModel", "MixedDistribution", "NO_CENSOR",
@@ -1539,7 +1580,7 @@ EXPORTED = [
     "SurveySample", "UNASSIGNED", "assign_risk_groups", "build_mixed",
     "classify_mortality", "compare_r2", "datagen", "distance_quantile_grid",
     "distribution", "draw_sample", "evaluation", "frechet_mean",
-    "frechet_variance", "gaussian_kernel", "geometry", "group_profiles", "ht_mean",
+    "frechet_variance", "geometry", "group_profiles", "ht_mean",
     "inactive_proportion", "inclusion_probabilities", "kde_active", "krr_fit", "krr_loo",
     "krr_predict", "krr_predict_batch", "krr_select_lambda", "laplacian_kernel",
     "load_model", "median_heuristic_sigma_from_matrix", "nw_loo", "nw_predict",

@@ -16,7 +16,6 @@ from actidist.regression import (
     KrrModel,
     SurveySample,
     distance_quantile_grid,
-    gaussian_kernel,
     krr_fit,
     krr_loo,
     krr_predict,
@@ -32,6 +31,7 @@ from actidist.regression import (
 )
 from oracles import (
     dense_loo_hat,
+    gaussian_kernel,
     loo_hat_matvec,
     mp_loo_hat,
     nw_loo_unfused,
@@ -71,7 +71,7 @@ class TestSurveySample:
         b = QuantileGrid(np.array([4.0, 4.0]))
         s = SurveySample([a, b], np.array([0.0, 1.0]))
         assert s.distance_matrix()[0, 1] == 4.0
-        assert s.distances_to(a).tolist() == [0.0, 4.0]
+        assert geometry.pairwise_wasserstein(s.predictors, [a])[:, 0].tolist() == [0.0, 4.0]
 
     def test_non_finite_inputs_rejected(self):
         x, y = np.array([0.0, 1.0]), np.array([1.0, 2.0])
@@ -112,8 +112,7 @@ class TestSurveySample:
         assert not from_matrix.predictors.flags.writeable
         np.testing.assert_array_equal(from_list.distance_matrix(),
                                       from_matrix.distance_matrix())
-        np.testing.assert_array_equal(from_list.distances_to(grids[3]),
-                                      from_matrix.distances_to(x[3]))
+        assert nw_predict(from_list, 20.0, grids[3]) == nw_predict(from_matrix, 20.0, x[3])
         np.testing.assert_array_equal(krr_loo(from_list, 0.3), krr_loo(from_matrix, 0.3))
         np.testing.assert_array_equal(nw_loo(from_list, 20.0),
                                       nw_loo(from_matrix, 20.0))
@@ -140,7 +139,7 @@ class TestSurveySample:
         model = krr_fit(sample, 0.3)
         queries = np.array([[0.0, 1.0, 1.0], bad_row])
         for call in (lambda: krr_predict_batch(model, queries),
-                     lambda: sample.distances_to(np.array(bad_row))):
+                     lambda: nw_predict(sample, 1.0, np.array(bad_row))):
             with pytest.raises(ValueError, match=str(grid_error.value)):
                 call()
 
