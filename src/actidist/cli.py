@@ -19,8 +19,8 @@ import numpy as np
 # each command imports the estimators it calls, so that a process loads
 # only the modules its subcommand uses
 from . import io
-from .distribution import (DEFAULT_GRID_SIZE, MINUTES_PER_DAY, CensorSpec, build_mixed,
-                           tac_per_day)
+from .distribution import (DEFAULT_GRID_SIZE, MINUTES_PER_DAY, CensorSpec, _real,
+                           build_mixed, tac_per_day)
 
 
 def __getattr__(name: str):
@@ -133,10 +133,9 @@ def _read_regression_inputs(args):
 
 
 def _numeric_column(ids, covariates, name: str, role: str) -> np.ndarray:
-    """Covariate `name` as floats; names the subjects whose value is missing,
-    text or non-finite, all of which io keeps as text (nan and inf included)."""
+    """Covariate `name` as floats; names the subjects whose value is no finite number."""
     values = [cov.get(name) for cov in covariates]
-    bad = [sid for sid, value in zip(ids, values) if not isinstance(value, (int, float))]
+    bad = [sid for sid, value in zip(ids, values) if not _real(value)]
     if bad:
         raise io.InputValidationError(
             f"missing, non-numeric or non-finite {role} column {name!r} for: "
@@ -251,7 +250,7 @@ def cmd_simulate(args) -> int:
 
     cfg = _merged(args, "simulate")
     spec = datagen.population_from_config(cfg["population"], cfg["seed"])
-    design = datagen.design_from_config(cfg["design"])
+    design = datagen.design_from_config(cfg["design"], spec)
 
     population, truth = datagen.simulate_population(spec)
     pi = datagen.inclusion_probabilities(population, design)

@@ -10,14 +10,12 @@ deterministic regardless of evaluation order.
 from __future__ import annotations
 
 import dataclasses
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import io
-from .distribution import ActivitySeries, tac_per_day
+from .distribution import ActivitySeries, _real, _whole, tac_per_day
 
 
 # each kind of IntensityLaw: its number of parameters and the rule they obey,
@@ -28,17 +26,6 @@ _LAW_PARAMS = {
     "lognormal_fixed_mean": (3, lambda level, lo, hi: level > 0 and 0 <= lo <= hi,
                              "mean_level > 0 and 0 <= s_lo <= s_hi"),
 }
-
-
-def _real(value) -> bool:
-    """A finite real number; a boolean is none."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _whole(value) -> bool:
-    """A finite real number with no fractional part; a boolean is none."""
-    return _real(value) and float(value).is_integer()
 
 
 @dataclass(frozen=True)
@@ -330,16 +317,21 @@ def population_from_config(population, seed: int) -> PopulationSpec:
 _DESIGNS = {"stratified": StratifiedDesign, "poisson": PoissonDesign}
 
 
-def design_from_config(design):
-    """The design of a simulate config's `design` object, whose `kind` picks
-    the class and whose other keys are its fields."""
+def design_from_config(design, spec: PopulationSpec):
+    """The design of a simulate config's `design` object: `kind` picks the
+    class, the other keys are its fields, and fractions name strata of `spec`."""
     if not isinstance(design, dict) or "kind" not in design:
         raise ValueError("config must define design.kind")
     kind = design["kind"]
     if not isinstance(kind, str) or kind not in _DESIGNS:
         raise ValueError(f"unknown design kind {kind!r}")
-    return _from_config(_DESIGNS[kind], {k: v for k, v in design.items() if k != "kind"},
-                        f"{kind} design")
+    out = _from_config(_DESIGNS[kind], {k: v for k, v in design.items() if k != "kind"},
+                       f"{kind} design")
+    unknown = set(getattr(out, "fractions", ())) - {s.name for s in spec.strata}
+    if unknown:
+        raise ValueError(f"stratified design: fraction for stratum {min(unknown)!r}, "
+                         f"which population.strata does not name")
+    return out
 
 
 def _stratum_indices(population) -> dict:

@@ -10,6 +10,8 @@ consumes.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -19,6 +21,17 @@ MINUTES_PER_DAY = 1440.0
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 DEFAULT_GRID_SIZE = 500
+
+
+def _real(value) -> bool:
+    """A finite real number; a boolean is none."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _whole(value) -> bool:
+    """A finite real number with no fractional part; a boolean is none."""
+    return _real(value) and float(value).is_integer()
 
 
 @dataclass(frozen=True)
@@ -40,7 +53,6 @@ class ActivitySeries:
         readings = np.asarray(self.readings, dtype=float)
         object.__setattr__(self, "timestamps", timestamps)
         object.__setattr__(self, "readings", readings)
-        object.__setattr__(self, "survey_weight", float(self.survey_weight))
         if readings.size == 0:
             raise ValueError("empty series")
         if readings.shape != timestamps.shape or readings.ndim != 1:
@@ -52,8 +64,9 @@ class ActivitySeries:
             raise ValueError("timestamps must be finite")
         if timestamps.size > 1 and np.any(np.diff(timestamps) <= 0):
             raise ValueError("timestamps must be strictly increasing")
-        if not (np.isfinite(self.survey_weight) and self.survey_weight > 0):
+        if not (_real(self.survey_weight) and self.survey_weight > 0):
             raise ValueError("survey_weight must be positive and finite")
+        object.__setattr__(self, "survey_weight", float(self.survey_weight))
 
     @property
     def n_obs(self) -> int:
@@ -73,9 +86,8 @@ class CensorSpec:
 
     def __post_init__(self):
         lower, upper = self.lower, self.upper
-        # every comparison with NaN is false
-        if not ((lower is None or 0 <= lower < np.inf)
-                and (upper is None or 0 < upper < np.inf)
+        if not ((lower is None or (_real(lower) and 0 <= lower))
+                and (upper is None or (_real(upper) and 0 < upper))
                 and (lower is None or upper is None or lower < upper)):
             raise ValueError(f"invalid censor bounds: lower {lower!r}, upper {upper!r}")
 
@@ -173,7 +185,7 @@ class DensityCurve:
             raise ValueError("abscissae must be increasing and positive")
         if np.any(y < 0):
             raise ValueError("ordinates must be nonnegative")
-        if not self.bandwidth > 0:
+        if not (_real(self.bandwidth) and self.bandwidth > 0):
             raise ValueError("bandwidth must be positive")
 
     def mass(self) -> float:
@@ -190,7 +202,7 @@ class MixedDistribution:
     atom_value: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.p_inactive <= 1.0:
+        if not (_real(self.p_inactive) and 0.0 <= self.p_inactive <= 1.0):
             raise ValueError("p_inactive must lie in [0, 1]")
 
 
@@ -223,8 +235,9 @@ def quantiles_from_values(values: np.ndarray, m: int) -> QuantileGrid:
     computed in exact integer arithmetic so grid/sample-size coincidences
     never fall on the wrong side of a floating-point boundary.
     """
-    if m < 2:
+    if not (_whole(m) and m >= 2):
         raise ValueError("grid size m must be at least 2")
+    m = int(m)
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("empty series")
@@ -285,7 +298,7 @@ def kde_active(
                 stacklevel=2,
             )
             bandwidth = 1.0
-    if not bandwidth > 0:
+    if not (_real(bandwidth) and bandwidth > 0):
         raise ValueError("bandwidth must be positive")
 
     if np.isscalar(eval_points):

@@ -13,6 +13,8 @@ from .distribution import (
     DEFAULT_GRID_SIZE,
     NO_CENSOR,
     _cohort_matrix,
+    _real,
+    _whole,
     build_mixed,
     tac_per_day,
 )
@@ -167,7 +169,7 @@ def classify_mortality(sample: SurveySample, bandwidth: float | None = None,
     """
     if not sample.is_binary():
         raise ValueError("responses must be 0/1 for classification")
-    if not 0.0 <= threshold <= 1.0:
+    if not (_real(threshold) and 0.0 <= threshold <= 1.0):
         raise ValueError("threshold must lie in [0, 1]")
     if bandwidth is None:
         bandwidth, probs = nw_select_bandwidth(sample, distance_quantile_grid(sample))
@@ -212,16 +214,14 @@ def stratify_age(ages) -> list[str]:
     """
     labels = []
     for age in ages:
-        age_f = float(age)
-        if age_f != int(age_f):
+        if not _whole(age):
             raise ValueError(f"subject outside target population: age {age!r}")
-        age_i = int(age_f)
         for lo, hi in AGE_STRATA:
-            if lo <= age_i <= hi:
+            if lo <= age <= hi:
                 labels.append(f"{lo}-{hi}")
                 break
         else:
-            raise ValueError(f"subject outside target population: age {age_i}")
+            raise ValueError(f"subject outside target population: age {int(age)}")
     return labels
 
 

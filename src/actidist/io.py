@@ -12,13 +12,12 @@ import csv
 import functools
 import itertools
 import json
-import math
 import warnings
 from io import StringIO
 
 import numpy as np
 
-from .distribution import ActivitySeries, _cohort_matrix, check_quantile_rows
+from .distribution import ActivitySeries, _cohort_matrix, _real, _whole, check_quantile_rows
 
 
 class InputValidationError(ValueError):
@@ -36,9 +35,9 @@ def _json_value(types: tuple, expected: str, convert=lambda v: v):
     return from_json
 
 
-def _whole(value):
+def _integer(value):
     """int(value), but a float only when it is whole: 500.0 is 500, 2.9 fails."""
-    if isinstance(value, float) and not value.is_integer():
+    if isinstance(value, float) and not _whole(value):
         raise TypeError(f"expected an integer, got {json.dumps(value)}")
     return int(value)
 
@@ -51,7 +50,7 @@ _name = _json_value((str,), "a string")
 # a numeric string, but a fractional float is no int, a boolean no number, a
 # string no array, and an array of numbers or names holds no other value.
 FROM_JSON = {
-    "int": _json_value((int, float, str), "an integer", _whole),
+    "int": _json_value((int, float, str), "an integer", _integer),
     "float": _number,
     "bool": _json_value((bool,), "true or false"),
     "tuple": _json_value((list,), "an array", tuple),
@@ -65,8 +64,12 @@ FROM_JSON = {
 
 
 def _subject_id(field) -> str:
-    """Every reader's subject id: the field stripped, and not empty."""
-    sid = (field or "").strip()
+    """Every reader's subject id: the field stripped, not empty, and within
+    csv.field_size_limit(), which numpy's parser does not enforce."""
+    field, limit = field or "", csv.field_size_limit()
+    if len(field) > limit:
+        raise ValueError(f"field larger than field limit ({limit})")
+    sid = field.strip()
     if not sid:
         raise ValueError("empty subject_id")
     return sid
@@ -158,10 +161,9 @@ def read_readings_csv(path) -> dict:
 
     Returns {subject_id: (timestamps, counts)} as float64 arrays in file
     order, subjects in order of first appearance, ids stripped; each array
-    owns its data, so no subject keeps a parser chunk alive. numpy's C
-    parser reads the rows in chunks; when it refuses a row, a value fails a
-    check or an id is empty or longer than csv.field_size_limit(), the csv
-    row loop reads the whole file again and reports every bad row with its line.
+    owns its data, so no subject keeps a parser chunk alive. numpy's C parser
+    reads the rows in chunks; when it refuses a row or a value or id fails its
+    check, the csv row loop reads the file again and reports every bad row.
     """
     return _read_table(path, _is_readings_header,
                        lambda fh, header: _read_readings_chunks(fh), _read_readings_rows)
@@ -192,11 +194,10 @@ def _loadtxt_chunks(fh, dtype):
 def _read_readings_chunks(fh):
     """The rows after the header through np.loadtxt, or None when it refuses
     a row, there is none, a value is non-finite, a count negative or an id
-    too long. Each subject's rows in a chunk are copied out of it as one
-    piece, so the chunk and its id strings go at once and each subject's
-    arrays are joined from copies into arrays that own their data."""
+    fails _subject_id. Each subject's rows in a chunk are copied out of it
+    as one piece, so the chunk and its id strings go at once and each
+    subject's arrays are joined from copies into arrays that own their data."""
     pieces: dict = {}
-    limit = csv.field_size_limit()
     try:
         for rows in _loadtxt_chunks(fh, _READINGS_ROW):
             ids, t, count = rows["subject_id"], rows["t"], rows["count"]
@@ -204,15 +205,13 @@ def _read_readings_chunks(fh):
                     and (count >= 0).all()):
                 return None
             starts = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist()]
-            run_ids = ids[starts].tolist()
-            if any(len(sid) > limit or not sid.strip() for sid in run_ids):
-                return None
-            # the rows grouped by stripped id, numbered per run in order of
+            # the rows grouped by subject id, numbered per run in order of
             # first appearance, by a stable argsort that is near-linear on a
             # sorted, file-order chunk: one piece per subject and chunk, also
             # where the id changes every row, as in a time-major file
             codes: dict = {}
-            run_codes = [codes.setdefault(sid.strip(), len(codes)) for sid in run_ids]
+            run_codes = [codes.setdefault(_subject_id(sid), len(codes))
+                         for sid in ids[starts].tolist()]
             subject = np.repeat(run_codes, np.diff([*starts, len(ids)]))
             order = np.argsort(subject, kind="stable")
             ends = np.cumsum(np.bincount(subject)).tolist()
@@ -246,7 +245,7 @@ def _readings_row(header, row):
         t, count = float(t), float(count)
     except ValueError:
         raise ValueError("non-numeric value") from None
-    if not (math.isfinite(t) and math.isfinite(count)):
+    if not (_real(t) and _real(count)):
         raise ValueError("non-finite value")
     if count < 0:
         raise ValueError("negative count")
@@ -258,9 +257,9 @@ def _parse_covariate(text: str):
         value = float(text)
     except ValueError:
         return text
-    if not math.isfinite(value):
+    if not _real(value):
         return text
-    return int(value) if value.is_integer() and "." not in text else value
+    return int(value) if _whole(value) and "." not in text else value
 
 
 def read_subjects_csv(path) -> dict:
@@ -279,7 +278,7 @@ def _subject_row(header, row):
         weight = float(fields["survey_weight"])
     except (TypeError, ValueError):
         raise ValueError("bad survey_weight") from None
-    if not (math.isfinite(weight) and weight > 0):
+    if not (_real(weight) and weight > 0):
         raise ValueError("survey_weight must be positive and finite")
     covariates = {
         key: _parse_covariate(val)
@@ -330,7 +329,7 @@ def _summary_row(header, row):
         p_inactive, tac = float(fields["p_inactive"]), float(fields["tac_per_day"])
     except (TypeError, ValueError):
         raise ValueError("missing or non-numeric value") from None
-    if not (math.isfinite(p_inactive) and math.isfinite(tac)):
+    if not (_real(p_inactive) and _real(tac)):
         raise ValueError("non-finite value")
     return _subject_id(fields["subject_id"]), (p_inactive, tac)
 
@@ -362,9 +361,8 @@ def read_quantile_csv(path):
     non-empty and unique, and a table with no rows is rejected.
 
     numpy's C parser reads the rows in chunks, as in read_readings_csv; when
-    it refuses a row, a row fails the check, an id is empty, repeats or is
-    longer than csv.field_size_limit(), the csv row loop reads the file again
-    and reports every bad row with its line.
+    it refuses a row, a row or id fails its check or an id repeats, the csv
+    row loop reads the file again and reports every bad row with its line.
     """
     return _read_table(path, _is_quantile_header, _read_quantile_chunks, _read_quantile_rows)
 
@@ -381,18 +379,15 @@ def _read_quantile_chunks(fh, header):
     try:
         for rows in _loadtxt_chunks(fh, dtype):
             check_quantile_rows(rows["q"])
-            ids += rows["subject_id"].tolist()
+            ids += map(_subject_id, rows["subject_id"].tolist())
             blocks.append(rows["q"])
     except ValueError:
         return None
-    limit = csv.field_size_limit()
-    stripped = [sid.strip() for sid in ids]
-    if (not ids or not all(stripped) or len(set(stripped)) < len(ids)
-            or any(len(sid) > limit for sid in ids)):
+    if not ids or len(set(ids)) < len(ids):
         return None
     matrix = np.concatenate(blocks)
     matrix.setflags(write=False)
-    return stripped, matrix
+    return ids, matrix
 
 
 def _read_quantile_rows(path):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .distribution import _SQRT_2PI, _cohort_matrix
+from .distribution import _SQRT_2PI, _cohort_matrix, _real
 from .survey import check_weights, median_heuristic_sigma_from_matrix
 
 # a predictor's kind by the number of axes of its matrix
@@ -33,11 +33,11 @@ MODEL_FORMAT_VERSION = 1
 
 
 def _check_kernel(sigma: float, lam=0.0) -> None:
-    """Rejects a kernel scale that is not positive and finite, and a ridge
-    penalty (or any of a grid of them) that is negative or not finite."""
-    if not (np.isfinite(sigma) and sigma > 0):
+    """Rejects a kernel scale that is not a positive finite number, and a
+    ridge penalty (or any of a grid of them) that is not a finite number >= 0."""
+    if not (_real(sigma) and sigma > 0):
         raise ValueError("sigma must be positive and finite")
-    if not np.all(np.isfinite(lam) & (np.asarray(lam) >= 0)):
+    if not all(_real(v) and v >= 0 for v in np.ravel(lam).tolist()):
         raise ValueError("lambda must be nonnegative and finite")
 
 
@@ -132,7 +132,7 @@ def _nw_weights(dist, bandwidth: float, weights: np.ndarray) -> np.ndarray:
     The operations of the Gaussian density exp(-(d / h)^2 / 2) / sqrt(2 pi)
     times w, in that order, each in place on one new array the size of `dist`.
     """
-    if not bandwidth > 0:
+    if not (_real(bandwidth) and bandwidth > 0):
         raise ValueError("bandwidth must be positive")
     k = np.divide(dist, bandwidth)
     np.square(k, out=k)
@@ -264,8 +264,8 @@ class KrrModel:
         alpha = np.asarray(self.alpha, dtype=float)
         if alpha.shape != matrix.shape[:1] or not np.all(np.isfinite(alpha)):
             raise ValueError("alpha must hold one finite value per training row")
+        _check_kernel(self.sigma, self.lam)
         sigma, lam = float(self.sigma), float(self.lam)
-        _check_kernel(sigma, lam)
         for name, value in (("training_matrix", matrix), ("alpha", alpha),
                             ("sigma", sigma), ("lam", lam)):
             object.__setattr__(self, name, value)

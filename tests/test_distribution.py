@@ -4,7 +4,10 @@ import pytest
 from actidist.distribution import (
     ActivitySeries,
     CensorSpec,
+    DensityCurve,
+    MixedDistribution,
     NO_CENSOR,
+    QuantileGrid,
     build_mixed,
     inactive_proportion,
     kde_active,
@@ -48,6 +51,14 @@ class TestActivitySeries:
         with pytest.raises(ValueError, match="survey_weight must be positive and finite"):
             series([1.0], survey_weight=weight)
 
+    @pytest.mark.parametrize("weight", [True, "2", None], ids=["bool", "text", "none"])
+    def test_weight_that_is_no_number_rejected(self, weight):
+        with pytest.raises(ValueError, match="survey_weight must be positive and finite"):
+            series([1.0], survey_weight=weight)
+
+    def test_numpy_weight_becomes_a_float(self):
+        assert type(series([1.0], survey_weight=np.float32(2.0)).survey_weight) is float
+
 
 class TestInactiveProportion:
     def test_zero_atom_count(self):
@@ -80,6 +91,12 @@ class TestCensorSeries:
     def test_invalid_bounds(self):
         with pytest.raises(ValueError, match="invalid censor bounds"):
             CensorSpec(lower=200, upper=100)
+
+    @pytest.mark.parametrize("lower, upper", [(True, 3500), (None, True), ("100", None)],
+                             ids=["lower_bool", "upper_bool", "lower_text"])
+    def test_bound_that_is_no_number_rejected(self, lower, upper):
+        with pytest.raises(ValueError, match="invalid censor bounds"):
+            CensorSpec(lower=lower, upper=upper)
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)
@@ -140,6 +157,15 @@ class TestEmpiricalQuantiles:
         with pytest.raises(ValueError):
             quantiles_from_values([1.0, 2.0], m=1)
 
+    @pytest.mark.parametrize("m", [2.5, np.inf, "4"], ids=["fraction", "inf", "text"])
+    def test_m_that_is_no_whole_number_rejected(self, m):
+        with pytest.raises(ValueError, match="grid size m must be at least 2"):
+            quantiles_from_values([1.0, 2.0], m=m)
+
+    def test_whole_float_m_is_an_integer(self):
+        got = quantiles_from_values([3.0, 1.0, 2.0], m=4.0).values
+        np.testing.assert_array_equal(got, quantiles_from_values([3.0, 1.0, 2.0], 4).values)
+
 
 class TestSilvermanBandwidth:
     def test_hand_example(self):
@@ -191,6 +217,20 @@ class TestKdeActive:
     def test_degenerate_active_sample_warns(self):
         with pytest.warns(UserWarning, match="degenerate"):
             kde_active(series([0.0, 5.0, 5.0]))
+
+    @pytest.mark.parametrize("bandwidth", [np.inf, True], ids=["inf", "bool"])
+    def test_bandwidth_that_is_no_finite_number_rejected(self, bandwidth):
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            kde_active(series([0.0, 10.0]), bandwidth=bandwidth)
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            DensityCurve([1.0, 2.0], [0.5, 0.5], bandwidth)
+
+
+class TestMixedDistribution:
+    @pytest.mark.parametrize("p", [True, np.nan, 1.5], ids=["bool", "nan", "above_1"])
+    def test_p_inactive_outside_unit_interval_rejected(self, p):
+        with pytest.raises(ValueError, match=r"p_inactive must lie in \[0, 1\]"):
+            MixedDistribution(p, QuantileGrid([0.0, 1.0]))
 
 
 class TestBuildMixed:

@@ -132,6 +132,12 @@ class TestClassifyMortality:
         assert np.all(out.probabilities == 0.0)
         assert out.tp == 0.0 and out.fp == 0.0
 
+    @pytest.mark.parametrize("threshold", [True, np.nan, "0.5"], ids=["bool", "nan", "text"])
+    def test_threshold_that_is_no_number_in_unit_interval_rejected(self, threshold):
+        sample = SurveySample(np.arange(4.0), [0.0, 1.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match=r"threshold must lie in \[0, 1\]"):
+            classify_mortality(sample, 1.0, threshold=threshold)
+
     def test_zero_threshold_predicts_all_positive(self):
         rng = np.random.default_rng(6)
         y = (rng.random(10) < 0.5).astype(float)
@@ -225,6 +231,13 @@ class TestStratifyAge:
 
     def test_integral_float_accepted(self):
         assert stratify_age([75.0]) == ["68-75"]
+        assert stratify_age(np.array([70, 77])) == ["68-75", "76-80"]
+
+    @pytest.mark.parametrize("age", [np.inf, np.nan, "70", True],
+                             ids=["inf", "nan", "text", "bool"])
+    def test_age_that_is_no_whole_number_rejected(self, age):
+        with pytest.raises(ValueError, match=f"outside target population: age {age!r}"):
+            stratify_age([70, age])
 
 
 class TestGroupProfiles:

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import csv
 import dataclasses
 import itertools
 import json
@@ -246,6 +247,17 @@ class TestReaders:
             with pytest.raises(io.InputValidationError,
                                match=r"t\.csv: line 3: empty subject_id"):
                 reader(path)
+
+    def test_subject_id_rule_has_the_field_size_limit(self):
+        # the one id rule of the csv and numpy paths alike
+        limit = csv.field_size_limit()
+        assert io._subject_id(" a ") == "a"
+        assert io._subject_id("x" * limit) == "x" * limit
+        with pytest.raises(ValueError, match=rf"field larger than field limit \({limit}\)"):
+            io._subject_id("x" * (limit + 1))
+        for field in ("", "  ", None):
+            with pytest.raises(ValueError, match="empty subject_id"):
+                io._subject_id(field)
 
     @pytest.mark.parametrize("reader, header, rows, first", [
         (io.read_readings_csv, "subject_id,timestamp_min,count",
@@ -732,6 +744,8 @@ class TestPredictModelChecks:
         ("kind", "banana", "unknown model kind 'banana'"),
         ("sigma", -1.0, "sigma must be positive and finite"),
         ("lambda", float("nan"), "lambda must be nonnegative and finite"),
+        ("sigma", True, "sigma must be positive and finite"),
+        ("lambda", False, "lambda must be nonnegative and finite"),
     ])
     def test_bad_model_exits_2_without_output(self, tmp_path, capsys, key, value, message):
         x = np.array([[0.0, 1.0], [1.0, 3.0], [2.0, 2.5]])
@@ -1169,6 +1183,17 @@ class TestSimulate:
         strata = [r.split(",")[2] for r in rows]
         assert strata.count("a") == 500 and strata.count("b") == 500
 
+    def test_fraction_for_a_stratum_with_no_subjects_accepted(self, tmp_path):
+        # the config defines stratum b, though its share rounds to no subject
+        cfg = json.loads(json.dumps(SIM_CONFIG))
+        cfg["population"]["strata"][0]["proportion"] = 1.0
+        cfg["population"]["strata"][1]["proportion"] = 0.0
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        assert len((out / "sample_subjects.csv").read_text().splitlines()) == 61
+
     def test_invalid_spec_exits_2(self, tmp_path):
         config = tmp_path / "sim.json"
         bad = json.loads(json.dumps(SIM_CONFIG))
@@ -1291,6 +1316,9 @@ class TestSimulate:
          "size covariate 'stratum' must be a positive number, got 'a' for subject S00000"),
         (lambda c: _poisson_design(c).update(size_covariate="mortality"),
          "size covariate 'mortality' must be a positive number, got 0 for subject S00000"),
+        (lambda c: c["design"]["fractions"].update(actve=0.1),
+         "stratified design: fraction for stratum 'actve', which population.strata "
+         "does not name"),
     ], ids=["size_type", "params_length", "design_kind_type", "range_length",
             "size_float", "age_range_string", "repeated_name", "number_name", "empty_name",
             "inactivity_order", "noise_response", "constant_response", "params_text",
@@ -1298,7 +1326,8 @@ class TestSimulate:
             "age_order", "age_fraction", "mortality_above_1", "inactivity_bool",
             "response_scale_nan", "noise_sd_negative", "noise_sd_nan", "fraction_bool",
             "fraction_text", "size_covariate_number", "size_covariate_empty",
-            "size_covariate_missing", "size_covariate_text", "size_covariate_zero"])
+            "size_covariate_missing", "size_covariate_text", "size_covariate_zero",
+            "fraction_unknown_stratum"])
     def test_bad_value_names_key_and_place(self, tmp_path, capsys, edit, message):
         cfg = json.loads(json.dumps(SIM_CONFIG))
         edit(cfg)

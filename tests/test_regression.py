@@ -234,7 +234,7 @@ class TestNwPredict:
         with pytest.raises(ValueError, match="empty neighborhood"):
             nw_predict(s, 0.5, 50.0)
 
-    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, np.nan, np.inf, True])
     def test_invalid_bandwidth_rejected(self, bandwidth):
         s = SurveySample(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="bandwidth must be positive"):
@@ -355,6 +355,13 @@ class TestLaplacianKernel:
         with pytest.raises(ValueError, match="sigma must be positive and finite"):
             laplacian_kernel(1.0, sigma)
 
+    # a number, not a boolean, text or a 0-d array; numpy's scalars are numbers
+    @pytest.mark.parametrize("sigma", [True, "1.0", np.array(1.0)], ids=["bool", "text", "0d"])
+    def test_scale_that_is_no_number_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            laplacian_kernel(1.0, sigma)
+        assert laplacian_kernel(1.0, np.float64(1.0)) == pytest.approx(math.exp(-1))
+
 
 class TestRidgeParameterChecks:
     """krr_fit and krr_loo reject what load_model would, with its messages."""
@@ -364,6 +371,9 @@ class TestRidgeParameterChecks:
         (np.inf, 1.0, "lambda must be nonnegative and finite"),
         (0.1, np.inf, "sigma must be positive and finite"),
         (0.1, np.nan, "sigma must be positive and finite"),
+        (True, 1.0, "lambda must be nonnegative and finite"),
+        ("0.5", 1.0, "lambda must be nonnegative and finite"),
+        (0.1, True, "sigma must be positive and finite"),
     ])
     def test_fit_and_loo_reject(self, lam, sigma, message):
         s = scalar_sample(np.random.default_rng(53), 6)
@@ -987,12 +997,16 @@ LOAD_MODEL_CASES = [
     ("sigma", -1.0, "sigma must be positive and finite"),
     ("sigma", float("inf"), "sigma must be positive and finite"),
     ("sigma", float("nan"), "sigma must be positive and finite"),
-    ("sigma", "abc", "could not convert string to float"),
-    ("sigma", None, "must be a string or a real number"),
+    ("sigma", "abc", "sigma must be positive and finite"),
+    ("sigma", None, "sigma must be positive and finite"),
     ("lambda", -0.5, "lambda must be nonnegative and finite"),
     ("lambda", float("inf"), "lambda must be nonnegative and finite"),
     ("lambda", [0.5], "must be a string or a real number"),
     ("format_version", 2, "unsupported model format version 2"),
+    ("sigma", True, "sigma must be positive and finite"),
+    ("sigma", "2.0", "sigma must be positive and finite"),
+    ("lambda", False, "lambda must be nonnegative and finite"),
+    ("lambda", "0.5", "lambda must be nonnegative and finite"),
 ]
 
 # the KrrModel field of each payload key that holds one
@@ -1020,7 +1034,7 @@ class TestLoadModelChecks:
     @pytest.mark.parametrize("key, value, message", MODEL_VALUE_CASES)
     def test_constructor_rejects_the_same(self, grid_payload, key, value, message):
         payload = corrupt(grid_payload, key, value)
-        # float(None) raises TypeError, which load_model reports as a ValueError
+        # float([0.5]) raises TypeError, which load_model reports as a ValueError
         with pytest.raises((TypeError, ValueError), match=message):
             KrrModel(**{field: payload[key] for key, field in MODEL_FIELDS.items()})
 
