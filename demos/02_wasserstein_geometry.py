@@ -18,9 +18,8 @@ from actidist import (
     pairwise_wasserstein,
     pointwise_sd_curve,
     summarize,
-    wasserstein2,
 )
-from actidist.io import write_distance_matrix_csv, write_frechet_summary_csv
+from actidist.io import write_frechet_summary_csv, write_rows
 
 rng = np.random.default_rng(7)
 OUT = Path("demo_output/geometry")
@@ -40,13 +39,12 @@ subjects = ([make_subject(f"sed-{i}", 0.75, 4.2) for i in range(10)]
 grids = [build_mixed(s, m=300).quantiles for s in subjects]
 ids = [s.subject_id for s in subjects]
 
-within = wasserstein2(grids[0], grids[1])
-between = wasserstein2(grids[0], grids[10])
-print(f"distance within the sedentary group: {within:8.1f}")
-print(f"distance across the two groups:      {between:8.1f}")
-
 matrix = pairwise_wasserstein(grids)
-write_distance_matrix_csv(OUT / "distances.csv", ids, matrix)
+print(f"distance within the sedentary group: {matrix[0, 1]:8.1f}")
+print(f"distance across the two groups:      {matrix[0, 10]:8.1f}")
+
+write_rows(OUT / "distances.csv", ["subject_id", *ids],
+           ([sid, *row.tolist()] for sid, row in zip(ids, matrix)))
 print(f"wrote {OUT / 'distances.csv'} ({matrix.shape[0]}x{matrix.shape[1]})")
 
 # Cohort summaries, overall and per group.

@@ -12,15 +12,12 @@ _EXPORTS = {
     "distribution": (
         "ActivitySeries",
         "CensorSpec",
-        "DensityCurve",
         "MixedDistribution",
         "NO_CENSOR",
         "QuantileGrid",
         "build_mixed",
         "inactive_proportion",
-        "kde_active",
         "quantiles_from_values",
-        "silverman_bandwidth",
         "tac_per_day",
     ),
     "geometry": (
@@ -30,7 +27,6 @@ _EXPORTS = {
         "pairwise_wasserstein",
         "pointwise_sd_curve",
         "summarize",
-        "wasserstein2",
     ),
     "survey": (
         "ht_mean",

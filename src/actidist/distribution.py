@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 MINUTES_PER_DAY = 1440.0
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 DEFAULT_GRID_SIZE = 500
 
@@ -167,33 +165,6 @@ class QuantileGrid:
 
 
 @dataclass(frozen=True)
-class DensityCurve:
-    """Smoothed density of the active part, for exploration and plots."""
-
-    abscissae: np.ndarray
-    ordinates: np.ndarray
-    bandwidth: float
-
-    def __post_init__(self):
-        x = np.asarray(self.abscissae, dtype=float)
-        y = np.asarray(self.ordinates, dtype=float)
-        object.__setattr__(self, "abscissae", x)
-        object.__setattr__(self, "ordinates", y)
-        if x.shape != y.shape or x.ndim != 1 or x.size < 2:
-            raise ValueError("density curve needs aligned 1-d abscissae/ordinates")
-        if np.any(np.diff(x) <= 0) or x[0] <= 0:
-            raise ValueError("abscissae must be increasing and positive")
-        if np.any(y < 0):
-            raise ValueError("ordinates must be nonnegative")
-        if not (_real(self.bandwidth) and self.bandwidth > 0):
-            raise ValueError("bandwidth must be positive")
-
-    def mass(self) -> float:
-        """Trapezoid integral of the curve; close to 1 - p_inactive on a wide grid."""
-        return float(np.trapezoid(self.ordinates, self.abscissae))
-
-
-@dataclass(frozen=True)
 class MixedDistribution:
     """Inactivity atom plus quantile grid of the full mixed distribution."""
 
@@ -248,72 +219,6 @@ def quantiles_from_values(values: np.ndarray, m: int) -> QuantileGrid:
     return QuantileGrid(values=ordered[ranks - 1])
 
 
-def silverman_bandwidth(positive_readings: np.ndarray) -> float:
-    """Rule-of-thumb bandwidth 0.9 * min(sd, IQR/1.34) * n^(-1/5).
-
-    The IQR uses linear interpolation between order statistics. When the
-    IQR is zero but the sample still has spread, the scale falls back to
-    the standard deviation so the bandwidth stays positive.
-    """
-    x = np.asarray(positive_readings, dtype=float)
-    if np.unique(x).size < 2:
-        raise ValueError("degenerate active sample")
-    sd = float(np.std(x, ddof=1))
-    iqr = float(np.percentile(x, 75) - np.percentile(x, 25))
-    scale = min(sd, iqr / 1.34)
-    if scale <= 0:
-        scale = sd
-    return 0.9 * scale * x.size ** (-0.2)
-
-
-def _active_values(series: ActivitySeries, censor: CensorSpec) -> np.ndarray:
-    readings = _clamped(series.readings, censor)
-    return readings[~_is_inactive(readings, censor)]
-
-
-def kde_active(
-    series: ActivitySeries,
-    censor: CensorSpec = NO_CENSOR,
-    bandwidth: float | None = None,
-    eval_points: int | np.ndarray = 512,
-) -> DensityCurve:
-    """Gaussian kernel density of the active part, scaled by 1 - p_inactive.
-
-    f(x) = (1 - p_inactive) * (1 / (n_active * h)) * sum_j phi((X_j - x) / h)
-    over the active (non-atom) censored readings. The default bandwidth is
-    Silverman's rule on the active values, falling back to 1.0 count unit
-    with a warning when the active sample is degenerate.
-    """
-    active = _active_values(series, censor)
-    if active.size == 0:
-        raise ValueError("all readings inactive")
-    p_inactive = inactive_proportion(series, censor)
-
-    if bandwidth is None:
-        try:
-            bandwidth = silverman_bandwidth(active)
-        except ValueError:
-            warnings.warn(
-                "degenerate active sample; falling back to bandwidth 1.0",
-                stacklevel=2,
-            )
-            bandwidth = 1.0
-    if not (_real(bandwidth) and bandwidth > 0):
-        raise ValueError("bandwidth must be positive")
-
-    if np.isscalar(eval_points):
-        lo = max(float(active.min()) - 4.0 * bandwidth, 1e-12)
-        hi = float(active.max()) + 4.0 * bandwidth
-        grid = np.linspace(lo, hi, int(eval_points))
-    else:
-        grid = np.asarray(eval_points, dtype=float)
-
-    z = (active[None, :] - grid[:, None]) / bandwidth
-    density = np.exp(-0.5 * z * z).sum(axis=1) / (active.size * bandwidth * _SQRT_2PI)
-    density *= 1.0 - p_inactive
-    return DensityCurve(abscissae=grid, ordinates=density, bandwidth=float(bandwidth))
-
-
 def build_mixed(
     series: ActivitySeries,
     censor: CensorSpec = NO_CENSOR,
@@ -322,8 +227,7 @@ def build_mixed(
     """Two-step construction: inactivity proportion, then censored quantiles.
 
     The quantile grid covers the full mixed distribution, so every level
-    below p_inactive sits at the atom value. kde_active gives the density
-    of the active part.
+    below p_inactive sits at the atom value.
     """
     return MixedDistribution(
         p_inactive=inactive_proportion(series, censor),

@@ -33,14 +33,6 @@ def _normalized_weights(weights, n: int) -> np.ndarray:
     return w / w.sum()
 
 
-def wasserstein2(a: QuantileGrid, b: QuantileGrid) -> float:
-    """2-Wasserstein distance: root mean square gap between quantile values."""
-    if a.m != b.m:
-        raise ValueError("grid mismatch")
-    diff = a.values - b.values
-    return float(np.sqrt(np.mean(diff * diff)))
-
-
 def pairwise_wasserstein(x, y=None) -> np.ndarray:
     """Distances between the rows of x and of y (default: x itself).
 

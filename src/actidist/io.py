@@ -416,13 +416,6 @@ def write_summary_csv(path, subject_ids, mixed: list, tacs) -> None:
     write_rows(path, ["subject_id", "p_inactive", "tac_per_day"], rows)
 
 
-def write_distance_matrix_csv(path, subject_ids, matrix: np.ndarray) -> None:
-    """Square subject-by-subject distance matrix."""
-    ids = _checked_ids(subject_ids, {"matrix rows": matrix})
-    rows = ([sid, *row.tolist()] for sid, row in zip(ids, matrix))
-    write_rows(path, ["subject_id", *ids], rows)
-
-
 def write_frechet_summary_csv(path, summaries: dict) -> None:
     """Per-group Frechet curves: (group, t, mean, sd) rows."""
     rows = itertools.chain.from_iterable(

@@ -23,13 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .distribution import _SQRT_2PI, _cohort_matrix, _real
+from .distribution import _cohort_matrix, _real
 from .survey import check_weights, median_heuristic_sigma_from_matrix
 
 # a predictor's kind by the number of axes of its matrix
 _KINDS = {2: "grid", 1: "scalar"}
 
 MODEL_FORMAT_VERSION = 1
+
+_SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
 def _check_kernel(sigma: float, lam=0.0) -> None:
@@ -181,17 +183,17 @@ def nw_loo(sample: SurveySample, bandwidth: float) -> np.ndarray:
 
 def _tuning_grid(values, name: str) -> np.ndarray:
     """A bandwidth or penalty grid as a sorted float array; rejects a grid
-    that is not 1-d or is empty, and any entry that is not positive and
-    finite."""
-    grid = np.asarray(values, dtype=float)
-    if grid.ndim != 1:
+    that is not 1-d or is empty, and any entry that is not a positive finite
+    number, a boolean or a numeric string included, before the conversion
+    to float could read it as one."""
+    entries = np.asarray(values, dtype=object)
+    if entries.ndim != 1:
         raise ValueError(f"{name} grid must be 1-d")
-    grid = np.sort(grid)
-    if grid.size == 0:
+    if entries.size == 0:
         raise ValueError(f"empty {name} grid")
-    if not np.all(np.isfinite(grid) & (grid > 0)):
+    if not all(_real(v) and v > 0 for v in entries.tolist()):
         raise ValueError(f"{name} grid entries must be positive and finite")
-    return grid
+    return np.sort(entries.astype(float))
 
 
 def _least_loo_error(sample: SurveySample, grid, columns,

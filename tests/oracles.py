@@ -57,6 +57,15 @@ def frechet_objective(grids, candidate, weights=None) -> float:
     return float(w @ sq_dist)
 
 
+def wasserstein2(a: QuantileGrid, b: QuantileGrid) -> float:
+    """2-Wasserstein distance of one pair: root mean square gap between
+    quantile values, without the Gram form."""
+    if a.m != b.m:
+        raise ValueError("grid mismatch")
+    diff = a.values - b.values
+    return float(np.sqrt(np.mean(diff * diff)))
+
+
 def broadcast_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise distances through the (n, k, m) broadcast of all differences:
     between the rows of (n, m) and (k, m) grids, or (n,) and (k,) scalars."""

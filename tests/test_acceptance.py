@@ -51,20 +51,20 @@ def uniform_grid(upper, m):
 
 
 def test_criterion_01_wasserstein_closed_form_and_runtime():
-    a = uniform_grid(1.0, 1000)
-    b = uniform_grid(2.0, 1000)
-    from actidist.geometry import wasserstein2
+    a = [uniform_grid(1.0, 1000)]
+    b = [uniform_grid(2.0, 1000)]
+    from actidist.geometry import pairwise_wasserstein
 
-    d = wasserstein2(a, b)
+    d = pairwise_wasserstein(a, b)[0, 0]
     target = math.sqrt(1.0 / 3.0)
     assert d == pytest.approx(target, abs=1e-3)
 
     for _ in range(10):  # warmup
-        wasserstein2(a, b)
+        pairwise_wasserstein(a, b)
     best = math.inf
     for _ in range(50):
         t0 = time.perf_counter()
-        wasserstein2(a, b)
+        pairwise_wasserstein(a, b)
         best = min(best, time.perf_counter() - t0)
     assert best < 1e-3
     print(f"\ncriterion 1 PASS: |d - sqrt(1/3)| = {abs(d - target):.2e}, "
@@ -76,10 +76,10 @@ def test_criterion_02_one_dimensional_ot_oracle():
     x = rng.lognormal(3.0, 1.0, size=50)
     y = rng.gamma(2.0, 40.0, size=50)
     oracle = math.sqrt(np.mean((np.sort(x) - np.sort(y)) ** 2))
-    from actidist.geometry import wasserstein2
+    from actidist.geometry import pairwise_wasserstein
 
     m = 100_000
-    d = wasserstein2(quantiles_from_values(x, m), quantiles_from_values(y, m))
+    d = pairwise_wasserstein([quantiles_from_values(x, m)], [quantiles_from_values(y, m)])[0, 0]
     assert d == pytest.approx(oracle, abs=1e-4)
     print(f"criterion 2 PASS: |grid - sorted-sample oracle| = {abs(d - oracle):.2e}")
 

@@ -4,15 +4,12 @@ import pytest
 from actidist.distribution import (
     ActivitySeries,
     CensorSpec,
-    DensityCurve,
     MixedDistribution,
     NO_CENSOR,
     QuantileGrid,
     build_mixed,
     inactive_proportion,
-    kde_active,
     quantiles_from_values,
-    silverman_bandwidth,
     tac_per_day,
 )
 from oracles import censor_series, empirical_quantiles
@@ -165,65 +162,6 @@ class TestEmpiricalQuantiles:
     def test_whole_float_m_is_an_integer(self):
         got = quantiles_from_values([3.0, 1.0, 2.0], m=4.0).values
         np.testing.assert_array_equal(got, quantiles_from_values([3.0, 1.0, 2.0], 4).values)
-
-
-class TestSilvermanBandwidth:
-    def test_hand_example(self):
-        # sd = 1.5811388, IQR = 2, 5^(-1/5) = 0.7247797
-        assert silverman_bandwidth([1, 2, 3, 4, 5]) == pytest.approx(
-            0.9735846228506357, abs=1e-12)
-
-    def test_scale_equivariance(self):
-        x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        h = silverman_bandwidth(x)
-        assert silverman_bandwidth(4.0 * x) == pytest.approx(4.0 * h, rel=1e-12)
-
-    def test_degenerate_sample(self):
-        with pytest.raises(ValueError, match="degenerate active sample"):
-            silverman_bandwidth([1.0, 1.0, 1.0])
-
-    def test_zero_iqr_falls_back_to_sd(self):
-        h = silverman_bandwidth([5.0] * 8 + [100.0])
-        assert h > 0
-
-
-class TestKdeActive:
-    def test_single_active_reading(self):
-        # p_inactive = 0.5, one active value at 10, h = 1
-        curve = kde_active(series([0.0, 10.0]), bandwidth=1.0,
-                           eval_points=np.array([10.0, 11.0]))
-        assert curve.ordinates[0] == pytest.approx(0.5 / np.sqrt(2 * np.pi))
-
-    def test_mass_matches_active_fraction(self):
-        rng = np.random.default_rng(5)
-        readings = np.where(rng.random(400) < 0.3, 0.0, rng.normal(300, 40, 400))
-        readings = np.clip(readings, 0, None)
-        s = series(readings)
-        curve = kde_active(s, eval_points=4096)
-        assert curve.mass() == pytest.approx(1 - inactive_proportion(s), abs=1e-3)
-
-    def test_depends_only_on_reading_multiset(self):
-        rng = np.random.default_rng(6)
-        readings = rng.gamma(2, 100, size=60)
-        perm = rng.permutation(60)
-        a = kde_active(series(readings), eval_points=128)
-        b = kde_active(series(readings[perm]), eval_points=128)
-        np.testing.assert_allclose(a.ordinates, b.ordinates, rtol=1e-12)
-
-    def test_all_inactive_rejected(self):
-        with pytest.raises(ValueError, match="all readings inactive"):
-            kde_active(series([0.0, 0.0]))
-
-    def test_degenerate_active_sample_warns(self):
-        with pytest.warns(UserWarning, match="degenerate"):
-            kde_active(series([0.0, 5.0, 5.0]))
-
-    @pytest.mark.parametrize("bandwidth", [np.inf, True], ids=["inf", "bool"])
-    def test_bandwidth_that_is_no_finite_number_rejected(self, bandwidth):
-        with pytest.raises(ValueError, match="bandwidth must be positive"):
-            kde_active(series([0.0, 10.0]), bandwidth=bandwidth)
-        with pytest.raises(ValueError, match="bandwidth must be positive"):
-            DensityCurve([1.0, 2.0], [0.5, 0.5], bandwidth)
 
 
 class TestMixedDistribution:

@@ -321,16 +321,6 @@ class TestReaders:
                 reader(path)
             assert str(caught.value) == f"{path}: line 6: {message}"
 
-    def test_distance_matrix_emitter(self, tmp_path):
-        from actidist.geometry import pairwise_wasserstein
-
-        grids = [QuantileGrid(np.full(4, 0.0)), QuantileGrid(np.full(4, 3.0))]
-        path = tmp_path / "dist.csv"
-        io.write_distance_matrix_csv(path, ["a", "b"], pairwise_wasserstein(grids))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "subject_id,a,b"
-        assert lines[1].split(",") == ["a", "0.0", "3.0"]
-
     def test_frechet_summary_writer_matches_csv_writer(self, tmp_path):
         from actidist.geometry import FrechetSummary, summarize
 
@@ -355,12 +345,10 @@ class TestReaders:
         (lambda path, ids: io.write_summary_csv(
             path, ids, [build_mixed(ActivitySeries("x", [0.0, 1.0], [0.0, 2.0]))] * 2, [1.0]),
          3, "3 subject ids but 2 distributions and 1 tac values"),
-        (lambda path, ids: io.write_distance_matrix_csv(path, ids, np.zeros((2, 2))), 1,
-         "1 subject ids but 2 matrix rows"),
         (lambda path, ids: io.write_ground_truth_csv(
             path, {"age": 70.0}, [ActivitySeries(i, [0.0, 1.0], [0.0, 2.0]) for i in ids],
             np.array([0.5])), 2, "2 subject ids but 1 pi values"),
-    ], ids=["quantile_short", "quantile_long", "summary", "distance_matrix", "ground_truth"])
+    ], ids=["quantile_short", "quantile_long", "summary", "ground_truth"])
     def test_ids_and_rows_of_other_lengths_write_nothing(self, tmp_path, write, n_ids,
                                                          message):
         path = tmp_path / "t.csv"
@@ -1599,10 +1587,12 @@ class TestOptionTable:
 
 
 # actidist.__all__ as it was when the package imported every module eagerly,
-# less the removed NwConfig, and censor_series, empirical_quantiles and
-# gaussian_kernel, which only tests called and which live in tests/oracles.py
+# less the removed NwConfig; censor_series, empirical_quantiles,
+# gaussian_kernel and wasserstein2, which live in tests/oracles.py; and
+# kde_active, silverman_bandwidth and DensityCurve, whose result demo 01 now
+# computes itself
 EXPORTED = [
-    "ActivitySeries", "CensorSpec", "ClassificationOutcome", "DensityCurve",
+    "ActivitySeries", "CensorSpec", "ClassificationOutcome",
     "FrechetSummary", "IntensityLaw", "KrrModel", "MixedDistribution", "NO_CENSOR",
     "PoissonDesign", "PopulationSpec", "QuantileGrid", "R2Comparison",
     "RISK_GROUP_A", "RISK_GROUP_B", "ResponseModel", "StratifiedDesign", "StratumSpec",
@@ -1610,12 +1600,12 @@ EXPORTED = [
     "classify_mortality", "compare_r2", "datagen", "distance_quantile_grid",
     "distribution", "draw_sample", "evaluation", "frechet_mean",
     "frechet_variance", "geometry", "group_profiles", "ht_mean",
-    "inactive_proportion", "inclusion_probabilities", "kde_active", "krr_fit", "krr_loo",
+    "inactive_proportion", "inclusion_probabilities", "krr_fit", "krr_loo",
     "krr_predict", "krr_predict_batch", "krr_select_lambda", "laplacian_kernel",
     "load_model", "median_heuristic_sigma_from_matrix", "nw_loo", "nw_predict",
     "nw_select_bandwidth", "pairwise_wasserstein", "pointwise_sd_curve",
-    "quantiles_from_values", "regression", "save_model", "silverman_bandwidth",
+    "quantiles_from_values", "regression", "save_model",
     "simulate_population", "stratify_age", "summarize", "survey",
-    "survey_sample_from_subjects", "tac_per_day", "wasserstein2", "weighted_auc",
+    "survey_sample_from_subjects", "tac_per_day", "weighted_auc",
     "weighted_median", "weighted_r2",
 ]

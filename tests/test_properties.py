@@ -21,8 +21,8 @@ from actidist.distribution import (
 from actidist.geometry import (
     frechet_mean,
     frechet_variance,
+    pairwise_wasserstein,
     pointwise_sd_curve,
-    wasserstein2,
 )
 from actidist.regression import (
     SurveySample,
@@ -173,10 +173,10 @@ class TestGeometryProperties:
     @common
     @given(grid_cohort(min_n=3, max_n=3))
     def test_metric_axioms(self, grids):
-        a, b, c = grids
-        assert wasserstein2(a, a) == 0.0
-        assert wasserstein2(a, b) == wasserstein2(b, a)
-        assert wasserstein2(a, c) <= wasserstein2(a, b) + wasserstein2(b, c) + 1e-12
+        d = pairwise_wasserstein(grids)
+        np.testing.assert_array_equal(np.diag(d), 0.0)
+        np.testing.assert_array_equal(d, d.T)
+        assert d[0, 2] <= d[0, 1] + d[1, 2] + 1e-12
 
 
 class TestKrrProperties:

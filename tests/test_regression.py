@@ -823,6 +823,18 @@ class TestTuningSweeps:
                            match="bandwidth grid entries must be positive and finite"):
             nw_select_bandwidth(s, grid)
 
+    @pytest.mark.parametrize("select, name", [
+        (lambda s, grid: krr_select_lambda(s, 1.0, grid), "lambda"),
+        (nw_select_bandwidth, "bandwidth"),
+    ], ids=["lambda", "bandwidth"])
+    @pytest.mark.parametrize("grid", [[True], [2.0, True], np.array([True]), ["0.5"]],
+                             ids=["bool", "float_and_bool", "bool_array", "text"])
+    def test_grid_entry_that_is_no_number_rejected(self, select, name, grid):
+        # float() reads each of these as a positive number
+        s = scalar_sample(np.random.default_rng(52), 8)
+        with pytest.raises(ValueError, match=f"{name} grid entries must be positive and finite"):
+            select(s, grid)
+
     def test_grid_not_1d_rejected(self):
         s = scalar_sample(np.random.default_rng(51), 8)
         with pytest.raises(ValueError, match="lambda grid must be 1-d"):
