@@ -161,6 +161,7 @@ def cmd_regress(args) -> int:
     cfg = _merged(args, "regress")
     if not cfg["responses"]:
         raise ValueError("no response columns requested")
+    io.check_unique(cfg["responses"], "repeated response")
 
     ids, x, weights, covariates = _read_regression_inputs(args)
     tac = _tac_values(args, ids, x)

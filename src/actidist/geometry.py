@@ -9,7 +9,6 @@ checks it by distribution._cohort_matrix.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +27,11 @@ class FrechetSummary:
     total_weight: float = 1.0
 
 
-def _normalized_weights(weights, n: int) -> np.ndarray:
-    w = check_weights(weights, n)
-    return w / w.sum()
+def _weighted_cohort(grids, weights) -> tuple[np.ndarray, np.ndarray]:
+    """The checked cohort matrix and its normalized weights."""
+    values = _cohort_matrix(grids, scalars=False)
+    w = check_weights(weights, len(values))
+    return values, w / w.sum()
 
 
 def pairwise_wasserstein(x, y=None) -> np.ndarray:
@@ -78,56 +79,39 @@ def frechet_mean(grids, weights=None) -> QuantileGrid:
     A convex combination of nondecreasing functions is nondecreasing, so the
     result is always a valid quantile grid.
     """
-    values = _cohort_matrix(grids, scalars=False)
-    w = _normalized_weights(weights, values.shape[0])
+    values, w = _weighted_cohort(grids, weights)
     return QuantileGrid(values=w @ values)
 
 
-def _sq_deviation_curve(grids, mean: QuantileGrid, weights) -> np.ndarray:
-    """Per-grid-point mean squared deviation from `mean`: with normalized
-    weights, or with the 1/(n-1) divisor for an unweighted cohort."""
-    values = _cohort_matrix(grids, scalars=False)
-    n = values.shape[0]
+def _sq_deviation_curve(values: np.ndarray, w: np.ndarray, mean: QuantileGrid) -> np.ndarray:
+    """Per-grid-point squared deviation of a checked cohort matrix from
+    `mean`, averaged with normalized weights w."""
     if mean.m != values.shape[1]:
         raise ValueError("grid mismatch")
-    sq = (values - mean.values) ** 2
-    if weights is not None:
-        return _normalized_weights(weights, n) @ sq
-    if n < 2:
-        raise ValueError("variance undefined")
-    return sq.sum(axis=0) / (n - 1)
+    return w @ (values - mean.values) ** 2
 
 
 def frechet_variance(grids, mean: QuantileGrid, weights=None) -> float:
-    """Dispersion around the Frechet mean in squared Wasserstein distance.
-
-    Unweighted cohorts use the small-sample 1/(n-1) divisor; weighted cohorts
-    average the squared distances with normalized weights. It is the
-    midpoint-rule integral over t of the squared pointwise sd curve.
-    """
-    return float(np.mean(_sq_deviation_curve(grids, mean, weights)))
+    """Squared Wasserstein distances to the Frechet mean, averaged with
+    normalized weights (unit weights by default): the midpoint-rule integral
+    over t of the squared pointwise sd curve."""
+    return float(np.mean(_sq_deviation_curve(*_weighted_cohort(grids, weights), mean)))
 
 
 def pointwise_sd_curve(grids, mean: QuantileGrid, weights=None) -> np.ndarray:
     """Per-grid-point (weighted) standard deviation of quantile values, with
-    the divisor of frechet_variance."""
-    return np.sqrt(_sq_deviation_curve(grids, mean, weights))
+    the weights of frechet_variance."""
+    return np.sqrt(_sq_deviation_curve(*_weighted_cohort(grids, weights), mean))
 
 
 def summarize(grids, weights=None) -> FrechetSummary:
-    """Frechet mean, variance, and pointwise sd of a cohort in one pass.
-
-    Single-grid cohorts get zero variance rather than the undefined n-1
-    divisor; that case only arises for degenerate groups, which callers
-    already warn about.
-    """
+    """Frechet mean, variance, and pointwise sd of a cohort in one pass;
+    total_weight is the weights' sum, n for unit weights."""
     values = _cohort_matrix(grids, scalars=False)
-    mean = frechet_mean(values, weights)
-    if weights is None and len(values) < 2:
-        curve = np.zeros(mean.m)
-        warnings.warn("single-grid cohort; variance set to 0", stacklevel=2)
-    else:
-        curve = _sq_deviation_curve(values, mean, weights)
-    total = float(len(values)) if weights is None else float(np.sum(weights))
+    w = check_weights(weights, len(values))
+    total = float(w.sum())
+    w = w / total
+    mean = QuantileGrid(values=w @ values)
+    curve = _sq_deviation_curve(values, w, mean)
     return FrechetSummary(mean=mean, variance=float(np.mean(curve)),
                           pointwise_sd=np.sqrt(curve), total_weight=total)

@@ -7,6 +7,7 @@ round-trip formatting so reruns on identical inputs are byte-identical.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
 import functools
@@ -262,11 +263,26 @@ def _parse_covariate(text: str):
     return int(value) if _whole(value) and "." not in text else value
 
 
+def check_unique(names, what: str) -> None:
+    """Raise InputValidationError "<what> 'name', ..." naming each repeated
+    name; empty names, such as a spreadsheet's trailing columns, name nothing."""
+    repeated = sorted(n for n, count in collections.Counter(names).items() if n and count > 1)
+    if repeated:
+        raise InputValidationError(f"{what} {', '.join(map(repr, repeated))}")
+
+
+def _read_named_columns(path, needed: tuple, parse_row) -> dict:
+    """_read_rows of a table whose fields parse_row looks up by column name:
+    the header names each of `needed`, and none twice, as the last would win."""
+    def header_ok(header) -> bool:
+        check_unique(header or [], f"{path}: repeated column")
+        return header is not None and set(needed) <= set(header)
+    return _read_rows(path, header_ok, f"expected columns {', '.join(needed)}", parse_row)
+
+
 def read_subjects_csv(path) -> dict:
     """Subject metadata keyed by id: (survey_weight, covariates)."""
-    needed = {"subject_id", "survey_weight"}
-    return _read_rows(path, lambda header: header is not None and needed <= set(header),
-                      "expected columns subject_id and survey_weight", _subject_row)
+    return _read_named_columns(path, ("subject_id", "survey_weight"), _subject_row)
 
 
 def _subject_row(header, row):
@@ -318,9 +334,7 @@ def load_series(readings_path, subjects_path) -> list:
 
 def read_summary_csv(path) -> dict:
     """Read a distribution summary back as {subject_id: (p_inactive, tac)}."""
-    needed = {"subject_id", "p_inactive", "tac_per_day"}
-    return _read_rows(path, lambda header: header is not None and needed <= set(header),
-                      "not a summary table", _summary_row)
+    return _read_named_columns(path, ("subject_id", "p_inactive", "tac_per_day"), _summary_row)
 
 
 def _summary_row(header, row):

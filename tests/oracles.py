@@ -17,7 +17,6 @@ from actidist.distribution import (
     _clamped,
     quantiles_from_values,
 )
-from actidist.geometry import _normalized_weights
 from actidist.io import InputValidationError
 from actidist.regression import (
     SurveySample,
@@ -27,7 +26,7 @@ from actidist.regression import (
     krr_predict_batch,
     laplacian_kernel,
 )
-from actidist.survey import weighted_median
+from actidist.survey import check_weights, weighted_median
 
 
 def censor_series(series: ActivitySeries, censor: CensorSpec) -> ActivitySeries:
@@ -52,9 +51,9 @@ def frechet_objective(grids, candidate, weights=None) -> float:
     values = np.stack([g.values for g in grids])
     if candidate.m != values.shape[1]:
         raise ValueError("grid mismatch")
-    w = _normalized_weights(weights, values.shape[0])
+    w = check_weights(weights, values.shape[0])
     sq_dist = np.mean((values - candidate.values) ** 2, axis=1)
-    return float(w @ sq_dist)
+    return float((w / w.sum()) @ sq_dist)
 
 
 def wasserstein2(a: QuantileGrid, b: QuantileGrid) -> float:

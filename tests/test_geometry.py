@@ -154,8 +154,8 @@ class TestFrechetVariance:
     def test_two_point_masses_unweighted(self):
         grids = [point_mass(0), point_mass(4)]
         mean = frechet_mean(grids)
-        # squared distances to the mean are 4 and 4; divisor n - 1 = 1
-        assert frechet_variance(grids, mean) == 8.0
+        # squared distances to the mean are 4 and 4, each of weight 1/2
+        assert frechet_variance(grids, mean) == 4.0
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(5)
@@ -166,10 +166,14 @@ class TestFrechetVariance:
         assert frechet_variance(shifted, shifted_mean) == pytest.approx(
             frechet_variance(grids, mean), rel=1e-12)
 
-    def test_undefined_for_single_unweighted(self):
+    def test_single_unweighted_grid_has_zero_dispersion(self):
         g = point_mass(1.0)
-        with pytest.raises(ValueError, match="variance undefined"):
-            frechet_variance([g], g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert frechet_variance([g], g) == 0.0
+            assert np.all(pointwise_sd_curve([g], g) == 0.0)
+            summary = summarize([g])
+        assert summary.variance == 0.0 and np.all(summary.pointwise_sd == 0.0)
 
 
 class TestPointwiseSd:
@@ -180,7 +184,7 @@ class TestPointwiseSd:
     def test_two_point_masses(self):
         grids = [point_mass(0), point_mass(4)]
         sd = pointwise_sd_curve(grids, frechet_mean(grids))
-        np.testing.assert_allclose(sd, np.sqrt(8.0))
+        np.testing.assert_allclose(sd, 2.0)
 
     def test_integral_identity(self):
         rng = np.random.default_rng(6)
@@ -223,6 +227,29 @@ class TestSummarize:
                                       frechet_mean(grids, w).values)
         assert summary.variance == frechet_variance(grids, summary.mean, w)
         assert summary.total_weight == pytest.approx(w.sum())
+
+
+def summary_fields(summary):
+    return summary.mean.values, summary.variance, summary.pointwise_sd, summary.total_weight
+
+
+# every Frechet function, called on cohort x with weights w, as a tuple of
+# its result's fields
+FRECHET_FUNCTIONS = {
+    "frechet_mean": lambda x, w: (frechet_mean(x, w).values,),
+    "frechet_variance": lambda x, w: (frechet_variance(x, QuantileGrid(x[0]), w),),
+    "pointwise_sd_curve": lambda x, w: (pointwise_sd_curve(x, QuantileGrid(x[0]), w),),
+    "summarize": lambda x, w: summary_fields(summarize(x, w)),
+}
+
+
+@pytest.mark.parametrize("function", FRECHET_FUNCTIONS)
+def test_no_weights_are_unit_weights_bit_for_bit(function):
+    x = np.stack([g.values for g in random_grids(np.random.default_rng(11), 7, 20)])
+    got = FRECHET_FUNCTIONS[function](x, None)
+    want = FRECHET_FUNCTIONS[function](x, np.ones(7))
+    assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in want]
+    assert summarize(x).total_weight == 7
 
 
 # a row of each kind that check_quantile_rows rejects, added to two good rows

@@ -176,6 +176,33 @@ class TestReaders:
                            match=rf"summary\.csv: line 4: {message}"):
             io.read_summary_csv(path)
 
+    @pytest.mark.parametrize("reader, header, row, column", [
+        (io.read_subjects_csv, "subject_id,survey_weight,age,survey_weight",
+         "a,1.0,70,5.0", "survey_weight"),
+        (io.read_summary_csv, "subject_id,p_inactive,tac_per_day,tac_per_day",
+         "a,0.5,100.0,200.0", "tac_per_day"),
+    ])
+    def test_repeated_column_rejected(self, tmp_path, reader, header, row, column):
+        # read by name, the last of the two columns would win
+        path = tmp_path / "table.csv"
+        path.write_text(f"{header}\n{row}\n")
+        with pytest.raises(io.InputValidationError) as caught:
+            reader(path)
+        assert str(caught.value) == f"{path}: repeated column {column!r}"
+
+    def test_unnamed_trailing_columns_are_no_repeat(self, tmp_path):
+        path = tmp_path / "subjects.csv"
+        path.write_text("subject_id,survey_weight,age,,\na,2.0,70,,\n")
+        assert io.read_subjects_csv(path) == {"a": (2.0, {"age": 70})}
+
+    def test_subjects_written_with_a_survey_weight_covariate_are_refused(self, tmp_path):
+        # the writer repeats the column; read back, the covariate would be the weight
+        path = tmp_path / "subjects.csv"
+        io.write_subjects_csv(path, [ActivitySeries("a", [0.0, 1.0], [0.0, 2.0], 1.0,
+                                                    {"survey_weight": 5.0})])
+        with pytest.raises(io.InputValidationError, match="repeated column 'survey_weight'"):
+            io.read_subjects_csv(path)
+
     def test_quantile_roundtrip(self, tmp_path):
         grids = [QuantileGrid(np.array([0.0, 1.5, 2.0])),
                  QuantileGrid(np.array([1.0, 1.0, 9.25]))]
@@ -662,6 +689,20 @@ class TestRegress:
         assert rc == 2
         assert "summary.csv: line 3: non-finite value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_repeated_response_exits_2_without_output(self, regress_cohort, capsys, given):
+        tmp_path, qpath, spath = regress_cohort
+        config = tmp_path / "repeated.json"
+        config.write_text(json.dumps({"responses": ["response", "age", "response"]}))
+        option = (["--responses", "response,age,response"] if given == "flag"
+                  else ["--config", str(config)])
+        out = tmp_path / "out_repeated"
+        rc = main(["regress", "--input", str(qpath), "--subjects", str(spath),
+                   "--out", str(out), "--save-models", *option])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: repeated response 'response'\n"
+        assert not out.exists()
+
     def test_single_named_response_one_row(self, regress_cohort):
         tmp_path, qpath, spath = regress_cohort
         out = tmp_path / "out4"
@@ -890,6 +931,30 @@ class TestJoinChecks:
                    "--out", str(out)])
         assert rc == 2
         assert "error: subjects file lacks entries for: c" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["build-dist", "regress", "classify"])
+    def test_repeated_subjects_column(self, tmp_path, capsys, command):
+        readings, _ = default_toy(tmp_path)
+        qpath, spath = write_toy_cohort(tmp_path, "mortality,response,survey_weight",
+                                        ["0,0.5,5.0", "1,1.5,5.0", "1,2.0,5.0"])
+        out = tmp_path / "out"
+        rc = main([command, "--input", str(readings if command == "build-dist" else qpath),
+                   "--subjects", str(spath), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {spath}: repeated column 'survey_weight'\n"
+        assert not out.exists()
+
+    def test_repeated_summary_column(self, tmp_path, capsys):
+        qpath, spath = write_toy_cohort(tmp_path, "response", ["0.5", "1.5", "2.0"])
+        summary = tmp_path / "summary.csv"
+        summary.write_text("subject_id,p_inactive,tac_per_day,tac_per_day\n"
+                           "a,0.5,10.0,1.0\nb,0.5,20.0,2.0\nc,0.5,30.0,3.0\n")
+        out = tmp_path / "out"
+        rc = main(["regress", "--input", str(qpath), "--subjects", str(spath),
+                   "--summary", str(summary), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {summary}: repeated column 'tac_per_day'\n"
         assert not out.exists()
 
     def test_padded_ids_join(self, tmp_path):
