@@ -31,24 +31,37 @@ def __getattr__(name: str):
     return getattr(sys.modules[__package__], name)
 
 
-DEFAULTS = {
-    "build-dist": {"m": DEFAULT_GRID_SIZE, "censor_lower": None, "censor_upper": None},
-    # evaluation.DEFAULT_LAMBDA_GRID, written out so that importing the CLI
-    # does not import evaluation; a test keeps the two equal
-    "regress": {"responses": ["response"],
-                "lambda_grid": np.logspace(-4, 2, 13).tolist(),
-                "save_models": False},
-    "classify": {"response": "mortality", "threshold": 0.5, "stratify_age": False},
+# each subcommand's options: name -> (io.FROM_JSON kind, default, flag help).
+# A kind of None takes the value as it is (datagen checks population and
+# design); a help of None marks a key that only the config file sets.
+_OPTIONS = {
+    "build-dist": {
+        "m": ("int", DEFAULT_GRID_SIZE, "quantile grid size"),
+        "censor_lower": ("float", None,
+                         "inactivity cutoff; readings at or below collapse onto it"),
+        "censor_upper": ("float", None, "upper truncation for high-intensity readings")},
+    "regress": {
+        "responses": ("names", ["response"], "comma-separated response column names"),
+        # evaluation.DEFAULT_LAMBDA_GRID, written out so that importing the CLI
+        # does not import evaluation; a test keeps the two equal
+        "lambda_grid": ("floats", np.logspace(-4, 2, 13).tolist(), None),
+        "save_models": ("bool", False, "persist one fitted model per response")},
+    "classify": {
+        "response": ("name", "mortality", "binary response column (default mortality)"),
+        "threshold": ("float", 0.5, "classification threshold"),
+        "stratify_age": ("bool", False, "profile groups by risk group and age stratum")},
     # population and design have no default: the config file must give them
-    "simulate": {"seed": 0, "sample_seed": 1, "population": None, "design": None},
+    "simulate": {"seed": ("int", 0, "population seed override"),
+                 "sample_seed": ("int", 1, "sampling seed override"),
+                 "population": (None, None, None), "design": (None, None, None)},
     "predict": {},
 }
 
-# each option's io.FROM_JSON kind; None takes it as it is (datagen checks population, design)
-_KINDS = {"m": "int", "censor_lower": "float", "censor_upper": "float", "responses": "names",
-          "lambda_grid": "floats", "save_models": "bool", "response": "name",
-          "threshold": "float", "stratify_age": "bool", "seed": "int", "sample_seed": "int",
-          "population": None, "design": None}
+DEFAULTS = {cmd: {key: opt[1] for key, opt in opts.items()} for cmd, opts in _OPTIONS.items()}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 class _RunOutputs:
@@ -84,9 +97,9 @@ class _RunOutputs:
 
 
 def _merged(args, command: str) -> dict:
-    """flag > config file > default, per option; io.FROM_JSON converts each
-    value by its kind, but keeps None where the default is None. An unknown
-    config key, or a value that fails to convert, names the config file."""
+    """flag > config file > default, per option; io.FROM_JSON converts a flag's
+    string and a config value alike, by kind, but keeps None where the default
+    is None. A value that fails names its flag, or the config file and key."""
     merged = dict(DEFAULTS[command])
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -96,14 +109,15 @@ def _merged(args, command: str) -> dict:
             raise ValueError(f"{args.config}: unknown {command} config keys: "
                              f"{', '.join(unknown)}")
         merged.update(config)
-    for key, default in DEFAULTS[command].items():
+    for key, (kind, default, _) in _OPTIONS[command].items():
         flag = getattr(args, key, None)
         value = merged[key] if flag is None else flag
-        convert = io.FROM_JSON[_KINDS[key]] if _KINDS[key] else lambda v: v
+        convert = io.FROM_JSON[kind] if kind else lambda v: v
         try:
             merged[key] = None if value is None and default is None else convert(value)
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"{args.config}: {key}: {exc}") from exc
+            place = f"{args.config}: {key}" if flag is None else _flag(key)
+            raise ValueError(f"{place}: {exc}") from exc
     return merged
 
 
@@ -295,40 +309,25 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", help="JSON config file; flags override it")
 
-    p = sub.add_parser("build-dist", help="raw readings to quantile grids")
-    common(p)
-    p.add_argument("--m", type=int, help="quantile grid size")
-    p.add_argument("--censor-lower", dest="censor_lower", type=float,
-                   help="inactivity cutoff; readings at or below collapse onto it")
-    p.add_argument("--censor-upper", dest="censor_upper", type=float,
-                   help="upper truncation for high-intensity readings")
-
+    common(sub.add_parser("build-dist", help="raw readings to quantile grids"))
     p = sub.add_parser("regress", help="distribution-vs-TAC R-square report")
     common(p)
-    p.add_argument("--responses", help="comma-separated response column names")
     p.add_argument("--summary", help="summary CSV with exact tac_per_day")
-    p.add_argument("--save-models", dest="save_models", action="store_const",
-                   const=True, help="persist one fitted model per response")
-
-    p = sub.add_parser("classify", help="five-year mortality classification")
-    common(p)
-    p.add_argument("--response", help="binary response column (default mortality)")
-    p.add_argument("--threshold", type=float, help="classification threshold")
-    p.add_argument("--stratify-age", dest="stratify_age", action="store_const",
-                   const=True, help="profile groups by risk group and age stratum")
-
+    common(sub.add_parser("classify", help="five-year mortality classification"))
     p = sub.add_parser("simulate", help="synthetic population and survey sample")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", required=True, help="JSON population/design config")
-    p.add_argument("--seed", type=int, help="population seed override")
-    p.add_argument("--sample-seed", dest="sample_seed", type=int,
-                   help="sampling seed override")
-
     p = sub.add_parser("predict", help="score a quantile table with a saved model")
     p.add_argument("--model", required=True, help="model JSON artifact")
     p.add_argument("--input", required=True, help="quantile CSV")
     p.add_argument("--out", required=True, help="output directory")
 
+    # each option's flag: a string for _merged to convert, or a bool's True
+    for command, options in _OPTIONS.items():
+        for name, (kind, _, text) in options.items():
+            if text is not None:
+                store = {"action": "store_const", "const": True} if kind == "bool" else {}
+                sub.choices[command].add_argument(_flag(name), dest=name, help=text, **store)
     return parser
 
 

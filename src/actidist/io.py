@@ -280,9 +280,13 @@ def _read_named_columns(path, needed: tuple, parse_row) -> dict:
     return _read_rows(path, header_ok, f"expected columns {', '.join(needed)}", parse_row)
 
 
+# the subjects table's fixed columns; every other column is a covariate
+_SUBJECT_COLUMNS = ("subject_id", "survey_weight")
+
+
 def read_subjects_csv(path) -> dict:
     """Subject metadata keyed by id: (survey_weight, covariates)."""
-    return _read_named_columns(path, ("subject_id", "survey_weight"), _subject_row)
+    return _read_named_columns(path, _SUBJECT_COLUMNS, _subject_row)
 
 
 def _subject_row(header, row):
@@ -299,7 +303,7 @@ def _subject_row(header, row):
     covariates = {
         key: _parse_covariate(val)
         for key, val in fields.items()
-        if key not in ("subject_id", "survey_weight") and val not in (None, "")
+        if key not in _SUBJECT_COLUMNS and val not in (None, "")
     }
     return sid, (weight, covariates)
 
@@ -440,13 +444,16 @@ def write_frechet_summary_csv(path, summaries: dict) -> None:
 
 
 def write_subjects_csv(path, subjects) -> None:
-    """Subject metadata table; covariate columns follow the common schema."""
+    """Subject metadata table; covariate columns follow the common schema.
+    Refuses, before it opens the file, a covariate named as a fixed column."""
     names: list = []
     for s in subjects:
         for key in s.covariates:
             if key not in names:
+                if key in _SUBJECT_COLUMNS:
+                    raise ValueError(f"covariate {key!r} would repeat a subjects table column")
                 names.append(key)
-    header = ["subject_id", "survey_weight"] + names
+    header = [*_SUBJECT_COLUMNS, *names]
     rows = (
         [s.subject_id, s.survey_weight] + [s.covariates.get(k, "") for k in names]
         for s in subjects

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -196,12 +197,14 @@ class TestReaders:
         assert io.read_subjects_csv(path) == {"a": (2.0, {"age": 70})}
 
     def test_subjects_written_with_a_survey_weight_covariate_are_refused(self, tmp_path):
-        # the writer repeats the column; read back, the covariate would be the weight
+        # as a column, the covariate would repeat a fixed one, which the reader refuses
         path = tmp_path / "subjects.csv"
-        io.write_subjects_csv(path, [ActivitySeries("a", [0.0, 1.0], [0.0, 2.0], 1.0,
-                                                    {"survey_weight": 5.0})])
-        with pytest.raises(io.InputValidationError, match="repeated column 'survey_weight'"):
-            io.read_subjects_csv(path)
+        for name in ("survey_weight", "subject_id"):
+            subjects = [ActivitySeries("a", [0.0, 1.0], [0.0, 2.0], 1.0, {"age": 70}),
+                        ActivitySeries("b", [0.0, 1.0], [0.0, 2.0], 1.0, {name: 5.0})]
+            with pytest.raises(ValueError, match=f"covariate '{name}' would repeat"):
+                io.write_subjects_csv(path, subjects)
+            assert not path.exists()
 
     def test_quantile_roundtrip(self, tmp_path):
         grids = [QuantileGrid(np.array([0.0, 1.5, 2.0])),
@@ -741,6 +744,26 @@ class TestRegress:
         assert len(lines) == len(ids) + 1
         got = np.array([float(l.split(",")[1]) for l in lines[1:]])
         np.testing.assert_allclose(got, expected, rtol=1e-15)
+
+    def test_shared_training_matrix_encoded_once(self, regress_cohort, monkeypatch):
+        from actidist import regression
+        encoded = []
+
+        def counting(value):
+            if isinstance(value, list):  # the training matrix's rows
+                encoded.append(len(value))
+            return json.dumps(value)
+
+        tmp_path, qpath, spath = regress_cohort
+        out = tmp_path / "out_encoded"
+        monkeypatch.setattr(regression, "json", SimpleNamespace(dumps=counting))
+        rc = main(["regress", "--input", str(qpath), "--subjects", str(spath),
+                   "--out", str(out), "--responses", "response,age", "--save-models"])
+        assert rc == 0
+        assert encoded == [len(io.read_quantile_csv(qpath)[0])]
+        models = [json.loads((out / f"model_{name}.json").read_text(encoding="utf-8"))
+                  for name in ("response", "age")]
+        assert models[0]["training_matrix"] == models[1]["training_matrix"]
 
     def test_predict_over_long_id_exits_2(self, tmp_path, capsys):
         x = np.array([[0.0, 1.0], [1.0, 3.0], [2.0, 2.5]])
@@ -1595,6 +1618,19 @@ PRINTED_DEFAULTS = """{
 """
 
 
+# a flag value of each option kind that io.FROM_JSON reads, and one it
+# refuses; a bool flag takes no value
+FLAG_VALUES = {"int": ("7", "2.5"), "float": ("0.25", "low"), "name": ("died", None),
+               "names": ("a, b", None), "bool": (None, None)}
+
+
+def parsed(command: str, config: Path, *flags: str) -> argparse.Namespace:
+    """The parsed command line of `command`, whose file arguments need not exist."""
+    files = ["--out", "o"] if command == "simulate" else [
+        "--input", "i", "--subjects", "s", "--out", "o"]
+    return cli._build_parser().parse_args([command, *files, "--config", str(config), *flags])
+
+
 class TestOptionTable:
     """The parser's flags, the DEFAULTS table and the config values' types."""
 
@@ -1612,8 +1648,42 @@ class TestOptionTable:
             keys = set(cli.DEFAULTS[command])
             assert dests - files <= keys, command
             assert keys - {"lambda_grid", "population", "design"} <= dests, command
-        # every option has a kind, so none skips the conversion in _merged
-        assert set(cli._KINDS) == {key for options in cli.DEFAULTS.values() for key in options}
+
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command, options in cli._OPTIONS.items()
+        for key, (_, _, text) in options.items() if text is not None])
+    def test_flag_and_config_values_convert_alike(self, tmp_path, command, key):
+        valid, invalid = FLAG_VALUES[cli._OPTIONS[command][key][0]]
+        flag = "--" + key.replace("_", "-")
+        empty, config = tmp_path / "empty.json", tmp_path / "cfg.json"
+        empty.write_text("{}")
+        by_flag = parsed(command, empty, flag, *[valid] * (valid is not None))
+        merged = cli._merged(by_flag, command)
+        assert repr(merged[key]) != repr(cli.DEFAULTS[command][key])
+        # the config file gives the value that the parser stored for the flag
+        config.write_text(json.dumps({key: getattr(by_flag, key)}))
+        assert repr(cli._merged(parsed(command, config), command)) == repr(merged)
+        if invalid is None:
+            return
+        config.write_text(json.dumps({key: invalid}))
+        messages = []
+        for args, place in ((parsed(command, config), f"{config}: {key}: "),
+                            (parsed(command, empty, flag, invalid), f"{flag}: ")):
+            with pytest.raises(ValueError) as exc:
+                cli._merged(args, command)
+            assert str(exc.value).startswith(place)
+            messages.append(str(exc.value)[len(place):])
+        assert messages[0] == messages[1]
+
+    def test_bad_flag_value_names_the_flag(self, tmp_path, capsys):
+        readings, subjects = default_toy(tmp_path)
+        out = tmp_path / "out"
+        rc = main(["build-dist", "--input", str(readings), "--subjects", str(subjects),
+                   "--out", str(out), "--m", "2.5"])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "error: --m: invalid literal for int() with base 10: '2.5'\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, key, value, message", [
         ("build-dist", "m", 2.9, "expected an integer, got 2.9"),
