@@ -104,6 +104,8 @@ def _merged(args, command: str) -> dict:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError(f"{args.config}: a config file must hold one JSON object")
         unknown = sorted(set(config) - set(merged))
         if unknown:
             raise ValueError(f"{args.config}: unknown {command} config keys: "
@@ -170,7 +172,7 @@ def _tac_values(args, ids, x) -> np.ndarray:
 
 def cmd_regress(args) -> int:
     from .evaluation import compare_r2
-    from .regression import SurveySample, krr_fit, save_models
+    from .regression import SurveySample, krr_fit, save_model
 
     cfg = _merged(args, "regress")
     if not cfg["responses"]:
@@ -186,7 +188,7 @@ def cmd_regress(args) -> int:
     tac_base = SurveySample(tac, np.zeros(len(ids)), weights)
 
     with _RunOutputs(Path(args.out)) as out:
-        report_rows, models = [], []
+        report_rows = []
         for name in cfg["responses"]:
             y = _numeric_column(ids, covariates, name, "response")
             dist_sample = dist_base.with_responses(y)
@@ -199,11 +201,9 @@ def cmd_regress(args) -> int:
                 result.distribution.sigma, result.tac.sigma,
             ])
             if cfg["save_models"]:
-                model = krr_fit(dist_sample, result.distribution.lam,
-                                sigma=result.distribution.sigma)
-                models.append((model, out.path(f"model_{name}.json")))
-        # the responses' models share one training matrix, encoded once
-        save_models(models)
+                save_model(krr_fit(dist_sample, result.distribution.lam,
+                                   sigma=result.distribution.sigma),
+                           out.path(f"model_{name}.json"))
         io.write_rows(
             out.path("report.csv"),
             ["response", "r2_distribution", "r2_tac", "lambda_distribution",
@@ -354,7 +354,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # json's and io's input errors are ValueErrors too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -51,6 +51,8 @@ class IntensityLaw:
             raise ValueError(f"{self.kind} takes {n} params, got {len(self.params)}")
         if not (all(map(_real, self.params)) and obeys(*self.params)):
             raise ValueError(f"{self.kind} params must be finite numbers with {rule}")
+        # numpy takes a Python int beyond int64 as an object, not a number
+        object.__setattr__(self, "params", tuple(map(float, self.params)))
 
 
 @dataclass(frozen=True)
@@ -116,6 +118,9 @@ class PopulationSpec:
                 raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
             # numpy takes only an int as a slice bound, a length or a seed
             object.__setattr__(self, name, int(value))
+        # _allocate counts the subjects in int64
+        if self.size > np.iinfo(np.int64).max:
+            raise ValueError(f"size must fit in int64, got {self.size}")
         props = [s.proportion for s in self.strata]
         if not (props and all(_real(p) and p >= 0 for p in props)
                 and abs(sum(props) - 1.0) <= 1e-9):

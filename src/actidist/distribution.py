@@ -22,9 +22,12 @@ DEFAULT_GRID_SIZE = 500
 
 
 def _real(value) -> bool:
-    """A finite real number; a boolean is none."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+    """A finite real number that a float can hold; a boolean is none."""
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an int beyond a float's range
+        return False
 
 
 def _whole(value) -> bool:

@@ -32,7 +32,10 @@ def _json_value(types: tuple, expected: str, convert=lambda v: v):
     def from_json(value):
         if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
             raise TypeError(f"expected {expected}, got {json.dumps(value)}")
-        return convert(value)
+        try:
+            return convert(value)
+        except OverflowError as exc:  # float() of an int beyond a float's range
+            raise ValueError(exc) from None
     return from_json
 
 

@@ -16,6 +16,7 @@ distance; scalar predictors use the absolute difference.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import warnings
 from dataclasses import dataclass
@@ -421,20 +422,18 @@ def krr_select_lambda(sample: SurveySample, sigma: float,
                             "no lambda in the grid gives a finite leave-one-out error")
 
 
-def save_models(pairs) -> None:
-    """Persist (model, path) pairs with save_model; a training matrix that
-    several models share is encoded to JSON once."""
-    matrix_texts: dict = {}
-    for model, path in pairs:
-        save_model(model, path, matrix_texts)
+@functools.lru_cache(maxsize=1)
+def _matrix_json(shape: tuple, data: bytes) -> str:
+    """The JSON text of a float matrix given by its shape and bytes. The
+    models of one regress run share their training matrix, so the last text
+    is kept: equal bytes share it, and -0.0 and 0.0 do not."""
+    return json.dumps(np.frombuffer(data).reshape(shape).tolist())
 
 
-def save_model(model: KrrModel, path, matrix_texts=None) -> None:
+def save_model(model: KrrModel, path) -> None:
     """Persist a fitted model as a self-describing JSON text artifact.
 
     The file is json.dumps of the payload, with the training matrix last.
-    matrix_texts, a dict that save_models keeps across its calls, maps each
-    training matrix already encoded (keyed by shape and bytes) to its text.
     """
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
@@ -444,13 +443,10 @@ def save_model(model: KrrModel, path, matrix_texts=None) -> None:
         "lambda": model.lam,
         "alpha": model.alpha.tolist(),
     }
-    texts = {} if matrix_texts is None else matrix_texts
     matrix = model.training_matrix
-    key = (matrix.shape, matrix.tobytes())
-    if key not in texts:
-        texts[key] = json.dumps(matrix.tolist())
+    text = _matrix_json(matrix.shape, matrix.tobytes())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload)[:-1] + ', "training_matrix": ' + texts[key] + "}")
+        fh.write(json.dumps(payload)[:-1] + ', "training_matrix": ' + text + "}")
 
 
 def load_model(path) -> KrrModel:

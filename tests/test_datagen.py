@@ -116,6 +116,15 @@ class TestSimulatePopulation:
         assert [type(v) for v in (spec.size, spec.minutes, spec.seed)] == [int] * 3
         assert len(simulate_population(spec)[0]) == 4
 
+    def test_params_are_held_as_floats(self):
+        # numpy would take 2**70 as an object and np.sqrt of it would fail
+        law = IntensityLaw("gamma", (2 ** 70, 1e-20))
+        assert law.params == (2.0 ** 70, 1e-20)
+        assert all(type(p) is float for p in law.params)
+        stratum = StratumSpec("a", 1.0, (0.0, 0.0), law, response=ResponseModel("spread"))
+        pop, _ = simulate_population(PopulationSpec(size=1, strata=(stratum,), minutes=3))
+        assert pop[0].covariates["response"] == 2.0 ** 35 * 1e-20
+
     @pytest.mark.parametrize("value", [True, 2.5])
     def test_poisson_expected_n_is_a_whole_number(self, value):
         with pytest.raises(ValueError, match="expected_n must be a whole number"):
@@ -246,6 +255,11 @@ class TestDesigns:
             # few seeds to hit one deterministically
             for seed in range(50):
                 draw_sample(subjects, design, seed=seed)
+
+    def test_unknown_design_type_rejected(self):
+        subjects, _ = simulate_population(single_stratum_spec(size=3, seed=15))
+        with pytest.raises(TypeError, match="unknown design dict"):
+            inclusion_probabilities(subjects, {"kind": "stratified"})
 
     def test_missing_stratum_fraction_rejected(self):
         subjects, _ = simulate_population(single_stratum_spec(size=10, seed=14))

@@ -29,6 +29,14 @@ class TestActivitySeries:
         with pytest.raises(ValueError):
             series([1.0, -2.0])
 
+    @pytest.mark.parametrize("timestamps, readings", [
+        ([0.0, 1.0], [1.0, 2.0, 3.0]),
+        ([[0.0, 1.0]], [[1.0, 2.0]]),
+    ], ids=["misaligned", "two_axes"])
+    def test_timestamps_and_readings_must_be_aligned_1d(self, timestamps, readings):
+        with pytest.raises(ValueError, match="timestamps and readings must be 1-d and aligned"):
+            ActivitySeries("s", np.array(timestamps), np.array(readings))
+
     def test_nonincreasing_timestamps_rejected(self):
         with pytest.raises(ValueError):
             ActivitySeries("s", np.array([0.0, 0.0]), np.array([1.0, 2.0]))
@@ -154,6 +162,10 @@ class TestEmpiricalQuantiles:
         with pytest.raises(ValueError):
             quantiles_from_values([1.0, 2.0], m=1)
 
+    def test_no_values_rejected(self):
+        with pytest.raises(ValueError, match="empty series"):
+            quantiles_from_values([], m=4)
+
     @pytest.mark.parametrize("m", [2.5, np.inf, "4"], ids=["fraction", "inf", "text"])
     def test_m_that_is_no_whole_number_rejected(self, m):
         with pytest.raises(ValueError, match="grid size m must be at least 2"):
@@ -162,6 +174,14 @@ class TestEmpiricalQuantiles:
     def test_whole_float_m_is_an_integer(self):
         got = quantiles_from_values([3.0, 1.0, 2.0], m=4.0).values
         np.testing.assert_array_equal(got, quantiles_from_values([3.0, 1.0, 2.0], 4).values)
+
+
+class TestQuantileGrid:
+    @pytest.mark.parametrize("values", [[], [[0.0, 1.0], [1.0, 2.0]], 3.0],
+                             ids=["empty", "two_axes", "scalar"])
+    def test_values_must_be_a_nonempty_1d_array(self, values):
+        with pytest.raises(ValueError, match="quantile values must be a nonempty 1-d array"):
+            QuantileGrid(values)
 
 
 class TestMixedDistribution:

@@ -123,6 +123,22 @@ class TestCompareR2:
         with pytest.raises(ValueError, match="responses differ"):
             compare_r2(a, b)
 
+    @pytest.mark.parametrize("tac, weights, message", [
+        ([1.0, 2.0, 3.0], None, "samples must cover the same subjects"),
+        ([1.0, 2.0], [1.0, 2.0], "weights differ between samples"),
+    ], ids=["size", "weights"])
+    def test_mismatched_samples_rejected(self, tac, weights, message):
+        grids = [QuantileGrid(np.array([0.0, 1.0])), QuantileGrid(np.array([2.0, 3.0]))]
+        a = SurveySample(grids, np.array([0.0, 1.0]))
+        b = SurveySample(np.array(tac), np.arange(len(tac), dtype=float), weights)
+        with pytest.raises(ValueError, match=message):
+            compare_r2(a, b)
+
+    def test_unknown_predictor_kind_rejected(self):
+        pop, _ = simulate_population(spread_response_spec(3, seed=1, minutes=20))
+        with pytest.raises(ValueError, match="unknown predictor kind 'grids'"):
+            survey_sample_from_subjects(pop, predictor="grids")
+
 
 class TestClassifyMortality:
     def test_all_negative_cohort(self):
@@ -258,6 +274,10 @@ class TestGroupProfiles:
         profiles = group_profiles(grids, np.ones(4), labels)
         assert np.all(profiles["lo"].mean.values == 0.0)
         assert np.all(profiles["hi"].mean.values == 4.0)
+
+    def test_labels_must_match_grids(self):
+        with pytest.raises(ValueError, match="labels must match grids"):
+            group_profiles(self.grids(), np.ones(4), ["a", "b", "a"])
 
     def test_duplicated_members_identical_summaries(self):
         grids = self.grids()

@@ -166,6 +166,10 @@ class TestFrechetVariance:
         assert frechet_variance(shifted, shifted_mean) == pytest.approx(
             frechet_variance(grids, mean), rel=1e-12)
 
+    def test_mean_of_another_grid_size_rejected(self):
+        with pytest.raises(ValueError, match="grid mismatch"):
+            frechet_variance([point_mass(0), point_mass(4)], point_mass(2, m=5))
+
     def test_single_unweighted_grid_has_zero_dispersion(self):
         g = point_mass(1.0)
         with warnings.catch_warnings():
@@ -332,6 +336,10 @@ class TestCohortForms:
                      lambda: summarize(ragged)):
             with pytest.raises(ValueError, match="grid mismatch"):
                 call()
+
+    def test_value_that_is_no_number_keeps_numpys_message(self):
+        with pytest.raises(ValueError, match="could not convert string to float: 'a'"):
+            pairwise_wasserstein([[0.0, "a"], [1.0, 2.0]])
 
     def test_single_grid_is_not_a_cohort(self):
         g = uniform_grid(4.0, 5)

@@ -32,6 +32,7 @@ from actidist.regression import (
     save_model,
 )
 from oracles import (
+    median_heuristic_sigma,
     read_subject_readings_csv,
     write_csv_rows,
     write_frechet_rows,
@@ -650,6 +651,47 @@ class TestRegress:
         assert rc == 0
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_no_response_named_exits_2(self, regress_cohort, capsys, given):
+        tmp_path, qpath, spath = regress_cohort
+        config = tmp_path / "no_responses.json"
+        config.write_text(json.dumps({"responses": []}))
+        option = ["--responses", ","] if given == "flag" else ["--config", str(config)]
+        out = tmp_path / "out_no_responses"
+        rc = main(["regress", "--input", str(qpath), "--subjects", str(spath),
+                   "--out", str(out), *option])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: no response columns requested\n"
+        assert not out.exists()
+
+    def test_summary_gives_the_exact_daily_totals(self, tmp_path):
+        pop, _ = simulate_population(spread_response_spec(20, seed=25, minutes=300))
+        # weights that differ, so that the heuristic's pair weights matter
+        subjects = [dataclasses.replace(s, survey_weight=1.0 + k % 3)
+                    for k, s in enumerate(pop)]
+        readings, spath = tmp_path / "readings.csv", tmp_path / "subjects.csv"
+        io.write_readings_csv(readings, subjects)
+        io.write_subjects_csv(spath, subjects)
+        dist = tmp_path / "dist"
+        assert main(["build-dist", "--input", str(readings), "--subjects", str(spath),
+                     "--out", str(dist), "--m", "40", "--censor-lower", "5"]) == 0
+        sigmas = []
+        for name, summary in (("exact", ["--summary", str(dist / "summary.csv")]),
+                              ("recovered", [])):
+            out = tmp_path / name
+            assert main(["regress", "--input", str(dist / "quantiles.csv"),
+                         "--subjects", str(spath), "--out", str(out), *summary]) == 0
+            with open(out / "report.csv", newline="") as fh:
+                sigmas.append(float(next(csv.DictReader(fh))["sigma_tac"]))
+        with open(dist / "summary.csv", newline="") as fh:
+            tac = {row["subject_id"]: float(row["tac_per_day"]) for row in csv.DictReader(fh)}
+        with open(dist / "quantiles.csv", newline="") as fh:
+            ids = [row[0] for row in csv.reader(fh)][1:]
+        weights = {s.subject_id: s.survey_weight for s in subjects}
+        assert sigmas[0] == median_heuristic_sigma([tac[sid] for sid in ids],
+                                                   [weights[sid] for sid in ids])
+        assert sigmas[1] != sigmas[0]
+
     def test_misspelled_config_key_exits_2(self, regress_cohort, capsys):
         tmp_path, qpath, spath = regress_cohort
         config = tmp_path / "typo.json"
@@ -756,6 +798,8 @@ class TestRegress:
 
         tmp_path, qpath, spath = regress_cohort
         out = tmp_path / "out_encoded"
+        # a CLI process starts with an empty memo
+        regression._matrix_json.cache_clear()
         monkeypatch.setattr(regression, "json", SimpleNamespace(dumps=counting))
         rc = main(["regress", "--input", str(qpath), "--subjects", str(spath),
                    "--out", str(out), "--responses", "response,age", "--save-models"])
@@ -1083,6 +1127,13 @@ class TestReadingsWriterGrids:
                              seed=4)
         assert_writes_rows(tmp_path, population, [s.subject_id for s in sample])
 
+    def test_sample_ids_need_a_sample_path(self, tmp_path):
+        population, _ = simulate_population(two_cluster_spec(2, seed=3, minutes=5))
+        with pytest.raises(TypeError, match="sample_ids needs sample_path"):
+            io.write_readings_csv(tmp_path / "population.csv", population,
+                                  sample_ids=[population[0].subject_id])
+        assert not (tmp_path / "population.csv").exists()
+
 
 def mixed_readings(n):
     """n readings: +0.0 at every third minute, distinct non-zero floats
@@ -1395,6 +1446,17 @@ class TestSimulate:
         (lambda c: c["design"]["fractions"].update(actve=0.1),
          "stratified design: fraction for stratum 'actve', which population.strata "
          "does not name"),
+        (lambda c: c["population"].update(size=1e20),
+         "population: size must fit in int64, got 100000000000000000000"),
+        (lambda c: c["population"]["strata"][0]["intensity"].update(params=[10 ** 400, 1]),
+         "population.strata[0].intensity: gamma params must be finite numbers with shape > 0 "
+         "and scale > 0"),
+        (lambda c: c["population"]["strata"][0]["intensity"].update(kind="beta"),
+         "population.strata[0].intensity: unknown intensity law 'beta'"),
+        (lambda c: c["population"].pop("strata"), "config must define population.strata"),
+        (lambda c: c["design"].pop("kind"), "config must define design.kind"),
+        (lambda c: c["design"].update(fractions={}),
+         "stratified design: fractions must name at least one stratum"),
     ], ids=["size_type", "params_length", "design_kind_type", "range_length",
             "size_float", "age_range_string", "repeated_name", "number_name", "empty_name",
             "inactivity_order", "noise_response", "constant_response", "params_text",
@@ -1403,7 +1465,8 @@ class TestSimulate:
             "response_scale_nan", "noise_sd_negative", "noise_sd_nan", "fraction_bool",
             "fraction_text", "size_covariate_number", "size_covariate_empty",
             "size_covariate_missing", "size_covariate_text", "size_covariate_zero",
-            "fraction_unknown_stratum"])
+            "fraction_unknown_stratum", "size_beyond_int64", "param_beyond_float",
+            "unknown_law", "no_strata", "no_design_kind", "no_fractions"])
     def test_bad_value_names_key_and_place(self, tmp_path, capsys, edit, message):
         cfg = json.loads(json.dumps(SIM_CONFIG))
         edit(cfg)
@@ -1516,6 +1579,19 @@ class TestCliMisc:
 
     def test_no_command_exits_2(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("text", ["[1]", "null", "3", '"ab"', "[]", '""'])
+    @pytest.mark.parametrize("command", ["build-dist", "regress", "classify", "simulate"])
+    def test_config_that_is_no_json_object_exits_2(self, tmp_path, capsys, command, text):
+        config = tmp_path / "bad.json"
+        config.write_text(text)
+        out = tmp_path / "out"
+        inputs = [] if command == "simulate" else [
+            "--input", str(tmp_path / "in.csv"), "--subjects", str(tmp_path / "s.csv")]
+        assert main([command, *inputs, "--out", str(out), "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {config}: a config file must hold one JSON object\n")
+        assert not out.exists()
 
     def test_failed_run_leaves_no_partial_outputs(self, tmp_path):
         readings, subjects = default_toy(tmp_path)
@@ -1693,8 +1769,9 @@ class TestOptionTable:
         ("regress", "lambda_grid", [True, 1], "expected a number, got true"),
         ("regress", "responses", [["a"]], 'expected a string, got ["a"]'),
         ("classify", "response", ["a"], 'expected a string, got ["a"]'),
+        ("build-dist", "censor_lower", 10 ** 400, "int too large to convert to float"),
     ], ids=["m_float", "save_models_string", "stratify_age_string", "lambda_grid_nested",
-            "lambda_grid_bool", "responses_nested", "response_array"])
+            "lambda_grid_bool", "responses_nested", "response_array", "float_beyond_range"])
     def test_wrong_type_names_key_and_file(self, request, tmp_path, capsys,
                                            command, key, value, message):
         if command == "build-dist":

@@ -27,7 +27,6 @@ from actidist.regression import (
     nw_predict,
     nw_select_bandwidth,
     save_model,
-    save_models,
 )
 from oracles import (
     dense_loo_hat,
@@ -65,6 +64,10 @@ class TestSurveySample:
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
             SurveySample(np.array([1.0]), np.array([1.0]), np.array([0.0]))
+
+    def test_rejects_empty_sample(self):
+        with pytest.raises(ValueError, match="empty sample"):
+            SurveySample(np.array([]), np.array([]))
 
     def test_grid_kind_distances_are_wasserstein(self):
         a = QuantileGrid(np.array([0.0, 0.0]))
@@ -256,6 +259,10 @@ class TestNwLoo:
         s = SurveySample(np.array([0.0, 1.0]), np.array([5.0, 9.0]))
         np.testing.assert_array_equal(nw_loo(s, 1.0), [9.0, 5.0])
 
+    def test_single_point_rejected(self):
+        with pytest.raises(ValueError, match="need at least two observations"):
+            nw_loo(SurveySample(np.array([1.0]), np.array([2.0])), 1.0)
+
     def test_matches_explicit_refit(self):
         rng = np.random.default_rng(1)
         s = scalar_sample(rng, 20, weight_range=(0.5, 3.0))
@@ -330,6 +337,11 @@ class TestNwSelectBandwidth:
         s = scalar_sample(rng, 12)
         grid = distance_quantile_grid(s)
         assert np.all(grid > 0) and grid.size <= 10
+
+    def test_distance_quantile_grid_of_identical_predictors_rejected(self):
+        s = SurveySample(np.full(3, 2.0), np.array([0.0, 1.0, 2.0]))
+        with pytest.raises(ValueError, match="degenerate predictor set"):
+            distance_quantile_grid(s)
 
 
 class TestLaplacianKernel:
@@ -562,6 +574,10 @@ class TestKrrLoo:
             krr_loo(s, 1e-17, sigma=1.0)
         with pytest.raises(ValueError, match="singular kernel system"):
             krr_select_lambda(s, 1.0, [1e-20, 1e-17, 0.1])
+
+    def test_single_point_rejected(self):
+        with pytest.raises(ValueError, match="need at least two observations"):
+            krr_loo(SurveySample(np.array([1.0]), np.array([2.0])), 0.1, sigma=1.0)
 
     def test_zero_penalty_rejected(self):
         # at lambda = 0 every shortcut entry is 0 / 0
@@ -954,7 +970,8 @@ class TestModelFile:
         # and a model on other predictors in between
         models.insert(1, krr_fit(scalar_sample(rng, 5), lam=0.3, sigma=1.0))
         paths = [tmp_path / f"model_{k}.json" for k in range(3)]
-        save_models(zip(models, paths))
+        for model, path in zip(models, paths):
+            save_model(model, path)
         for model, path in zip(models, paths):
             assert path.read_text(encoding="utf-8") == json.dumps(model_payload(model))
 
@@ -972,7 +989,8 @@ class TestModelFile:
         models = [krr_fit(SurveySample(m, [1.0, 0.0, 2.0]), lam=0.5, sigma=1.0)
                   for m in (x, x.copy(), signed)]
         paths = [tmp_path / f"model_{k}.json" for k in range(3)]
-        save_models(zip(models, paths))
+        for model, path in zip(models, paths):
+            save_model(model, path)
         texts = [p.read_text(encoding="utf-8") for p in paths]
         assert texts == [json.dumps(model_payload(m)) for m in models]
         assert '"training_matrix": [[-0.0, 1.0]' in texts[2]

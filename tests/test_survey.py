@@ -107,6 +107,16 @@ class TestMedianHeuristicSigma:
         with pytest.raises(ValueError, match="degenerate predictor set"):
             median_heuristic_sigma([2.0, 2.0, 2.0])
 
+    @pytest.mark.parametrize("d", [np.zeros((1, 1)), np.zeros((2, 3)), np.zeros(4)],
+                             ids=["one_subject", "not_square", "one_axis"])
+    def test_needs_square_matrix_of_two_or_more(self, d):
+        with pytest.raises(ValueError, match="need a square distance matrix of size >= 2"):
+            median_heuristic_sigma_from_matrix(d)
+
+    def test_degenerate_matrix(self):
+        with pytest.raises(ValueError, match="degenerate predictor set"):
+            median_heuristic_sigma_from_matrix(np.zeros((3, 3)))
+
     def test_nan_distance_rejected(self):
         d = np.array([[0.0, 1.0, np.nan], [1.0, 0.0, 2.0], [np.nan, 2.0, 0.0]])
         with pytest.raises(ValueError, match="distances must be nonnegative, not NaN"):
@@ -153,6 +163,10 @@ class TestWeightedR2:
         w = rng.uniform(0.1, 4, size=15)
         assert weighted_r2(y, yhat, 0.01 * w) == pytest.approx(
             weighted_r2(y, yhat, w), abs=1e-12)
+
+    def test_misaligned_predictions_rejected(self):
+        with pytest.raises(ValueError, match="predictions must match responses"):
+            weighted_r2([1.0, 2.0, 3.0], [1.0, 2.0], [1, 1, 1])
 
     def test_missing_predictions_rejected(self):
         with pytest.raises(ValueError, match="missing"):
