@@ -272,10 +272,7 @@ def cmd_simulate(args) -> int:
     sample = datagen.draw_sample(population, design, seed=cfg["sample_seed"])
 
     with _RunOutputs(Path(args.out)) as out:
-        # one pass formats each population subject once for both files
-        io.write_readings_csv(out.path("population_readings.csv"), population,
-                              out.path("sample_readings.csv"),
-                              [s.subject_id for s in sample])
+        io.write_readings_csv(out.path("sample_readings.csv"), sample)
         io.write_subjects_csv(out.path("population_subjects.csv"), population)
         io.write_subjects_csv(out.path("sample_subjects.csv"), sample)
         io.write_ground_truth_csv(out.path("ground_truth.csv"), truth, population, pi)

@@ -203,13 +203,17 @@ def simulate_population(spec: PopulationSpec):
                 "inactivity_rate": rate,
                 "intensity_spread": spread,
             }
-            series = ActivitySeries(
-                subject_id=f"S{index:05d}",
-                timestamps=timestamps,
-                readings=readings,
-                survey_weight=1.0,
-                covariates=covariates,
-            )
+            try:
+                series = ActivitySeries(
+                    subject_id=f"S{index:05d}",
+                    timestamps=timestamps,
+                    readings=readings,
+                    survey_weight=1.0,
+                    covariates=covariates,
+                )
+            except ValueError as exc:  # params whose draws a float cannot hold
+                kind = stratum.intensity.kind
+                raise ValueError(f"stratum {stratum.name!r}, {kind} intensity: {exc}") from None
             if stratum.response is not None:
                 covariates["response"] = float(
                     _evaluate_response(rng, stratum.response, series, spread))

@@ -20,6 +20,10 @@ MINUTES_PER_DAY = 1440.0
 
 DEFAULT_GRID_SIZE = 500
 
+# far above the paper's m = 500: one subject's grid is then at most 8 MB,
+# and a larger m fails here, not in numpy's int64 rank arithmetic or allocator
+MAX_GRID_SIZE = 1 << 20
+
 
 def _real(value) -> bool:
     """A finite real number that a float can hold; a boolean is none."""
@@ -209,8 +213,9 @@ def quantiles_from_values(values: np.ndarray, m: int) -> QuantileGrid:
     computed in exact integer arithmetic so grid/sample-size coincidences
     never fall on the wrong side of a floating-point boundary.
     """
-    if not (_whole(m) and m >= 2):
-        raise ValueError("grid size m must be at least 2")
+    if not (_whole(m) and 2 <= m <= MAX_GRID_SIZE):
+        raise ValueError(f"grid size m must be at least 2 and at most {MAX_GRID_SIZE}, "
+                         f"got {m!r}")
     m = int(m)
     values = np.asarray(values, dtype=float)
     if values.size == 0:

@@ -477,7 +477,7 @@ def _csv_field(text: str) -> str:
 _WRITE_CHUNK_ROWS = 1 << 12
 
 
-def write_readings_csv(path, subjects, sample_path=None, sample_ids=()) -> None:
+def write_readings_csv(path, subjects) -> None:
     """Long-format readings for a list of ActivitySeries.
 
     The one table that write_rows does not write, though it has its bytes:
@@ -485,32 +485,16 @@ def write_readings_csv(path, subjects, sample_path=None, sample_ids=()) -> None:
     row: the "t," strings of a timestamp grid are formatted once and kept
     while consecutive subjects share the grid, and only the readings that
     are not +0.0 go through repr (see _row_slices).
-
-    With sample_path, each subject whose id is in `sample_ids` is written to
-    that file too, in the same pass and from the same slices. An id that no
-    subject has raises ValueError.
     """
-    sample_ids = set(sample_ids)
-    if sample_ids and sample_path is None:
-        raise TypeError("sample_ids needs sample_path")
-    unknown = sample_ids - {s.subject_id for s in subjects}
-    if unknown:
-        raise ValueError(f"sample subject {min(unknown)!r} is not in the population")
     grid, times = None, None
-    with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(open(p, "w", encoding="utf-8", newline=""))
-                 for p in (path, sample_path) if p is not None]
-        for fh in files:
-            fh.write("subject_id,timestamp_min,count\r\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("subject_id,timestamp_min,count\r\n")
         for s in subjects:
             # bytes, not values: 0.0 == -0.0, but they print differently
             if s.timestamps.tobytes() != grid:
                 grid = s.timestamps.tobytes()
                 times = np.array(list(map(repr, s.timestamps.tolist())), dtype=object) + ","
-            targets = files if s.subject_id in sample_ids else files[:1]
-            for text in _row_slices(s, times):
-                for fh in targets:
-                    fh.write(text)
+            fh.writelines(_row_slices(s, times))
 
 
 def _row_slices(s, times: np.ndarray):

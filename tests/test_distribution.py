@@ -4,6 +4,7 @@ import pytest
 from actidist.distribution import (
     ActivitySeries,
     CensorSpec,
+    MAX_GRID_SIZE,
     MixedDistribution,
     NO_CENSOR,
     QuantileGrid,
@@ -170,6 +171,12 @@ class TestEmpiricalQuantiles:
     def test_m_that_is_no_whole_number_rejected(self, m):
         with pytest.raises(ValueError, match="grid size m must be at least 2"):
             quantiles_from_values([1.0, 2.0], m=m)
+
+    def test_m_above_the_bound_rejected(self):
+        assert quantiles_from_values([1.0, 2.0], m=MAX_GRID_SIZE).m == MAX_GRID_SIZE
+        for m in (MAX_GRID_SIZE + 1, 2**63):
+            with pytest.raises(ValueError, match=f"at most {MAX_GRID_SIZE}, got {m}$"):
+                quantiles_from_values([1.0, 2.0], m=m)
 
     def test_whole_float_m_is_an_integer(self):
         got = quantiles_from_values([3.0, 1.0, 2.0], m=4.0).values

@@ -23,7 +23,7 @@ from actidist.datagen import (
     spread_response_spec,
     two_cluster_spec,
 )
-from actidist.distribution import ActivitySeries, QuantileGrid, build_mixed
+from actidist.distribution import MAX_GRID_SIZE, ActivitySeries, QuantileGrid, build_mixed
 from actidist.regression import (
     SurveySample,
     krr_fit,
@@ -1087,17 +1087,12 @@ SIM_CONFIG_OBJECTS = {
 }
 
 
-def assert_writes_rows(tmp_path, population, sample_ids=()):
-    """write_readings_csv writes population (and the subjects with the
-    sample ids) with the bytes of the row-at-a-time oracle."""
-    io.write_readings_csv(tmp_path / "population.csv", population,
-                          tmp_path / "sample.csv", sample_ids)
-    write_readings_rows(tmp_path / "population_rows.csv", population)
-    write_readings_rows(tmp_path / "sample_rows.csv",
-                        [s for s in population if s.subject_id in sample_ids])
-    for name in ("population", "sample"):
-        assert ((tmp_path / f"{name}.csv").read_bytes()
-                == (tmp_path / f"{name}_rows.csv").read_bytes())
+def assert_writes_rows(tmp_path, subjects):
+    """write_readings_csv writes subjects with the bytes of the
+    row-at-a-time oracle."""
+    io.write_readings_csv(tmp_path / "readings.csv", subjects)
+    write_readings_rows(tmp_path / "rows.csv", subjects)
+    assert (tmp_path / "readings.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 class TestReadingsWriterGrids:
@@ -1121,18 +1116,16 @@ class TestReadingsWriterGrids:
         assert firsts == ["a,0.0,1.0", "b,0.0,1.0", "c,0.0,1.0",
                           "d,-0.0,1.0", "e,-0.0,1.0", "f,0.0,1.0"]
 
-    def test_simulated_population_and_sample(self, tmp_path):
+    def test_simulated_population_and_sample(self, tmp_path, monkeypatch):
+        """Subjects that share one grid, written in whole slices and in
+        slices of 2 rows, which cut each subject's 50 minutes."""
         population, _ = simulate_population(two_cluster_spec(8, seed=3, minutes=50))
         sample = draw_sample(population, StratifiedDesign({"frail": 0.5, "active": 0.5}),
                              seed=4)
-        assert_writes_rows(tmp_path, population, [s.subject_id for s in sample])
-
-    def test_sample_ids_need_a_sample_path(self, tmp_path):
-        population, _ = simulate_population(two_cluster_spec(2, seed=3, minutes=5))
-        with pytest.raises(TypeError, match="sample_ids needs sample_path"):
-            io.write_readings_csv(tmp_path / "population.csv", population,
-                                  sample_ids=[population[0].subject_id])
-        assert not (tmp_path / "population.csv").exists()
+        for slice_rows in (io._WRITE_CHUNK_ROWS, 2):
+            monkeypatch.setattr(io, "_WRITE_CHUNK_ROWS", slice_rows)
+            assert_writes_rows(tmp_path, population)
+            assert_writes_rows(tmp_path, sample)
 
 
 def mixed_readings(n):
@@ -1151,7 +1144,7 @@ class TestReadingsWriterSlices:
                     for sid, n in [("a", slice_rows), ("b", slice_rows + 1),
                                    ("c", 2 * slice_rows)]]
         assert_writes_rows(tmp_path, subjects)
-        lines = (tmp_path / "population.csv").read_text(encoding="utf-8").splitlines()
+        lines = (tmp_path / "readings.csv").read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1 + 4 * slice_rows + 1
 
     def test_grids_of_other_lengths(self, tmp_path, monkeypatch):
@@ -1174,26 +1167,14 @@ class TestReadingsWriterSlices:
         subjects = [ActivitySeries("a", np.arange(6.0), values)]
         assert_writes_rows(tmp_path, subjects)
         counts = [line.split(",")[2] for line in
-                  (tmp_path / "population.csv").read_text(encoding="utf-8").splitlines()[1:]]
+                  (tmp_path / "readings.csv").read_text(encoding="utf-8").splitlines()[1:]]
         assert counts == ["-0.0", "5e-324", "1e-05", "1e+16", "0.0", "0.1"]
 
     def test_ids_with_format_and_csv_characters(self, tmp_path):
         ids = ["50%", "a{0}", '"q,x"']
         subjects = [ActivitySeries(sid, np.arange(4.0), mixed_readings(4)) for sid in ids]
         assert_writes_rows(tmp_path, subjects)
-        assert io.read_readings_csv(tmp_path / "population.csv").keys() == set(ids)
-
-    @pytest.mark.parametrize("slice_rows", [io._WRITE_CHUNK_ROWS, 2])
-    def test_sample_ids_take_the_population_slices(self, tmp_path, monkeypatch,
-                                                   slice_rows):
-        monkeypatch.setattr(io, "_WRITE_CHUNK_ROWS", slice_rows)
-        grid = np.arange(5.0)
-        population = [ActivitySeries(sid, grid, mixed_readings(5) + k)
-                      for k, sid in enumerate("abcde")]
-        # ids in any order and repeated: the sample file follows the population
-        assert_writes_rows(tmp_path, population, ["d", "a", "d", "b"])
-        text = (tmp_path / "sample.csv").read_text(encoding="utf-8")
-        assert [line[0] for line in text.splitlines()[1::5]] == ["a", "b", "d"]
+        assert io.read_readings_csv(tmp_path / "readings.csv").keys() == set(ids)
 
 
 class TestReadingsReaderMemory:
@@ -1276,6 +1257,17 @@ class TestTimeMajorReadings:
 
 
 class TestSimulate:
+    # the files README lists as simulate's output
+    OUTPUTS = ["ground_truth.csv", "population_subjects.csv", "sample_readings.csv",
+               "sample_subjects.csv"]
+
+    def test_writes_only_its_outputs(self, tmp_path):
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps(SIM_CONFIG))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == self.OUTPUTS
+
     def test_byte_identical_reruns(self, tmp_path):
         config = tmp_path / "sim.json"
         config.write_text(json.dumps(SIM_CONFIG))
@@ -1284,9 +1276,7 @@ class TestSimulate:
             out = tmp_path / name
             assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
             outs.append(out)
-        for fname in ("population_readings.csv", "population_subjects.csv",
-                      "sample_readings.csv", "sample_subjects.csv",
-                      "ground_truth.csv"):
+        for fname in self.OUTPUTS:
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
     def test_census_design_samples_everyone(self, tmp_path):
@@ -1453,6 +1443,10 @@ class TestSimulate:
          "and scale > 0"),
         (lambda c: c["population"]["strata"][0]["intensity"].update(kind="beta"),
          "population.strata[0].intensity: unknown intensity law 'beta'"),
+        (lambda c: c["population"]["strata"][1]["intensity"].update(params=[1000, 0.6]),
+         "stratum 'b', lognormal intensity: readings must be finite and nonnegative"),
+        (lambda c: c["population"]["strata"][0]["intensity"].update(params=[2.0, 1e308]),
+         "stratum 'a', gamma intensity: readings must be finite and nonnegative"),
         (lambda c: c["population"].pop("strata"), "config must define population.strata"),
         (lambda c: c["design"].pop("kind"), "config must define design.kind"),
         (lambda c: c["design"].update(fractions={}),
@@ -1466,7 +1460,8 @@ class TestSimulate:
             "fraction_text", "size_covariate_number", "size_covariate_empty",
             "size_covariate_missing", "size_covariate_text", "size_covariate_zero",
             "fraction_unknown_stratum", "size_beyond_int64", "param_beyond_float",
-            "unknown_law", "no_strata", "no_design_kind", "no_fractions"])
+            "unknown_law", "lognormal_draws_overflow", "gamma_draws_overflow", "no_strata",
+            "no_design_kind", "no_fractions"])
     def test_bad_value_names_key_and_place(self, tmp_path, capsys, edit, message):
         cfg = json.loads(json.dumps(SIM_CONFIG))
         edit(cfg)
@@ -1759,6 +1754,19 @@ class TestOptionTable:
         assert rc == 2
         assert capsys.readouterr().err == \
             "error: --m: invalid literal for int() with base 10: '2.5'\n"
+        assert not out.exists()
+
+    # 10**11 and 2**63 are values that failed with a traceback (a 745 GiB
+    # rank array; an int64 overflow) before m had an upper bound
+    @pytest.mark.parametrize("m", [MAX_GRID_SIZE + 1, 10**11, 2**63])
+    def test_grid_size_above_the_bound_exits_2(self, tmp_path, capsys, m):
+        readings, subjects = default_toy(tmp_path)
+        out = tmp_path / "out"
+        rc = main(["build-dist", "--input", str(readings), "--subjects", str(subjects),
+                   "--out", str(out), "--m", str(m)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: grid size m must be at least 2 and at most {MAX_GRID_SIZE}, got {m}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, key, value, message", [

@@ -449,13 +449,6 @@ def equal_grid_subjects():
             ActivitySeries("c", [0.0, 1.0], [3.0, 4.0])]
 
 
-def population_and_picks():
-    """Subjects, and for each whether the sample draws its id."""
-    return readings_subjects().flatmap(lambda population: st.tuples(
-        st.just(population),
-        st.lists(st.booleans(), min_size=len(population), max_size=len(population))))
-
-
 class TestReadingsWriter:
     @fuzz
     @given(readings_subjects())
@@ -481,33 +474,11 @@ class TestReadingsWriter:
             assert np.asarray(t).tobytes() == s.timestamps.tobytes()
             assert np.asarray(c).tobytes() == s.readings.tobytes()
 
-    @fuzz
-    @given(population_and_picks())
-    @example((equal_grid_subjects(), [True, False, True]))
-    def test_population_and_sample_in_one_pass(self, fuzz_dir, drawn):
-        population, picks = drawn
-        ids = {s.subject_id for s, pick in zip(population, picks) if pick}
-        io.write_readings_csv(fuzz_dir / "population.csv", population,
-                              fuzz_dir / "sample.csv", ids)
-        write_readings_rows(fuzz_dir / "population_rows.csv", population)
-        # a drawn id stands for every subject with that id
-        write_readings_rows(fuzz_dir / "sample_rows.csv",
-                            [s for s in population if s.subject_id in ids])
-        for name in ("population", "sample"):
-            assert ((fuzz_dir / f"{name}.csv").read_bytes()
-                    == (fuzz_dir / f"{name}_rows.csv").read_bytes())
-
     def test_zero_constant_only_for_positive_zero(self, tmp_path):
         subjects = [ActivitySeries("a", [0.0, 1.0, 2.0, 3.0], [0.0, -0.0, 5e-324, 2.0])]
         io.write_readings_csv(tmp_path / "r.csv", subjects)
         assert (tmp_path / "r.csv").read_text(encoding="utf-8").splitlines()[1:] == [
             "a,0.0,0.0", "a,1.0,-0.0", "a,2.0,5e-324", "a,3.0,2.0"]
-
-    def test_unknown_sample_id_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="sample subject 'x' is not in the population"):
-            io.write_readings_csv(tmp_path / "population.csv", equal_grid_subjects(),
-                                  tmp_path / "sample.csv", ["c", "x", "a"])
-        assert not (tmp_path / "population.csv").exists()
 
 
 def quantiles_by_both_paths(directory, text, chunks):
