@@ -141,6 +141,8 @@ def cmd_build_dist(args) -> int:
 
 def _read_regression_inputs(args):
     ids, x = io.read_quantile_csv(args.input)
+    if len(ids) < 2:
+        raise io.InputValidationError(f"{args.input}: {len(ids)} subject; need at least 2")
     meta = io.read_subjects_csv(args.subjects)
     io.check_entries(ids, meta, "subjects")
     weights = np.asarray([meta[sid][0] for sid in ids])
@@ -192,17 +194,15 @@ def cmd_regress(args) -> int:
         for name in cfg["responses"]:
             y = _numeric_column(ids, covariates, name, "response")
             dist_sample = dist_base.with_responses(y)
-            result = compare_r2(dist_sample, tac_base.with_responses(y),
-                                lambda_grid=cfg["lambda_grid"])
-            report_rows.append([
-                name,
-                result.distribution.r2, result.tac.r2,
-                result.distribution.lam, result.tac.lam,
-                result.distribution.sigma, result.tac.sigma,
-            ])
+            try:
+                result = compare_r2(dist_sample, tac_base.with_responses(y), cfg["lambda_grid"])
+            except ValueError as exc:
+                raise ValueError(f"response {name!r}: {exc}") from exc
+            dist_fit, tac_fit = result.distribution, result.tac
+            report_rows.append([name, dist_fit.r2, tac_fit.r2, dist_fit.lam, tac_fit.lam,
+                                dist_fit.sigma, tac_fit.sigma])
             if cfg["save_models"]:
-                save_model(krr_fit(dist_sample, result.distribution.lam,
-                                   sigma=result.distribution.sigma),
+                save_model(krr_fit(dist_sample, dist_fit.lam, sigma=dist_fit.sigma),
                            out.path(f"model_{name}.json"))
         io.write_rows(
             out.path("report.csv"),
@@ -284,6 +284,10 @@ def cmd_predict(args) -> int:
 
     model = load_model(args.model)
     ids, x = io.read_quantile_csv(args.input)
+    width = model.training_matrix[0].size  # 1 for a scalar model
+    if x.shape[1] != width:
+        raise io.InputValidationError(f"{args.input}: {x.shape[1]} quantile columns, but "
+                                      f"model {args.model} was fitted on {width}")
     preds = krr_predict_batch(model, x)
     with _RunOutputs(Path(args.out)) as out:
         io.write_rows(out.path("predictions.csv"), ["subject_id", "prediction"],

@@ -119,8 +119,8 @@ def _read_rows(path, header_ok, header_error: str, parse_row, unique=True) -> di
     return out
 
 
-def _read_table(path, header_ok, read_chunks, read_rows):
-    """A table numpy reads: read_chunks(fh, header) runs numpy's C parser on
+def _read_table(path, header_ok, read_bulk, read_rows):
+    """A table numpy reads: read_bulk(fh, header) runs numpy's C parser on
     the rows after a header that passes header_ok and returns None where it
     cannot vouch for the result. Then, or after another header, the csv row
     loop read_rows(path) reads the file again: it accepts the same files and
@@ -129,7 +129,7 @@ def _read_table(path, header_ok, read_chunks, read_rows):
             contextlib.suppress(csv.Error):  # the row loop reports it
         header = next(csv.reader(fh), None)
         if header_ok(header):
-            table = read_chunks(fh, header)
+            table = read_bulk(fh, header)
             if table is not None:
                 return table
     return read_rows(path)
@@ -153,8 +153,8 @@ def write_rows(path, header, rows) -> None:
             fh.write((",".join(cells) or ('""' if cells else "")) + "\r\n")
 
 
-# readings per np.loadtxt call: bounds the reader's memory beyond the 16 B a
-# reading takes in the result; a chunk of quantile rows takes as many bytes
+# readings per np.loadtxt call: bounds the parser's per-row id strings held
+# beyond the 16 B a reading takes in the result
 _READ_CHUNK_ROWS = 1 << 14
 # the id is an object field: a fixed-width string field would truncate it
 _READINGS_ROW = np.dtype([("subject_id", object), ("t", "f8"), ("count", "f8")])
@@ -178,21 +178,14 @@ def _is_readings_header(header) -> bool:
         "subject_id", "timestamp_min", "count"]
 
 
-def _loadtxt_chunks(fh, dtype):
-    """The rows left in fh through np.loadtxt, one non-empty array of `dtype`
-    per chunk of at most as many bytes as _READ_CHUNK_ROWS readings take;
-    raises ValueError where the parser refuses a row."""
-    max_rows = max(1, _READ_CHUNK_ROWS * _READINGS_ROW.itemsize // dtype.itemsize)
-    while True:
-        with warnings.catch_warnings():
-            # loadtxt warns on every blank line, and on a last chunk with no rows
-            warnings.simplefilter("ignore", UserWarning)
-            rows = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
-                              comments=None, max_rows=max_rows, ndmin=1)
-        if len(rows):
-            yield rows
-        if len(rows) < max_rows:
-            return
+def _loadtxt(fh, dtype, max_rows=None):
+    """The next max_rows rows left in fh, or all of them, through np.loadtxt as
+    a 1-d array of `dtype`; raises ValueError where the parser refuses a row."""
+    with warnings.catch_warnings():
+        # loadtxt warns on every blank line, and on a read with no rows
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
+                          comments=None, max_rows=max_rows, ndmin=1)
 
 
 def _read_readings_chunks(fh):
@@ -203,7 +196,7 @@ def _read_readings_chunks(fh):
     subject's arrays are joined from copies into arrays that own their data."""
     pieces: dict = {}
     try:
-        for rows in _loadtxt_chunks(fh, _READINGS_ROW):
+        while len(rows := _loadtxt(fh, _READINGS_ROW, _READ_CHUNK_ROWS)):
             ids, t, count = rows["subject_id"], rows["t"], rows["count"]
             if not (np.isfinite(t).all() and np.isfinite(count).all()
                     and (count >= 0).all()):
@@ -223,6 +216,8 @@ def _read_readings_chunks(fh):
                 ts, counts = pieces.setdefault(sid, ([], []))
                 ts.append(t[order[start:end]])
                 counts.append(count[order[start:end]])
+            if len(rows) < _READ_CHUNK_ROWS:
+                break
     except ValueError:
         return None
     # in file order, each subject's pieces dropped as they are joined, so
@@ -381,32 +376,32 @@ def read_quantile_csv(path):
     matrix); each row is checked as a QuantileGrid is, ids are stripped,
     non-empty and unique, and a table with no rows is rejected.
 
-    numpy's C parser reads the rows in chunks, as in read_readings_csv; when
-    it refuses a row, a row or id fails its check or an id repeats, the csv
-    row loop reads the file again and reports every bad row with its line.
+    One np.loadtxt call parses the whole table, and the matrix is a view of
+    its float field, which holds no copy but is not C-contiguous: each row
+    sits beside its id. When the parser refuses a row, a row or id fails its
+    check or an id repeats, the csv row loop reads the file again and
+    reports every bad row with its line.
     """
-    return _read_table(path, _is_quantile_header, _read_quantile_chunks, _read_quantile_rows)
+    return _read_table(path, _is_quantile_header, _read_quantile_bulk, _read_quantile_rows)
 
 
 def _is_quantile_header(header) -> bool:
     return bool(header) and header[0] == "subject_id" and len(header) >= 3
 
 
-def _read_quantile_chunks(fh, header):
+def _read_quantile_bulk(fh, header):
     """The rows after the header through np.loadtxt as read_quantile_csv
     returns them, or None when the row loop must read the file."""
     dtype = np.dtype([("subject_id", object), ("q", "f8", (len(header) - 1,))])
-    ids, blocks = [], []
     try:
-        for rows in _loadtxt_chunks(fh, dtype):
-            check_quantile_rows(rows["q"])
-            ids += map(_subject_id, rows["subject_id"].tolist())
-            blocks.append(rows["q"])
+        rows = _loadtxt(fh, dtype)
+        matrix = rows["q"]
+        check_quantile_rows(matrix)
+        ids = list(map(_subject_id, rows["subject_id"].tolist()))
     except ValueError:
         return None
     if not ids or len(set(ids)) < len(ids):
         return None
-    matrix = np.concatenate(blocks)
     matrix.setflags(write=False)
     return ids, matrix
 

@@ -720,6 +720,16 @@ class TestRegress:
         assert ("missing, non-numeric or non-finite response column 'response' for: b"
                 in capsys.readouterr().err)
 
+    def test_constant_response_names_its_column(self, tmp_path, capsys):
+        qpath, spath = write_toy_cohort(tmp_path, "response,y",
+                                        ["0.5,1.0", "1.5,1.0", "2.0,1.0"])
+        out = tmp_path / "out"
+        rc = main(["regress", "--input", str(qpath), "--subjects", str(spath),
+                   "--out", str(out), "--responses", "response,y", "--save-models"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: response 'y': zero variance response\n"
+        assert not out.exists()
+
     def test_bad_summary_exits_2(self, tmp_path, capsys):
         qpath = tmp_path / "q.csv"
         qpath.write_text("subject_id,t_1,t_2,t_3\na,0,1,2\nb,1,2,4\nc,0,3,5\n")
@@ -855,6 +865,21 @@ class TestPredictModelChecks:
                    "--out", str(out)])
         assert rc == 2
         assert f"error: {bad}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    def test_width_mismatch_names_both_files(self, tmp_path, capsys):
+        x = np.array([[0.0, 1.0], [1.0, 3.0], [2.0, 2.5]])
+        model_path = tmp_path / "model.json"
+        save_model(krr_fit(SurveySample(x, [1.0, 2.0, 0.5]), lam=0.5), model_path)
+        qpath = tmp_path / "q.csv"
+        qpath.write_text("subject_id,t_1,t_2,t_3\na,0,1,2\nb,1,2,4\n")
+        out = tmp_path / "out"
+        rc = main(["predict", "--model", str(model_path), "--input", str(qpath),
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {qpath}: 3 quantile columns, but model {model_path} was fitted on 2\n")
         assert not out.exists()
 
 
@@ -1046,6 +1071,37 @@ class TestJoinChecks:
         assert not out.exists()
 
 
+class TestOneSubjectTable:
+    """regress and classify need two subjects, and refuse a table of one
+    where they read it; predict scores one."""
+
+    @pytest.mark.parametrize("command, column", [("regress", "response"),
+                                                 ("classify", "mortality")])
+    def test_refused_with_file_and_count(self, tmp_path, capsys, command, column):
+        qpath, spath = write_toy_cohort(tmp_path, column, ["1", "0", "1"])
+        qpath.write_text("subject_id,t_1,t_2,t_3\na,0,1,2\n")
+        out = tmp_path / "out"
+        rc = main([command, "--input", str(qpath), "--subjects", str(spath),
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {qpath}: 1 subject; need at least 2\n"
+        assert not out.exists()
+
+    def test_predict_scores_one_row(self, tmp_path):
+        x = np.array([[0.0, 1.0], [1.0, 3.0], [2.0, 2.5]])
+        model = krr_fit(SurveySample(x, [1.0, 2.0, 0.5]), lam=0.5)
+        model_path = tmp_path / "model.json"
+        save_model(model, model_path)
+        qpath = tmp_path / "q.csv"
+        qpath.write_text("subject_id,t_1,t_2\na,0.5,2\n")
+        out = tmp_path / "out"
+        assert main(["predict", "--model", str(model_path), "--input", str(qpath),
+                     "--out", str(out)]) == 0
+        expected = float(krr_predict_batch(model, [[0.5, 2.0]])[0])
+        assert (out / "predictions.csv").read_text().splitlines() == [
+            "subject_id,prediction", f"a,{expected!r}"]
+
+
 SIM_CONFIG = {
     "population": {
         "size": 60,
@@ -1215,6 +1271,37 @@ class TestReadingsReaderMemory:
         # a chunk: the parser's rows and the two float64 columns taken from them
         chunk_bytes = self.CHUNK_ROWS * (io._READINGS_ROW.itemsize + 16)
         assert peak <= nbytes + 8 * chunk_bytes
+
+
+class TestQuantileReaderMemory:
+    """A 600 x 200 quantile table, which one np.loadtxt call reads."""
+
+    @pytest.fixture
+    def read(self, tmp_path):
+        rng = np.random.default_rng(0)
+        x = np.sort(rng.random((600, 200)) * 1000, axis=1)
+        path = tmp_path / "quantiles.csv"
+        io.write_quantile_csv(path, [f"s{k}" for k in range(len(x))], x)
+        io.read_quantile_csv(path)  # loads what the parser loads once per process
+        tracemalloc.start()
+        try:
+            read = io.read_quantile_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return path, read, peak
+
+    def test_same_table_as_the_row_loop(self, read):
+        path, (ids, x), _ = read
+        row_ids, row_x = io._read_quantile_rows(path)
+        assert ids == row_ids
+        assert x.dtype == np.float64 and x.shape == (600, 200) and not x.flags.writeable
+        assert x.tobytes() == row_x.tobytes()
+
+    def test_peak_holds_the_matrix_once(self, read):
+        _, (_, x), peak = read
+        # the parser's rows: the matrix, an id pointer per row and the ids
+        assert peak <= 1.6 * x.nbytes
 
 
 class TestTimeMajorReadings:

@@ -481,9 +481,11 @@ class TestReadingsWriter:
             "a,0.0,0.0", "a,1.0,-0.0", "a,2.0,5e-324", "a,3.0,2.0"]
 
 
-def quantiles_by_both_paths(directory, text, chunks):
-    """As readings_by_both_paths, for the quantile table: (bulk, rows,
-    public), where the results are (ids, matrix) pairs or the error message."""
+def quantiles_by_both_paths(directory, text):
+    """As readings_by_both_paths, for the quantile table, whose numpy path
+    reads the file in one call: (bulk, rows, public), where bulk is None if
+    the header or the numpy path refuses the file, and the other results are
+    (ids, matrix) pairs or the error message."""
     path = directory / "quantiles.csv"
     path.write_text(text, encoding="utf-8", newline="")
     bulk = None
@@ -492,13 +494,8 @@ def quantiles_by_both_paths(directory, text, chunks):
             header = next(csv.reader(fh), None)
         except csv.Error:
             header = None
-    if io._is_quantile_header(header):
-        bulk = []
-        for chunk in chunks:
-            with mock.patch.object(io, "_READ_CHUNK_ROWS", chunk), \
-                    open(path, "r", encoding="utf-8", newline="") as fh:
-                next(csv.reader(fh))
-                bulk.append(io._read_quantile_chunks(fh, header))
+        if io._is_quantile_header(header):
+            bulk = io._read_quantile_bulk(fh, header)
     results = []
     for reader in (io._read_quantile_rows, io.read_quantile_csv):
         try:
@@ -521,16 +518,15 @@ def assert_same_table(a, b):
     assert x_a.shape == x_b.shape and x_a.tobytes() == x_b.tobytes()
 
 
-def assert_quantile_paths_agree(directory, text, chunks=(io._READ_CHUNK_ROWS, 1, 2, 3)):
+def assert_quantile_paths_agree(directory, text):
     """The bulk path, where it accepts the file, returns what the row loop
     returns, and read_quantile_csv matches the row loop either way. Returns
-    whether the bulk path accepted the file at every chunk size."""
-    bulk, rows, public = quantiles_by_both_paths(directory, text, chunks)
+    whether the bulk path accepted the file."""
+    bulk, rows, public = quantiles_by_both_paths(directory, text)
     assert_same_table(public, rows)
-    for result in bulk or ():
-        if result is not None:
-            assert_same_table(result, rows)
-    return bulk is not None and all(r is not None for r in bulk)
+    if bulk is not None:
+        assert_same_table(bulk, rows)
+    return bulk is not None
 
 
 # ids that need quoting or keep surrounding whitespace, non-ASCII ids, and a
@@ -571,13 +567,14 @@ def quantile_text(draw):
 
 
 Q_HEADER = "subject_id,t_1,t_2\n"
-# rows 100 .. _READ_CHUNK_ROWS + 50, two values each: longer than one chunk
+# rows 100 .. _READ_CHUNK_ROWS + 50, two values each: more rows than one
+# np.loadtxt call of the readings reader takes
 LONG_QUANTILES = Q_HEADER.replace("\n", "\r\n") + "".join(
     f"s{i},{i},{i + 0.5}\r\n" for i in range(100, io._READ_CHUNK_ROWS + 150))
 
 
 class TestQuantileReaderPaths:
-    """numpy's chunked parser against the csv row loop for the quantile table."""
+    """numpy's parser against the csv row loop for the quantile table."""
 
     @fuzz
     @given(quantile_text())
@@ -619,8 +616,7 @@ class TestQuantileReaderPaths:
         assert assert_quantile_paths_agree(tmp_path, Q_HEADER + text) is bulk
 
     def test_table_longer_than_one_chunk(self, tmp_path):
-        assert assert_quantile_paths_agree(tmp_path, LONG_QUANTILES,
-                                           chunks=(io._READ_CHUNK_ROWS,))
+        assert assert_quantile_paths_agree(tmp_path, LONG_QUANTILES)
         ids, x = io.read_quantile_csv(tmp_path / "quantiles.csv")
         assert ids[-1] == f"s{io._READ_CHUNK_ROWS + 149}"
         assert x.shape == (io._READ_CHUNK_ROWS + 50, 2)
