@@ -19,8 +19,7 @@ import numpy as np
 # each command imports the estimators it calls, so that a process loads
 # only the modules its subcommand uses
 from . import io
-from .distribution import (DEFAULT_GRID_SIZE, MINUTES_PER_DAY, CensorSpec, _real,
-                           build_mixed, tac_per_day)
+from .distribution import DEFAULT_GRID_SIZE, CensorSpec, _real, build_mixed, tac_per_day
 
 
 def __getattr__(name: str):
@@ -143,6 +142,8 @@ def _read_regression_inputs(args):
     ids, x = io.read_quantile_csv(args.input)
     if len(ids) < 2:
         raise io.InputValidationError(f"{args.input}: {len(ids)} subject; need at least 2")
+    if np.all(x == x[0]):  # every pairwise distance is 0
+        raise io.InputValidationError(f"{args.input}: every subject has the same quantile grid")
     meta = io.read_subjects_csv(args.subjects)
     io.check_entries(ids, meta, "subjects")
     weights = np.asarray([meta[sid][0] for sid in ids])
@@ -161,17 +162,6 @@ def _numeric_column(ids, covariates, name: str, role: str) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def _tac_values(args, ids, x) -> np.ndarray:
-    """Daily totals from the summary file when given, else recovered from
-    the distribution as minutes per day * mean quantile value."""
-    summary_path = getattr(args, "summary", None)
-    if summary_path:
-        rows = io.read_summary_csv(summary_path)
-        io.check_entries(ids, rows, "summary")
-        return np.asarray([rows[sid][1] for sid in ids])
-    return MINUTES_PER_DAY * x.mean(axis=1)
-
-
 def cmd_regress(args) -> int:
     from .evaluation import compare_r2
     from .regression import SurveySample, krr_fit, save_model
@@ -182,7 +172,11 @@ def cmd_regress(args) -> int:
     io.check_unique(cfg["responses"], "repeated response")
 
     ids, x, weights, covariates = _read_regression_inputs(args)
-    tac = _tac_values(args, ids, x)
+    rows = io.read_summary_csv(args.summary)
+    io.check_entries(ids, rows, "summary")
+    tac = np.asarray([rows[sid][1] for sid in ids])
+    if np.all(tac == tac[0]):
+        raise io.InputValidationError(f"{args.summary}: every subject has the same tac_per_day")
 
     # one sample per predictor kind: every response reuses its distances
     # and kernel spectrum
@@ -313,7 +307,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("build-dist", help="raw readings to quantile grids"))
     p = sub.add_parser("regress", help="distribution-vs-TAC R-square report")
     common(p)
-    p.add_argument("--summary", help="summary CSV with exact tac_per_day")
+    p.add_argument("--summary", required=True,
+                   help="build-dist's summary.csv (exact tac_per_day, required)")
     common(sub.add_parser("classify", help="five-year mortality classification"))
     p = sub.add_parser("simulate", help="synthetic population and survey sample")
     p.add_argument("--out", required=True, help="output directory")

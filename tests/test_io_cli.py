@@ -545,13 +545,17 @@ class TestBuildDist:
                 == (tmp_path / "plain" / "quantiles.csv").read_bytes())
 
 
-def write_cohort_inputs(tmp_path, subjects, m=80, response_names=("response",)):
-    from actidist.distribution import build_mixed, tac_per_day
+def write_cohort_inputs(tmp_path, subjects, m=80):
+    """quantiles.csv, subjects.csv and summary.csv of `subjects`, as build-dist
+    would write the first and last."""
+    from actidist.distribution import tac_per_day
 
     ids = [s.subject_id for s in subjects]
-    grids = [build_mixed(s, m=m).quantiles for s in subjects]
+    mixed = [build_mixed(s, m=m) for s in subjects]
     qpath = tmp_path / "quantiles.csv"
-    io.write_quantile_csv(qpath, ids, grids)
+    io.write_quantile_csv(qpath, ids, [mx.quantiles for mx in mixed])
+    summary = tmp_path / "summary.csv"
+    io.write_summary_csv(summary, ids, mixed, [tac_per_day(s) for s in subjects])
     spath = tmp_path / "subjects.csv"
     names = sorted({name for s in subjects for name in s.covariates
                     if isinstance(s.covariates[name], (int, float))})
@@ -561,18 +565,27 @@ def write_cohort_inputs(tmp_path, subjects, m=80, response_names=("response",)):
         vals = ",".join(repr(float(s.covariates[n])) for n in names)
         lines.append(f"{s.subject_id},{float(s.survey_weight)!r},{vals}")
     spath.write_text("\n".join(lines) + "\n")
-    return qpath, spath
+    return qpath, spath, summary
 
 
 def write_toy_cohort(tmp_path, columns, rows):
     """Three-subject quantile table plus a subjects file with `columns` after
-    survey_weight, one row of values per subject a, b, c."""
+    survey_weight, one row of values per subject a, b, c, and a summary.csv
+    in `tmp_path` whose daily totals differ."""
     qpath = tmp_path / "q.csv"
     qpath.write_text("subject_id,t_1,t_2,t_3\na,0,1,2\nb,1,2,4\nc,0,3,5\n")
     spath = tmp_path / "s.csv"
     spath.write_text(f"subject_id,survey_weight,{columns}\n"
                      + "".join(f"{sid},1.0,{row}\n" for sid, row in zip("abc", rows)))
+    (tmp_path / "summary.csv").write_text("subject_id,p_inactive,tac_per_day\n"
+                                          "a,0.5,10.0\nb,0.5,20.0\nc,0.5,30.0\n")
     return qpath, spath
+
+
+def summary_flag(command, directory):
+    """regress's --summary for the summary.csv that write_toy_cohort or
+    write_cohort_inputs writes in `directory`; the other subcommands take none."""
+    return ["--summary", str(directory / "summary.csv")] if command == "regress" else []
 
 
 @pytest.fixture(scope="module")
@@ -589,15 +602,16 @@ def classify_cohort(tmp_path_factory):
     pop, _ = simulate_population(two_cluster_spec(80, seed=23, minutes=300))
     subjects = draw_sample(pop, StratifiedDesign({"frail": 0.9, "active": 0.7}),
                            seed=24)
-    return (tmp_path, *write_cohort_inputs(tmp_path, subjects))
+    qpath, spath, _ = write_cohort_inputs(tmp_path, subjects)
+    return tmp_path, qpath, spath
 
 
 class TestRegress:
     def test_report_prefers_distribution(self, regress_cohort):
-        tmp_path, qpath, spath = regress_cohort
+        tmp_path, qpath, spath, summary = regress_cohort
         out = tmp_path / "out"
         rc = main(["regress", "--input", str(qpath), "--subjects", str(spath),
-                   "--out", str(out), "--responses", "response"])
+                   "--summary", str(summary), "--out", str(out), "--responses", "response"])
         assert rc == 0
         text = (out / "report.csv").read_text().splitlines()
         assert text[0].startswith("response,r2_distribution,r2_tac")
@@ -606,28 +620,29 @@ class TestRegress:
         assert float(fields[1]) > float(fields[2])
 
     def test_missing_response_column_exits_2(self, regress_cohort):
-        tmp_path, qpath, spath = regress_cohort
+        tmp_path, qpath, spath, summary = regress_cohort
         rc = main(["regress", "--input", str(qpath), "--subjects", str(spath),
-                   "--out", str(tmp_path / "out2"), "--responses", "ghost"])
+                   "--summary", str(summary), "--out", str(tmp_path / "out2"),
+                   "--responses", "ghost"])
         assert rc == 2
 
     def test_empty_lambda_grid_exits_2(self, regress_cohort):
-        tmp_path, qpath, spath = regress_cohort
+        tmp_path, qpath, spath, summary = regress_cohort
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"lambda_grid": []}))
         rc = main(["regress", "--input", str(qpath), "--subjects", str(spath),
-                   "--out", str(tmp_path / "out3"), "--responses", "response",
-                   "--config", str(config)])
+                   "--summary", str(summary), "--out", str(tmp_path / "out3"),
+                   "--responses", "response", "--config", str(config)])
         assert rc == 2
 
     def test_non_finite_lambda_grid_exits_2(self, regress_cohort, capsys):
-        tmp_path, qpath, spath = regress_cohort
+        tmp_path, qpath, spath, summary = regress_cohort
         config = tmp_path / "nan_grid.json"
         # Python's json reads NaN
         config.write_text('{"lambda_grid": [NaN, 0.1]}')
         out = tmp_path / "out_nan_grid"
         rc = main(["regress", "--input", str(qpath), "--subjects", str(spath),
-                   "--out", str(out), "--responses", "response",
+                   "--summary", str(summary), "--out", str(out), "--responses", "response",
                    "--config", str(config)])
         assert rc == 2
         assert "lambda grid entries must be positive and finite" in capsys.readouterr().err
@@ -636,7 +651,7 @@ class TestRegress:
     def test_sigma_heuristic_once_per_side(self, regress_cohort, monkeypatch):
         from actidist import regression
 
-        tmp_path, qpath, spath = regress_cohort
+        tmp_path, qpath, spath, summary = regress_cohort
         calls = []
         real = regression.median_heuristic_sigma_from_matrix
 
@@ -646,20 +661,20 @@ class TestRegress:
 
         monkeypatch.setattr(regression, "median_heuristic_sigma_from_matrix", counting)
         rc = main(["regress", "--input", str(qpath), "--subjects", str(spath),
-                   "--out", str(tmp_path / "out_sigma"), "--responses", "response,age",
-                   "--save-models"])
+                   "--summary", str(summary), "--out", str(tmp_path / "out_sigma"),
+                   "--responses", "response,age", "--save-models"])
         assert rc == 0
         assert len(calls) == 2
 
     @pytest.mark.parametrize("given", ["flag", "config"])
     def test_no_response_named_exits_2(self, regress_cohort, capsys, given):
-        tmp_path, qpath, spath = regress_cohort
+        tmp_path, qpath, spath, summary = regress_cohort
         config = tmp_path / "no_responses.json"
         config.write_text(json.dumps({"responses": []}))
         option = ["--responses", ","] if given == "flag" else ["--config", str(config)]
         out = tmp_path / "out_no_responses"
         rc = main(["regress", "--input", str(qpath), "--subjects", str(spath),
-                   "--out", str(out), *option])
+                   "--summary", str(summary), "--out", str(out), *option])
         assert rc == 2
         assert capsys.readouterr().err == "error: no response columns requested\n"
         assert not out.exists()
@@ -675,47 +690,91 @@ class TestRegress:
         dist = tmp_path / "dist"
         assert main(["build-dist", "--input", str(readings), "--subjects", str(spath),
                      "--out", str(dist), "--m", "40", "--censor-lower", "5"]) == 0
-        sigmas = []
-        for name, summary in (("exact", ["--summary", str(dist / "summary.csv")]),
-                              ("recovered", [])):
-            out = tmp_path / name
-            assert main(["regress", "--input", str(dist / "quantiles.csv"),
-                         "--subjects", str(spath), "--out", str(out), *summary]) == 0
-            with open(out / "report.csv", newline="") as fh:
-                sigmas.append(float(next(csv.DictReader(fh))["sigma_tac"]))
+        out = tmp_path / "reg"
+        assert main(["regress", "--input", str(dist / "quantiles.csv"), "--subjects", str(spath),
+                     "--summary", str(dist / "summary.csv"), "--out", str(out)]) == 0
+        with open(out / "report.csv", newline="") as fh:
+            sigma = float(next(csv.DictReader(fh))["sigma_tac"])
         with open(dist / "summary.csv", newline="") as fh:
             tac = {row["subject_id"]: float(row["tac_per_day"]) for row in csv.DictReader(fh)}
         with open(dist / "quantiles.csv", newline="") as fh:
             ids = [row[0] for row in csv.reader(fh)][1:]
         weights = {s.subject_id: s.survey_weight for s in subjects}
-        assert sigmas[0] == median_heuristic_sigma([tac[sid] for sid in ids],
-                                                   [weights[sid] for sid in ids])
-        assert sigmas[1] != sigmas[0]
+        assert sigma == median_heuristic_sigma([tac[sid] for sid in ids],
+                                               [weights[sid] for sid in ids])
+
+    def test_tac_columns_are_compare_r2s_on_daily_totals(self, tmp_path):
+        from actidist.evaluation import compare_r2, survey_sample_from_subjects
+
+        # censored as ingest_week censors, where 1440 * mean(grid) is no daily total
+        pop, _ = simulate_population(spread_response_spec(40, seed=3))
+        subjects = sorted((dataclasses.replace(s, survey_weight=1.0 + k % 3)
+                           for k, s in enumerate(pop)), key=lambda s: s.subject_id)
+        readings, spath = tmp_path / "readings.csv", tmp_path / "subjects.csv"
+        io.write_readings_csv(readings, subjects)
+        io.write_subjects_csv(spath, subjects)
+        dist, out = tmp_path / "dist", tmp_path / "reg"
+        assert main(["build-dist", "--input", str(readings), "--subjects", str(spath),
+                     "--out", str(dist), "--m", "100", "--censor-lower", "100",
+                     "--censor-upper", "3500"]) == 0
+        assert main(["regress", "--input", str(dist / "quantiles.csv"), "--subjects", str(spath),
+                     "--summary", str(dist / "summary.csv"), "--out", str(out)]) == 0
+        with open(out / "report.csv", newline="") as fh:
+            (report,) = csv.DictReader(fh)
+        ids, x = io.read_quantile_csv(dist / "quantiles.csv")
+        assert ids == [s.subject_id for s in subjects]
+        tac_sample = survey_sample_from_subjects(subjects, "tac")
+        dist_sample = SurveySample(x, tac_sample.responses, tac_sample.weights)
+        tac = compare_r2(dist_sample, tac_sample).tac
+        assert [float(report[f"{column}_tac"]) for column in ("r2", "lambda", "sigma")] == [
+            tac.r2, tac.lam, tac.sigma]
+
+    def test_summary_is_required(self, regress_cohort, capsys):
+        tmp_path, qpath, spath, _ = regress_cohort
+        out = tmp_path / "out_no_summary"
+        with pytest.raises(SystemExit) as exc:
+            main(["regress", "--input", str(qpath), "--subjects", str(spath),
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert ("the following arguments are required: --summary"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_equal_daily_totals_name_the_summary(self, tmp_path, capsys):
+        qpath, spath = write_toy_cohort(tmp_path, "response", ["0.5", "1.5", "2.0"])
+        summary = tmp_path / "summary.csv"
+        # d is not in the quantile table, so its other total does not count
+        summary.write_text("subject_id,p_inactive,tac_per_day\n"
+                           "a,0.5,10.0\nb,0.4,10.0\nc,0.6,10.0\nd,0.5,20.0\n")
+        out = tmp_path / "out"
+        rc = main(["regress", "--input", str(qpath), "--subjects", str(spath),
+                   "--summary", str(summary), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {summary}: every subject has the same tac_per_day\n")
+        assert not out.exists()
 
     def test_misspelled_config_key_exits_2(self, regress_cohort, capsys):
-        tmp_path, qpath, spath = regress_cohort
+        tmp_path, qpath, spath, summary = regress_cohort
         config = tmp_path / "typo.json"
         config.write_text(json.dumps({"lamda_grid": [0.1, 1.0]}))
         rc = main(["regress", "--input", str(qpath), "--subjects", str(spath),
-                   "--out", str(tmp_path / "out_typo"), "--config", str(config)])
+                   "--summary", str(summary), "--out", str(tmp_path / "out_typo"),
+                   "--config", str(config)])
         assert rc == 2
         assert "unknown regress config keys: lamda_grid" in capsys.readouterr().err
 
     def test_non_finite_response_names_column_and_subject(self, tmp_path, capsys):
-        qpath = tmp_path / "q.csv"
-        qpath.write_text("subject_id,t_1,t_2,t_3\na,0,1,2\nb,1,2,4\nc,0,3,5\n")
-        spath = tmp_path / "s.csv"
-        spath.write_text("subject_id,survey_weight,response\n"
-                         "a,1.0,0.5\nb,1.0,nan\nc,1.0,2.0\n")
+        qpath, spath = write_toy_cohort(tmp_path, "response", ["0.5", "nan", "2.0"])
         rc = main(["regress", "--input", str(qpath), "--subjects", str(spath),
-                   "--out", str(tmp_path / "out")])
+                   "--summary", str(tmp_path / "summary.csv"), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "non-finite response column 'response' for: b" in capsys.readouterr().err
 
     def test_text_response_names_column_and_subject(self, tmp_path, capsys):
         qpath, spath = write_toy_cohort(tmp_path, "response", ["0.5", "abc", "2.0"])
         rc = main(["regress", "--input", str(qpath), "--subjects", str(spath),
-                   "--out", str(tmp_path / "out")])
+                   "--summary", str(tmp_path / "summary.csv"), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert ("missing, non-numeric or non-finite response column 'response' for: b"
                 in capsys.readouterr().err)
@@ -725,7 +784,8 @@ class TestRegress:
                                         ["0.5,1.0", "1.5,1.0", "2.0,1.0"])
         out = tmp_path / "out"
         rc = main(["regress", "--input", str(qpath), "--subjects", str(spath),
-                   "--out", str(out), "--responses", "response,y", "--save-models"])
+                   "--summary", str(tmp_path / "summary.csv"), "--out", str(out),
+                   "--responses", "response,y", "--save-models"])
         assert rc == 2
         assert capsys.readouterr().err == "error: response 'y': zero variance response\n"
         assert not out.exists()
@@ -746,43 +806,44 @@ class TestRegress:
 
     @pytest.mark.parametrize("given", ["flag", "config"])
     def test_repeated_response_exits_2_without_output(self, regress_cohort, capsys, given):
-        tmp_path, qpath, spath = regress_cohort
+        tmp_path, qpath, spath, summary = regress_cohort
         config = tmp_path / "repeated.json"
         config.write_text(json.dumps({"responses": ["response", "age", "response"]}))
         option = (["--responses", "response,age,response"] if given == "flag"
                   else ["--config", str(config)])
         out = tmp_path / "out_repeated"
         rc = main(["regress", "--input", str(qpath), "--subjects", str(spath),
-                   "--out", str(out), "--save-models", *option])
+                   "--summary", str(summary), "--out", str(out), "--save-models", *option])
         assert rc == 2
         assert capsys.readouterr().err == "error: repeated response 'response'\n"
         assert not out.exists()
 
     def test_single_named_response_one_row(self, regress_cohort):
-        tmp_path, qpath, spath = regress_cohort
+        tmp_path, qpath, spath, summary = regress_cohort
         out = tmp_path / "out4"
         rc = main(["regress", "--input", str(qpath), "--subjects", str(spath),
-                   "--out", str(out), "--responses", "age"])
+                   "--summary", str(summary), "--out", str(out), "--responses", "age"])
         assert rc == 0
         lines = (out / "report.csv").read_text().splitlines()
         assert len(lines) == 2 and lines[1].startswith("age,")
 
     def test_rerun_byte_identical(self, regress_cohort):
-        tmp_path, qpath, spath = regress_cohort
+        tmp_path, qpath, spath, summary = regress_cohort
         outs = []
         for name in ("rep1", "rep2"):
             out = tmp_path / name
             assert main(["regress", "--input", str(qpath), "--subjects",
-                         str(spath), "--out", str(out),
+                         str(spath), "--summary", str(summary), "--out", str(out),
                          "--responses", "response"]) == 0
             outs.append(out)
         assert (outs[0] / "report.csv").read_bytes() == (outs[1] / "report.csv").read_bytes()
 
     def test_saved_model_scores_via_predict(self, regress_cohort):
-        tmp_path, qpath, spath = regress_cohort
+        tmp_path, qpath, spath, summary = regress_cohort
         out = tmp_path / "out5"
         rc = main(["regress", "--input", str(qpath), "--subjects", str(spath),
-                   "--out", str(out), "--responses", "response", "--save-models"])
+                   "--summary", str(summary), "--out", str(out), "--responses", "response",
+                   "--save-models"])
         assert rc == 0
         model_path = out / "model_response.json"
         assert model_path.exists()
@@ -806,13 +867,14 @@ class TestRegress:
                 encoded.append(len(value))
             return json.dumps(value)
 
-        tmp_path, qpath, spath = regress_cohort
+        tmp_path, qpath, spath, summary = regress_cohort
         out = tmp_path / "out_encoded"
         # a CLI process starts with an empty memo
         regression._matrix_json.cache_clear()
         monkeypatch.setattr(regression, "json", SimpleNamespace(dumps=counting))
         rc = main(["regress", "--input", str(qpath), "--subjects", str(spath),
-                   "--out", str(out), "--responses", "response,age", "--save-models"])
+                   "--summary", str(summary), "--out", str(out), "--responses", "response,age",
+                   "--save-models"])
         assert rc == 0
         assert encoded == [len(io.read_quantile_csv(qpath)[0])]
         models = [json.loads((out / f"model_{name}.json").read_text(encoding="utf-8"))
@@ -913,7 +975,7 @@ class TestClassify:
         pop, _ = simulate_population(two_cluster_spec(40, seed=25, minutes=200))
         for s in pop:
             s.covariates["mortality"] = 0
-        qpath, spath = write_cohort_inputs(tmp_path, pop)
+        qpath, spath, _ = write_cohort_inputs(tmp_path, pop)
         out = tmp_path / "out"
         rc = main(["classify", "--input", str(qpath), "--subjects", str(spath),
                    "--out", str(out), "--response", "mortality"])
@@ -1020,7 +1082,7 @@ class TestJoinChecks:
         qpath, spath = write_toy_cohort(tmp_path, column, rows)
         out = tmp_path / "out"
         rc = main([command, "--input", str(qpath), "--subjects", str(spath),
-                   "--out", str(out)])
+                   *summary_flag(command, tmp_path), "--out", str(out)])
         assert rc == 2
         assert "error: subjects file lacks entries for: c" in capsys.readouterr().err
         assert not out.exists()
@@ -1032,7 +1094,8 @@ class TestJoinChecks:
                                         ["0,0.5,5.0", "1,1.5,5.0", "1,2.0,5.0"])
         out = tmp_path / "out"
         rc = main([command, "--input", str(readings if command == "build-dist" else qpath),
-                   "--subjects", str(spath), "--out", str(out)])
+                   "--subjects", str(spath), *summary_flag(command, tmp_path),
+                   "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {spath}: repeated column 'survey_weight'\n"
         assert not out.exists()
@@ -1082,7 +1145,7 @@ class TestOneSubjectTable:
         qpath.write_text("subject_id,t_1,t_2,t_3\na,0,1,2\n")
         out = tmp_path / "out"
         rc = main([command, "--input", str(qpath), "--subjects", str(spath),
-                   "--out", str(out)])
+                   *summary_flag(command, tmp_path), "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {qpath}: 1 subject; need at least 2\n"
         assert not out.exists()
@@ -1100,6 +1163,38 @@ class TestOneSubjectTable:
         expected = float(krr_predict_batch(model, [[0.5, 2.0]])[0])
         assert (out / "predictions.csv").read_text().splitlines() == [
             "subject_id,prediction", f"a,{expected!r}"]
+
+
+class TestIdenticalGrids:
+    """regress and classify refuse a table whose grids are all equal, where
+    every pairwise distance is 0, naming the file; predict scores it."""
+
+    @pytest.mark.parametrize("command, column", [("regress", "response"),
+                                                 ("classify", "mortality")])
+    def test_refused_with_file(self, tmp_path, capsys, command, column):
+        qpath, spath = write_toy_cohort(tmp_path, column, ["1", "0", "1"])
+        qpath.write_text("subject_id,t_1,t_2\na,0,1\nb,0,1\nc,0,1\n")
+        out = tmp_path / "out"
+        rc = main([command, "--input", str(qpath), "--subjects", str(spath),
+                   *summary_flag(command, tmp_path), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {qpath}: every subject has the same quantile grid\n")
+        assert not out.exists()
+
+    def test_predict_scores_them(self, tmp_path):
+        x = np.array([[0.0, 1.0], [1.0, 3.0], [2.0, 2.5]])
+        model = krr_fit(SurveySample(x, [1.0, 2.0, 0.5]), lam=0.5)
+        model_path = tmp_path / "model.json"
+        save_model(model, model_path)
+        qpath = tmp_path / "q.csv"
+        qpath.write_text("subject_id,t_1,t_2\na,0,1\nb,0,1\n")
+        out = tmp_path / "out"
+        assert main(["predict", "--model", str(model_path), "--input", str(qpath),
+                     "--out", str(out)]) == 0
+        expected = float(krr_predict_batch(model, [[0.0, 1.0]])[0])
+        assert (out / "predictions.csv").read_text().splitlines() == [
+            "subject_id,prediction", f"a,{expected!r}", f"b,{expected!r}"]
 
 
 SIM_CONFIG = {
@@ -1669,7 +1764,8 @@ class TestCliMisc:
         config.write_text(text)
         out = tmp_path / "out"
         inputs = [] if command == "simulate" else [
-            "--input", str(tmp_path / "in.csv"), "--subjects", str(tmp_path / "s.csv")]
+            "--input", str(tmp_path / "in.csv"), "--subjects", str(tmp_path / "s.csv"),
+            *summary_flag(command, tmp_path)]
         assert main([command, *inputs, "--out", str(out), "--config", str(config)]) == 2
         assert capsys.readouterr().err == (
             f"error: {config}: a config file must hold one JSON object\n")
@@ -1785,7 +1881,7 @@ FLAG_VALUES = {"int": ("7", "2.5"), "float": ("0.25", "low"), "name": ("died", N
 def parsed(command: str, config: Path, *flags: str) -> argparse.Namespace:
     """The parsed command line of `command`, whose file arguments need not exist."""
     files = ["--out", "o"] if command == "simulate" else [
-        "--input", "i", "--subjects", "s", "--out", "o"]
+        "--input", "i", "--subjects", "s", *summary_flag(command, Path()), "--out", "o"]
     return cli._build_parser().parse_args([command, *files, "--config", str(config), *flags])
 
 
@@ -1877,7 +1973,8 @@ class TestOptionTable:
         config.write_text(json.dumps({key: value}))
         out = tmp_path / "out"
         rc = main([command, "--input", str(inputs[0]), "--subjects", str(inputs[1]),
-                   "--out", str(out), "--config", str(config)])
+                   *summary_flag(command, inputs[0].parent), "--out", str(out),
+                   "--config", str(config)])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {config}: {key}: {message}\n"
         assert not out.exists()
